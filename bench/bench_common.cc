@@ -76,7 +76,7 @@ void ApplySimdFromArgs(int* argc, char** argv) {
     if (arg.rfind(kPrefix, 0) == 0) {
       const auto level = SimdLevelFromString(arg.substr(kPrefix.size()));
       if (!level.ok()) {
-        std::fprintf(stderr, "%s (expected auto|scalar|avx2|neon)\n",
+        std::fprintf(stderr, "%s (expected auto|scalar|avx2)\n",
                      level.status().ToString().c_str());
         std::exit(2);
       }
@@ -112,13 +112,13 @@ bool ParseBenchConfig(int argc, char** argv, const std::string& name,
   p->AddBool("explain", &config->explain,
              "dump each engine's plan for the first workload query");
   p->AddString("simd", &config->simd,
-               "frequency-oracle kernel level: auto|scalar|avx2|neon");
+               "frequency-oracle kernel level: auto|scalar|avx2");
   if (!p->Parse(argc, argv)) return false;
   ExplainFirstQuery() = config->explain;
   FeedbackEngines() = config->feedback;
   const auto simd_level = SimdLevelFromString(config->simd);
   if (!simd_level.ok()) {
-    std::fprintf(stderr, "%s (expected auto|scalar|avx2|neon)\n",
+    std::fprintf(stderr, "%s (expected auto|scalar|avx2)\n",
                  simd_level.status().ToString().c_str());
     return false;
   }

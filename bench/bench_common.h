@@ -51,7 +51,7 @@ struct BenchConfig {
   /// histogram the library exports; see the README metrics reference) plus
   /// the accumulated per-query profile of the bench's workload.
   std::string stats_json;
-  /// Frequency-oracle kernel level: auto, scalar, avx2, neon (SetSimdLevel).
+  /// Frequency-oracle kernel level: auto, scalar, avx2 (SetSimdLevel).
   /// Estimates are bit-identical at every level; forcing one the host cannot
   /// run is fatal rather than silently falling back, so a recorded curve is
   /// always measured with the kernels its label names.

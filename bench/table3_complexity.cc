@@ -36,6 +36,8 @@ std::unique_ptr<Mechanism> FreshMechanism(MechanismKind kind) {
   return CreateMechanism(kind, SharedTable().schema(), Params()).ValueOrDie();
 }
 
+// The estimate cache is off: every iteration re-runs the same query, so
+// with it on the query rows would time cache hits, not the mechanisms.
 const AnalyticsEngine& SharedEngine(MechanismKind kind) {
   static std::unique_ptr<AnalyticsEngine> engines[8];
   const int idx = static_cast<int>(kind);
@@ -44,6 +46,7 @@ const AnalyticsEngine& SharedEngine(MechanismKind kind) {
     options.mechanism = kind;
     options.params = Params();
     options.seed = 99;
+    options.enable_estimate_cache = false;
     engines[idx] = AnalyticsEngine::Create(SharedTable(), options).ValueOrDie();
   }
   return *engines[idx];

@@ -11,10 +11,11 @@
 
 namespace ldp {
 
-/// Number of rows per encode/ingest chunk. Fixed — NOT derived from the
-/// thread count — so the per-chunk RNG substreams (Rng::Fork(chunk)) and the
-/// chunk-partial floating-point sums are identical for every num_threads,
-/// which is what makes estimates bit-identical across thread counts.
+/// Number of rows per encode/ingest chunk, and reports per chunk of SC's
+/// estimation passes. Fixed — NOT derived from the thread count — so the
+/// per-chunk RNG substreams (Rng::Fork(chunk)) and the chunk-partial
+/// floating-point sums are identical for every num_threads, which is what
+/// makes estimates bit-identical across thread counts.
 inline constexpr uint64_t kExecChunkRows = 16384;
 
 /// Chunk size for deterministic parallel reductions over estimation

@@ -25,6 +25,8 @@ const FoCacheCounters& FoCacheMetrics() {
 
 const FoEstimateCounters& FoEstimateMetrics() {
   static const FoEstimateCounters counters = {
+      GlobalMetrics().counter("estimate.nodes"),
+      GlobalMetrics().counter("estimate.batches"),
       GlobalMetrics().counter("estimate.report_values"),
   };
   return counters;

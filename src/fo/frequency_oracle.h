@@ -28,13 +28,18 @@ struct FoCacheCounters {
 };
 const FoCacheCounters& FoCacheMetrics();
 
-/// Shared GlobalMetrics handles for the estimate kernels. `report_values`
-/// (`estimate.report_values`) counts kernel inner-loop evaluations — one per
-/// (report, value) pair for raw scans, (pool seed, value) for pooled OLH
-/// histograms, (spectrum entry, value) for HR — so production per-report
-/// kernel throughput is report_values over wall time, the same
-/// reports-per-second figure the benches record.
+/// Shared GlobalMetrics handles for the estimate kernels. `nodes`
+/// (`estimate.nodes`) counts the nodes (SC: sub-queries) an estimate
+/// touches, cached or not; `batches` (`estimate.batches`) counts the kernel
+/// tasks fanned out. `report_values` (`estimate.report_values`) counts
+/// kernel inner-loop evaluations — one per (report, value) pair for raw
+/// scans, (pool seed, value) for pooled OLH histograms, (spectrum entry,
+/// value) for HR — so production per-report kernel throughput is
+/// report_values over wall time, the same reports-per-second figure the
+/// benches record.
 struct FoEstimateCounters {
+  Counter* nodes;
+  Counter* batches;
   Counter* report_values;
 };
 const FoEstimateCounters& FoEstimateMetrics();

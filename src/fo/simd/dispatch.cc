@@ -8,16 +8,13 @@
 
 namespace ldp {
 
-// Defined in kernels_scalar.cc / kernels_avx2.cc / kernels_neon.cc. The
-// vector TUs are only compiled (and only declared here) when the matching
-// LDPMDA_FO_SIMD_* definition is set by the build, so this TU can never
-// reference a table the linker does not have.
+// Defined in kernels_scalar.cc / kernels_avx2.cc. The AVX2 TU is only
+// compiled (and only declared here) when the build sets
+// LDPMDA_FO_SIMD_AVX2, so this TU can never reference a table the linker
+// does not have.
 const FoKernels& ScalarFoKernels();
 #if defined(LDPMDA_FO_SIMD_AVX2)
 const FoKernels& Avx2FoKernels();
-#endif
-#if defined(LDPMDA_FO_SIMD_NEON)
-const FoKernels& NeonFoKernels();
 #endif
 
 std::string SimdLevelName(SimdLevel level) {
@@ -28,8 +25,6 @@ std::string SimdLevelName(SimdLevel level) {
       return "scalar";
     case SimdLevel::kAvx2:
       return "avx2";
-    case SimdLevel::kNeon:
-      return "neon";
   }
   return "?";
 }
@@ -39,16 +34,12 @@ Result<SimdLevel> SimdLevelFromString(std::string_view name) {
   if (lower == "auto") return SimdLevel::kAuto;
   if (lower == "scalar") return SimdLevel::kScalar;
   if (lower == "avx2") return SimdLevel::kAvx2;
-  if (lower == "neon") return SimdLevel::kNeon;
   return Status::InvalidArgument("unknown SIMD level: " + std::string(name));
 }
 
 SimdLevel DetectSimdLevel() {
 #if defined(LDPMDA_FO_SIMD_AVX2)
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-#endif
-#if defined(LDPMDA_FO_SIMD_NEON)
-  return SimdLevel::kNeon;
 #endif
   return SimdLevel::kScalar;
 }
@@ -61,12 +52,6 @@ bool SimdLevelSupported(SimdLevel level) {
     case SimdLevel::kAvx2:
 #if defined(LDPMDA_FO_SIMD_AVX2)
       return __builtin_cpu_supports("avx2");
-#else
-      return false;
-#endif
-    case SimdLevel::kNeon:
-#if defined(LDPMDA_FO_SIMD_NEON)
-      return true;
 #else
       return false;
 #endif
@@ -85,12 +70,6 @@ const FoKernels& KernelsForLevel(SimdLevel level) {
     case SimdLevel::kAvx2:
 #if defined(LDPMDA_FO_SIMD_AVX2)
       return Avx2FoKernels();
-#else
-      break;
-#endif
-    case SimdLevel::kNeon:
-#if defined(LDPMDA_FO_SIMD_NEON)
-      return NeonFoKernels();
 #else
       break;
 #endif

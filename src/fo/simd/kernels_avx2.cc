@@ -1,8 +1,11 @@
-// AVX2 kernels: 4 x double lanes, lane = value. Each value owns one lane for
-// the whole reduction, so its partial sum sees exactly the scalar kernel's
-// sequence of adds — the vector width changes which VALUES advance together,
-// never the order within one value's sum. Non-supporting reports contribute
-// via mask-AND (+0.0), matching the scalar branchless form bit-for-bit.
+// AVX2 kernels: 4 x 64-bit lanes. The per-value estimate kernels map lane =
+// value: each value owns one lane for the whole reduction, so its partial
+// sum sees exactly the scalar kernel's sequence of adds — the vector width
+// changes which VALUES advance together, never the order within one value's
+// sum. Non-supporting reports contribute via mask-AND (+0.0), matching the
+// scalar branchless form bit-for-bit. The SC support-bit kernels map lane =
+// report: olh_support_bits hashes 4 reports at once into integer bits, and
+// masked_weight_sum's lane k is the scalar reference's partial acc[k].
 //
 // This TU is compiled with -mavx2 -ffp-contract=off and must not be entered
 // unless __builtin_cpu_supports("avx2") — dispatch.cc guarantees that. No
@@ -10,6 +13,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -215,12 +219,95 @@ void HrSpectrumAvx2(const uint64_t* indices, const double* sums,
   }
 }
 
+/// Loads 4 consecutive uint32 values zero-extended into 64-bit lanes.
+inline __m256i LoadU32x4(const uint32_t* p) {
+  return _mm256_cvtepu32_epi64(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+
+void OlhSupportBitsAvx2(const uint32_t* seeds, const uint32_t* ys,
+                        size_t num_reports, uint32_t g,
+                        const uint64_t* values, size_t num_values,
+                        uint64_t* bits, size_t stride) {
+  // One word of every value's row at a time: a 4-report group's seed base
+  // and y are loaded once for all values.
+  const __m256i g_v = _mm256_set1_epi64x(static_cast<long long>(g));
+  const __m256i seed_mul =
+      _mm256_set1_epi64x(static_cast<long long>(0x9e3779b97f4a7c15ULL));
+  const __m256i seed_add =
+      _mm256_set1_epi64x(static_cast<long long>(0x2545f4914f6cdd1dULL));
+  const size_t words = (num_reports + 63) / 64;
+  for (size_t w = 0; w < words; ++w) {
+    for (size_t vi = 0; vi < num_values; ++vi) bits[vi * stride + w] = 0;
+    const size_t r0 = w * 64;
+    const size_t r1 = std::min(r0 + 64, num_reports);
+    size_t i = r0;
+    for (; i + 4 <= r1; i += 4) {
+      // Lane-wise SeededHashFamily::SeedBase.
+      const __m256i base = _mm256_add_epi64(
+          MulLo64(LoadU32x4(seeds + i), seed_mul), seed_add);
+      const __m256i y = LoadU32x4(ys + i);
+      for (size_t vi = 0; vi < num_values; ++vi) {
+        const __m256i v = _mm256_set1_epi64x(static_cast<long long>(values[vi]));
+        const __m256i eq = _mm256_cmpeq_epi64(EvalWithBaseV(base, v, g_v), y);
+        bits[vi * stride + w] |=
+            static_cast<uint64_t>(_mm256_movemask_pd(_mm256_castsi256_pd(eq)))
+            << (i - r0);
+      }
+    }
+    for (; i < r1; ++i) {
+      const uint64_t base = SeededHashFamily::SeedBase(seeds[i]);
+      for (size_t vi = 0; vi < num_values; ++vi) {
+        const uint64_t hit =
+            SeededHashFamily::EvalWithBase(base, values[vi], g) == ys[i];
+        bits[vi * stride + w] |= hit << (i - r0);
+      }
+    }
+  }
+}
+
+double MaskedWeightSumAvx2(const uint64_t* const* sets, size_t num_sets,
+                           const double* weights, size_t num_reports) {
+  // Lane k selects bit k of a 4-report nibble.
+  const __m256i lane_bit = _mm256_setr_epi64x(1, 2, 4, 8);
+  const size_t full = num_reports & ~static_cast<size_t>(3);
+  const auto word_mask = [&](size_t w) {
+    const size_t left = num_reports - w * 64;
+    uint64_t mask = left >= 64 ? ~0ull : (1ull << left) - 1;
+    for (size_t j = 0; j < num_sets; ++j) mask &= sets[j][w];
+    return mask;
+  };
+  __m256d acc = _mm256_setzero_pd();
+  for (size_t w = 0; w * 64 < full; ++w) {
+    const uint64_t mask = word_mask(w);
+    if (mask == 0) continue;  // +0.0 to every partial: the identity
+    const size_t r0 = w * 64;
+    const size_t r1 = std::min(r0 + 64, full);
+    for (size_t i = r0; i < r1; i += 4) {
+      const __m256i nibble =
+          _mm256_set1_epi64x(static_cast<long long>((mask >> (i - r0)) & 15));
+      const __m256d select = _mm256_castsi256_pd(
+          _mm256_cmpeq_epi64(_mm256_and_si256(nibble, lane_bit), lane_bit));
+      acc = _mm256_add_pd(acc,
+                          _mm256_and_pd(select, _mm256_loadu_pd(weights + i)));
+    }
+  }
+  alignas(32) double part[4];
+  _mm256_store_pd(part, acc);
+  // The last < 4 reports, into the partials the scalar reference uses.
+  for (size_t i = full; i < num_reports; ++i) {
+    if ((word_mask(i / 64) >> (i % 64)) & 1) part[i % 4] += weights[i];
+  }
+  return (part[0] + part[1]) + (part[2] + part[3]);
+}
+
 }  // namespace
 
 const FoKernels& Avx2FoKernels() {
   static const FoKernels kernels = {
-      SimdLevel::kAvx2, &OlhRawAvx2, &OlhHistAvx2,
-      &GrrRawAvx2,      &OueRawAvx2, &HrSpectrumAvx2,
+      SimdLevel::kAvx2,     &OlhRawAvx2,         &OlhHistAvx2,
+      &GrrRawAvx2,          &OueRawAvx2,         &HrSpectrumAvx2,
+      &OlhSupportBitsAvx2,  &MaskedWeightSumAvx2,
   };
   return kernels;
 }

@@ -1,9 +1,12 @@
 // Scalar reference kernels: the oracle inner loops exactly as they appeared
 // inline in olh.cc / grr.cc / oue.cc / hadamard.cc before the kernel table
-// existed. These define the bit pattern every vector implementation must
-// reproduce, so keep them boring — a change here is a change to the
-// determinism contract, not an optimization.
+// existed, plus SC's support-bit and masked-sum loops. These define the bit
+// pattern every vector implementation must reproduce, so keep them boring —
+// a change here is a change to the determinism contract, not an
+// optimization.
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -87,12 +90,49 @@ void HrSpectrumScalar(const uint64_t* indices, const double* sums,
   }
 }
 
+void OlhSupportBitsScalar(const uint32_t* seeds, const uint32_t* ys,
+                          size_t num_reports, uint32_t g,
+                          const uint64_t* values, size_t num_values,
+                          uint64_t* bits, size_t stride) {
+  const size_t words = (num_reports + 63) / 64;
+  for (size_t vi = 0; vi < num_values; ++vi) {
+    std::fill(bits + vi * stride, bits + vi * stride + words, 0);
+  }
+  for (size_t i = 0; i < num_reports; ++i) {
+    const uint64_t base = SeededHashFamily::SeedBase(seeds[i]);
+    const uint32_t y = ys[i];
+    for (size_t vi = 0; vi < num_values; ++vi) {
+      const uint64_t hit =
+          SeededHashFamily::EvalWithBase(base, values[vi], g) == y;
+      bits[vi * stride + i / 64] |= hit << (i % 64);
+    }
+  }
+}
+
+double MaskedWeightSumScalar(const uint64_t* const* sets, size_t num_sets,
+                             const double* weights, size_t num_reports) {
+  double acc[4] = {0.0, 0.0, 0.0, 0.0};
+  for (size_t w = 0; w * 64 < num_reports; ++w) {
+    const size_t left = num_reports - w * 64;
+    uint64_t mask = left >= 64 ? ~0ull : (1ull << left) - 1;
+    for (size_t j = 0; j < num_sets; ++j) mask &= sets[j][w];
+    // Visiting set bits only: a clear bit's +0.0 is the identity on a
+    // partial that starts at +0.0 (it can never become -0.0).
+    for (; mask != 0; mask &= mask - 1) {
+      const size_t i = w * 64 + static_cast<size_t>(std::countr_zero(mask));
+      acc[i % 4] += weights[i];
+    }
+  }
+  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
+}
+
 }  // namespace
 
 const FoKernels& ScalarFoKernels() {
   static const FoKernels kernels = {
-      SimdLevel::kScalar, &OlhRawScalar,  &OlhHistScalar,
-      &GrrRawScalar,      &OueRawScalar,  &HrSpectrumScalar,
+      SimdLevel::kScalar,     &OlhRawScalar,         &OlhHistScalar,
+      &GrrRawScalar,          &OueRawScalar,         &HrSpectrumScalar,
+      &OlhSupportBitsScalar,  &MaskedWeightSumScalar,
   };
   return kernels;
 }

@@ -14,16 +14,17 @@ namespace ldp {
 ///
 /// One level is active per process (selected once at startup, or forced via
 /// EngineOptions::simd_level / the benches' --simd flag). Every level
-/// computes bit-identical results: kernels map SIMD *lanes to values*, so
-/// each value's floating-point partial sum still accumulates in report order
-/// (for raw scans), pool-seed order (pooled OLH histograms), or spectrum
-/// order (HR) — exactly the scalar loop's order. No value's sum is ever
-/// split across lanes, so there is no lane-merge reduction to reorder.
+/// computes bit-identical results. The per-value estimate kernels map SIMD
+/// *lanes to values*, so each value's floating-point partial sum still
+/// accumulates in report order (for raw scans), pool-seed order (pooled OLH
+/// histograms), or spectrum order (HR) — exactly the scalar loop's order.
+/// The SC support-bit kernels map *lanes to reports*: their bit output is
+/// integer, and their one floating-point sum is defined with 4 interleaved
+/// partials that the scalar reference keeps too (see masked_weight_sum).
 enum class SimdLevel {
   kAuto = 0,    ///< resolve to the best supported level at first use
   kScalar = 1,  ///< portable fallback, always available
-  kAvx2 = 2,    ///< x86-64 AVX2 (4 x double lanes)
-  kNeon = 3,    ///< aarch64 NEON (2 x double lanes)
+  kAvx2 = 2,    ///< x86-64 AVX2 (4 x 64-bit lanes)
 };
 
 std::string SimdLevelName(SimdLevel level);
@@ -34,8 +35,9 @@ Result<SimdLevel> SimdLevelFromString(std::string_view name);
 /// Contract shared by every implementation (scalar included):
 ///  * `theta`/`total` are accumulated IN PLACE (callers zero-fill per tile);
 ///  * per value, floating-point adds happen in the same order as the scalar
-///    reference kernel (see SimdLevel) — implementations may vectorize
-///    across values only, never across the reduction dimension;
+///    reference kernel (see SimdLevel) — the per-value entries may vectorize
+///    across values only, never across the reduction dimension, and
+///    masked_weight_sum across its 4 interleaved partials only;
 ///  * a non-supporting report contributes +0.0 (mask-AND or `w * 0.0`),
 ///    which cannot change any partial sum's bits (sums never reach -0.0
 ///    starting from +0.0);
@@ -79,6 +81,29 @@ struct FoKernels {
   void (*hr_spectrum)(const uint64_t* indices, const double* sums,
                       size_t num_entries, const uint64_t* values,
                       size_t num_values, double* total);
+
+  /// OLH support bitsets, one row per value: bit i of row v is
+  ///   H_{seeds[i]}(values[v]) == ys[i],
+  /// stored at word i / 64, bit i % 64 of the row at `bits + v * stride`.
+  /// Overwrites the ceil(num_reports / 64) words of every row; bits past
+  /// num_reports are zero. Integer output, so every level is trivially
+  /// bit-identical.
+  void (*olh_support_bits)(const uint32_t* seeds, const uint32_t* ys,
+                           size_t num_reports, uint32_t g,
+                           const uint64_t* values, size_t num_values,
+                           uint64_t* bits, size_t stride);
+
+  /// Masked weight sum over reports [0, num_reports): with m the AND of the
+  /// `num_sets` bitsets sets[0..num_sets) (laid out as olh_support_bits
+  /// writes them; all ones when num_sets == 0) and `weights` the reports'
+  /// weights in report order,
+  ///   returns  sum_i weights[i] * bit_i(m).
+  /// The sum is grouped as 4 interleaved partials — acc[i % 4] receives
+  /// report i's term, in report order — combined as
+  /// (acc[0] + acc[1]) + (acc[2] + acc[3]); a clear bit contributes +0.0.
+  /// Bits past num_reports are ignored.
+  double (*masked_weight_sum)(const uint64_t* const* sets, size_t num_sets,
+                              const double* weights, size_t num_reports);
 };
 
 /// Highest level this binary + host supports (kScalar when vector kernels

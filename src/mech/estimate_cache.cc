@@ -97,10 +97,7 @@ void EstimateNodesBatched(const ReportStore& store,
                           std::span<double> out) {
   LDP_CHECK_EQ(nodes.size(), out.size());
   if (nodes.empty()) return;
-  if (GlobalMetrics().enabled()) {
-    static Counter* nodes_counter = GlobalMetrics().counter("estimate.nodes");
-    nodes_counter->Add(static_cast<int64_t>(nodes.size()));
-  }
+  FoEstimateMetrics().nodes->Add(nodes.size());
 
   // Probe the cache; gather misses per group in first-appearance order.
   struct Bucket {
@@ -147,10 +144,7 @@ void EstimateNodesBatched(const ReportStore& store,
            std::min(v0 + kEstimateValueChunk, buckets[b].values.size())});
     }
   }
-  if (GlobalMetrics().enabled()) {
-    static Counter* batches = GlobalMetrics().counter("estimate.batches");
-    batches->Add(static_cast<int64_t>(tasks.size()));
-  }
+  FoEstimateMetrics().batches->Add(tasks.size());
   exec.ParallelFor(tasks.size(), [&](uint64_t t) {
     const Task& task = tasks[t];
     Bucket& bucket = buckets[task.bucket];

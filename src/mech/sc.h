@@ -26,6 +26,15 @@ namespace ldp {
 /// with c(1) = (1-q)/(p-q), c(0) = -q/(p-q) — the first row of P_i^{-1}.
 /// Dimensions whose decomposed piece is the root ('*') contribute factor 1.
 ///
+/// Evaluation: each factor is one of two constants picked by one OLH support
+/// bit, so a query packs each piece's support bits into a bitset (1 bit per
+/// report). A sub-query over k <= 2 pieces expands the product over subsets
+/// of its pieces into masked weight sums, memoized across the query's
+/// sub-queries; a one-piece sub-query is exactly OLH's
+/// scale * (theta - W / g). From k = 3 on, a sub-query sums the weights of
+/// each popcount class (how many of its pieces a report supports): k + 1
+/// masked sums, so the cost grows linearly in k.
+///
 /// Requires OLH as the frequency oracle (the conjunctive estimator evaluates
 /// per-report support bits).
 class ScMechanism : public Mechanism {
@@ -60,6 +69,13 @@ class ScMechanism : public Mechanism {
   int GroupOf(int dim, int level) const {
     return group_offset_[dim] + level - 1;
   }
+
+  /// Computes value[rank] for every rank in `ranks` (sub-queries of the
+  /// box decomposed into `pieces`) from packed per-report support bitsets.
+  void EstimateSubQueries(
+      const std::vector<std::vector<LevelInterval>>& pieces,
+      std::span<const uint64_t> ranks, const WeightVector& weights,
+      std::span<double> value) const;
 
   std::unique_ptr<LevelGrid> grid_;
   double per_report_epsilon_ = 0.0;

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "fo/frequency_oracle.h"
 #include "mech/consistency.h"
 #include "mech/hio.h"
 #include "mech/multi.h"
@@ -25,10 +26,6 @@ Counter* BatchQueries() {
 Counter* BatchDedupHits() {
   static Counter* c = GlobalMetrics().counter("plan.batch_dedup_hits");
   return c;
-}
-Counter* EstimateNodes() {
-  static Counter* counter = GlobalMetrics().counter("estimate.nodes");
-  return counter;
 }
 
 /// Dedup handle of one estimate op: the chosen mechanism, the weight key
@@ -265,11 +262,13 @@ NodeTouchMeter::NodeTouchMeter(const Mechanism& mechanism) {
       }
     }
   }
-  if (caches_.empty()) kernel_before_ = EstimateNodes()->value();
+  if (caches_.empty()) kernel_before_ = FoEstimateMetrics().nodes->value();
 }
 
 uint64_t NodeTouchMeter::Touched() const {
-  if (caches_.empty()) return EstimateNodes()->value() - kernel_before_;
+  if (caches_.empty()) {
+    return FoEstimateMetrics().nodes->value() - kernel_before_;
+  }
   uint64_t touched = 0;
   for (const auto& [cache, before] : caches_) {
     const EstimateCache::Stats now = cache->stats();
@@ -295,7 +294,7 @@ ProfiledQueryScope::ProfiledQueryScope(QueryProfile* profile,
   if (const EstimateCache* cache = mechanism_.estimate_cache()) {
     cache_before_ = cache->stats();
   }
-  nodes_counter_before_ = EstimateNodes()->value();
+  nodes_counter_before_ = FoEstimateMetrics().nodes->value();
 }
 
 ProfiledQueryScope::~ProfiledQueryScope() {
@@ -324,11 +323,11 @@ ProfiledQueryScope::~ProfiledQueryScope() {
     // is on).
     profile_->nodes_estimated += now.misses - cache_before_.misses;
   } else {
-    // Cache off: fall back to the batched-kernel counter. Zero while metrics
-    // are disabled, and blind to mechanisms that bypass
-    // EstimateNodesBatched — a best-effort view, unlike the cache path.
+    // Cache off: fall back to the `estimate.nodes` counter, which every
+    // mechanism feeds (SC with one count per sub-query). Zero while metrics
+    // are disabled — a best-effort view, unlike the cache path.
     profile_->nodes_estimated +=
-        static_cast<uint64_t>(EstimateNodes()->value()) -
+        static_cast<uint64_t>(FoEstimateMetrics().nodes->value()) -
         nodes_counter_before_;
   }
 }

@@ -100,9 +100,11 @@ class PlanExecutor {
 /// `estimate.nodes` kernel counter. Both equal total nodes touched, so the
 /// measure is invariant to the cache configuration — which is what lets
 /// feedback planning consume it without breaking cross-config determinism.
-/// Caveats (best-effort, like QueryProfile's work counters): the kernel
-/// counter is zero while metrics are disabled, and MG boxes over 2^16 cells
-/// bypass the cache.
+/// Every mechanism feeds the counter: through EstimateNodesBatched, or (SC)
+/// one count per sub-query of the box. Caveats (best-effort, like
+/// QueryProfile's work counters): the kernel counter is zero while metrics
+/// are disabled, and MG boxes over 2^16 cells and SC boxes over 4096
+/// sub-queries bypass the cache.
 class NodeTouchMeter {
  public:
   explicit NodeTouchMeter(const Mechanism& mechanism);

@@ -1,10 +1,14 @@
 #include "mech/sc.h"
 
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/privacy_math.h"
+#include "obs/metrics.h"
 
 namespace ldp {
 namespace {
@@ -148,6 +152,233 @@ TEST(ScMechanismTest, ConjunctiveFactorsCalibrated) {
   // Single mechanism instance: allow a few standard deviations of the
   // Theorem 11-scale noise.
   EXPECT_NEAR(est, n / 2.0, n * 0.35);
+}
+
+// --- The bitset estimator against independent references ------------------
+
+/// A populated SC mechanism that also keeps its reports, so tests can
+/// recompute support bits straight from (seed, y) pairs. Users hold uniform
+/// values.
+struct ScFixture {
+  std::unique_ptr<ScMechanism> mech;
+  std::vector<LdpReport> reports;
+  std::vector<std::unique_ptr<DimHierarchy>> dims;
+  std::vector<int> group_offset;  // per dim: group id of its level 1
+  uint32_t g = 0;
+  long double c1 = 0.0L;
+  long double c0 = 0.0L;
+
+  // By default eps' = 0.8, so g = 3 and c0 != -c1.
+  ScFixture(uint64_t n, uint64_t seed, const Schema& schema = FourDimSchema(16),
+            const MechanismParams& params = Params(8.0)) {
+    mech = ScMechanism::Create(schema, params).ValueOrDie();
+    dims = BuildHierarchies(schema, params.fanout);
+    int offset = 0;
+    for (const auto& dim : dims) {
+      group_offset.push_back(offset);
+      offset += dim->height();
+    }
+    g = OptimalOlhG(mech->per_report_epsilon());
+    const long double p = OlhP(mech->per_report_epsilon(), g);
+    const long double q = OlhQ(g);
+    c1 = (1.0L - q) / (p - q);
+    c0 = -q / (p - q);
+    Rng rng(seed);
+    std::vector<uint32_t> values(dims.size());
+    for (uint64_t u = 0; u < n; ++u) {
+      for (size_t i = 0; i < dims.size(); ++i) {
+        values[i] =
+            static_cast<uint32_t>(rng.UniformInt(dims[i]->domain_size()));
+      }
+      reports.push_back(mech->EncodeUser(values, rng));
+      EXPECT_TRUE(mech->AddReport(reports.back(), u).ok());
+    }
+  }
+
+  /// Whether user t's report for `piece` of dimension `dim` supports it.
+  bool Supports(uint64_t t, int dim, const LevelInterval& piece) const {
+    const FoReport& fo =
+        reports[t].entries[group_offset[dim] + piece.level - 1].fo;
+    return SeededHashFamily::Eval(fo.seed, piece.index, g) == fo.value;
+  }
+
+  std::vector<std::vector<LevelInterval>> Pieces(
+      const std::vector<Interval>& box) const {
+    std::vector<std::vector<LevelInterval>> pieces(dims.size());
+    for (size_t i = 0; i < dims.size(); ++i) {
+      EXPECT_TRUE(dims[i]->Decompose(box[i], &pieces[i]).ok());
+    }
+    return pieces;
+  }
+
+  /// Eq. 42 by brute force in long double: every sub-query of the box, every
+  /// user, the product of its factors c(s) in {c0, c1}.
+  long double BruteForce(const std::vector<Interval>& box,
+                         const WeightVector& w) const {
+    const auto pieces = Pieces(box);
+    long double total = 0.0L;
+    std::vector<size_t> pick(dims.size(), 0);
+    std::function<void(size_t)> recurse = [&](size_t i) {
+      if (i == dims.size()) {
+        for (uint64_t t = 0; t < reports.size(); ++t) {
+          long double prod = w[t];
+          for (size_t j = 0; j < dims.size(); ++j) {
+            const LevelInterval& piece = pieces[j][pick[j]];
+            if (piece.level == 0) continue;  // '*' contributes factor 1
+            prod *= Supports(t, static_cast<int>(j), piece) ? c1 : c0;
+          }
+          total += prod;
+        }
+        return;
+      }
+      for (pick[i] = 0; pick[i] < pieces[i].size(); ++pick[i]) recurse(i + 1);
+    };
+    recurse(0);
+    return total;
+  }
+
+  /// The same box total factorized per user: the sum over sub-queries of
+  /// prod_i c(s_i(t)) is prod_i of the sum over dim i's pieces of c(s(t)).
+  long double FactorizedTotal(const std::vector<Interval>& box,
+                              const WeightVector& w) const {
+    const auto pieces = Pieces(box);
+    long double total = 0.0L;
+    for (uint64_t t = 0; t < reports.size(); ++t) {
+      long double prod = w[t];
+      for (size_t i = 0; i < dims.size(); ++i) {
+        if (pieces[i][0].level == 0) continue;  // '*' contributes factor 1
+        long double factor = 0.0L;
+        for (const LevelInterval& piece : pieces[i]) {
+          factor += Supports(t, static_cast<int>(i), piece) ? c1 : c0;
+        }
+        prod *= factor;
+      }
+      total += prod;
+    }
+    return total;
+  }
+};
+
+WeightVector MixedWeights(uint64_t n) {
+  std::vector<double> w(n);
+  for (uint64_t u = 0; u < n; ++u) {
+    w[u] = 0.1 + 0.37 * static_cast<double>(u % 7) - (u % 5 == 0 ? 1.3 : 0.0);
+  }
+  return WeightVector(std::move(w));
+}
+
+// A box with one non-root piece is OLH's estimator on that piece's group:
+// scale * (theta - W / g). Integer weights make theta and W exact in any
+// summation order, so the two must agree bit for bit.
+TEST(ScMechanismTest, OnePieceBoxIsTheOlhEstimator) {
+  const ScFixture f(2000, 31);
+  std::vector<double> weights(2000);
+  for (uint64_t u = 0; u < weights.size(); ++u) {
+    weights[u] = static_cast<double>(u % 5);
+  }
+  const WeightVector w(weights);
+  const double scale = OlhScale(f.mech->per_report_epsilon(), f.g);
+  // c1 = 2 (level 1 of a two-level categorical hierarchy), and d1 in [4, 7]
+  // (one aligned level-2 node of the binary hierarchy over 16 values).
+  const std::vector<std::pair<std::vector<Interval>, std::pair<int, int>>>
+      cases = {{{{0, 15}, {0, 15}, {2, 2}, {0, 2}}, {2, 0}},
+               {{{4, 7}, {0, 15}, {0, 3}, {0, 2}}, {0, 0}}};
+  for (const auto& [box, dim_and_piece] : cases) {
+    const int dim = dim_and_piece.first;
+    std::vector<LevelInterval> pieces;
+    ASSERT_TRUE(f.dims[dim]->Decompose(box[dim], &pieces).ok());
+    ASSERT_EQ(pieces.size(), 1u);
+    ASSERT_NE(pieces[0].level, 0);
+    double theta = 0.0;
+    double total = 0.0;
+    for (uint64_t t = 0; t < f.reports.size(); ++t) {
+      total += w[t];
+      if (f.Supports(t, dim, pieces[0])) theta += w[t];
+    }
+    EXPECT_EQ(f.mech->EstimateBox(box, w).ValueOrDie(),
+              scale * (theta - total / f.g))
+        << "dim " << dim;
+  }
+}
+
+void ExpectNearRelative(double got, long double want, const std::string& what) {
+  EXPECT_NEAR(got, static_cast<double>(want),
+              1e-9 * std::abs(static_cast<double>(want)))
+      << what;
+}
+
+std::string BoxName(const std::vector<Interval>& box) {
+  std::string name;
+  for (const Interval& r : box) {
+    name += std::to_string(r.lo) + "-" + std::to_string(r.hi) + " ";
+  }
+  return name;
+}
+
+// Boxes constraining two to four dimensions, several pieces each, match
+// eq. 42 evaluated by brute force — independently of the subset expansion
+// (k <= 2) and the popcount classes (k >= 3) the mechanism uses.
+TEST(ScMechanismTest, MultiDimBoxesMatchBruteForce) {
+  const ScFixture f(2000, 32);
+  const WeightVector w = MixedWeights(2000);
+  const std::vector<std::vector<Interval>> boxes = {
+      {{3, 12}, {0, 15}, {0, 3}, {1, 1}},  // k = 2
+      {{0, 15}, {5, 10}, {2, 2}, {0, 2}},  // k = 2
+      {{1, 9}, {6, 13}, {3, 3}, {0, 2}},   // k = 3
+      {{2, 5}, {0, 15}, {1, 1}, {2, 2}},   // k = 3
+      {{3, 13}, {2, 9}, {0, 0}, {1, 1}},   // k = 4
+  };
+  for (const auto& box : boxes) {
+    ExpectNearRelative(f.mech->EstimateBox(box, w).ValueOrDie(),
+                       f.BruteForce(box, w), BoxName(box));
+  }
+}
+
+// A box may constrain any number of dimensions: its cost grows linearly in
+// k (k + 1 popcount classes per sub-query), so 70 constrained dimensions are
+// answered, and match eq. 42.
+TEST(ScMechanismTest, ManyDimensionBoxesMatchBruteForce) {
+  const int d = 70;
+  Schema schema;
+  for (int i = 0; i < d; ++i) {
+    ASSERT_TRUE(schema.AddCategorical("c" + std::to_string(i), 2).ok());
+  }
+  // eps' = 30 / 70, so g = 3 and c0 != -c1.
+  const ScFixture f(500, 33, schema, Params(30.0));
+  ASSERT_EQ(f.g, 3u);
+  const WeightVector w = MixedWeights(500);
+  std::vector<Interval> box(d, Interval{0, 1});
+  for (int i = 0; i < 3; ++i) box[i] = {1, 1};  // k = 3
+  ExpectNearRelative(f.mech->EstimateBox(box, w).ValueOrDie(),
+                     f.BruteForce(box, w), "k = 3");
+  for (int i = 0; i < d; ++i) box[i] = {i % 2u, i % 2u};  // k = 70
+  ExpectNearRelative(f.mech->EstimateBox(box, w).ValueOrDie(),
+                     f.BruteForce(box, w), "k = 70");
+}
+
+// Boxes whose masked sums do not fit one batch of kExecChunkRows (16384)
+// sums — 189^2 subsets at k = 2, 188 * 81 * 5 sub-queries of 4 popcount
+// classes each at k = 3 — match the per-user factorization of the box total.
+TEST(ScMechanismTest, BatchedSumsMatchFactorizedTotal) {
+  Schema schema;
+  for (const char* name : {"x", "y", "z"}) {
+    ASSERT_TRUE(schema.AddOrdinal(name, 4096).ok());
+  }
+  const ScFixture f(300, 34, schema, Params(8.0, /*b=*/64));
+  const WeightVector w = MixedWeights(300);
+  GlobalMetrics().set_enabled(true);
+  Counter* batches = GlobalMetrics().counter("estimate.batches");
+  const std::vector<std::vector<Interval>> boxes = {
+      {{1, 4094}, {1, 4094}, {0, 4095}},  // 188 x 188 pieces
+      {{1, 4094}, {1, 900}, {5, 9}},      // 188 x 81 x 5 pieces
+  };
+  for (const auto& box : boxes) {
+    const uint64_t before = batches->value();
+    ExpectNearRelative(f.mech->EstimateBox(box, w).ValueOrDie(),
+                       f.FactorizedTotal(box, w), BoxName(box));
+    // n fits one report chunk: one task for the bitsets, one per batch.
+    EXPECT_GT(batches->value() - before, 2u) << BoxName(box);
+  }
 }
 
 }  // namespace

@@ -428,5 +428,51 @@ TEST(EngineProfileTest, GlobalRegistryObservesEngineWork) {
   EXPECT_TRUE(snap.histograms.count("exec.queue_wait"));
 }
 
+// SC counts one estimate.nodes per sub-query of the box — the product of the
+// per-dimension piece counts — whether or not the cache serves it, so the
+// profile's node count agrees with the counter in both cache states.
+TEST(EngineProfileTest, ScNodesMatchPieceProductInBothCacheStates) {
+  GlobalMetrics().set_enabled(true);
+  EngineOptions options;
+  options.mechanism = MechanismKind::kSc;
+  options.params.epsilon = 2.0;
+  options.seed = 7;
+  const std::string sql =
+      "SELECT COUNT(*) FROM T WHERE age BETWEEN 1 AND 10 AND income BETWEEN "
+      "3 AND 7";
+  const std::vector<Interval> box = {{1, 10}, {3, 7}, {0, 5}, {0, 1}};
+  const auto dims =
+      BuildHierarchies(ProfTable().schema(), options.params.fanout);
+  uint64_t product = 1;
+  for (size_t i = 0; i < dims.size(); ++i) {
+    std::vector<LevelInterval> pieces;
+    ASSERT_TRUE(dims[i]->Decompose(box[i], &pieces).ok());
+    product *= pieces.size();
+  }
+  ASSERT_GT(product, 1u);
+
+  Counter* nodes = GlobalMetrics().counter("estimate.nodes");
+  for (const bool cache : {false, true}) {
+    options.enable_estimate_cache = cache;
+    const auto engine =
+        AnalyticsEngine::Create(ProfTable(), options).ValueOrDie();
+    // The second run is answered from the cache when it is on.
+    for (int run = 0; run < 2; ++run) {
+      QueryProfile profile;
+      const uint64_t before = nodes->value();
+      ASSERT_TRUE(engine->ExecuteSql(sql, &profile).ok());
+      const uint64_t delta = nodes->value() - before;
+      EXPECT_EQ(delta, product) << "cache " << cache << " run " << run;
+      if (cache) {
+        EXPECT_EQ(profile.cache_hits + profile.cache_misses, delta)
+            << "run " << run;
+        EXPECT_EQ(profile.cache_hits, run == 0 ? 0u : product);
+      } else {
+        EXPECT_EQ(profile.nodes_estimated, delta) << "run " << run;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ldp

@@ -1,8 +1,9 @@
 // SIMD kernel layer (src/fo/simd/): every vector level this binary + host
 // supports must be bit-identical to the scalar reference kernels —
 //  * at the kernel-table level, fuzzing each FoKernels entry over random
-//    inputs, tile remainders around the lane widths (1, lane-1, lane,
-//    lane+1), and misaligned value/output spans,
+//    inputs, tile remainders around the lane width (1, lane-1, lane,
+//    lane+1), and misaligned value/output spans; the SC support-bit entries
+//    over report counts around the 64-bit word and the report chunk,
 //  * at the accumulator level (EstimateManyWeighted under SetSimdLevel),
 //  * at the engine level across thread counts and cache states,
 // plus the level-name surface (SimdLevelFromString/SimdLevelName) and the
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "data/generator.h"
 #include "engine/engine.h"
@@ -37,30 +39,26 @@ void ExpectBitEqual(double a, double b, const std::string& what) {
   EXPECT_EQ(ba, bb) << what << ": " << a << " vs " << b;
 }
 
-/// Every level this binary + host can run. Always contains kScalar; the
-/// vector entries appear exactly when their kernels were compiled in AND the
-/// host supports them, so the suite degenerates gracefully on scalar-only
-/// builds (check-all-simd-off) without weakening where vectors exist.
+/// Every level this binary + host can run. Always contains kScalar; AVX2
+/// appears exactly when its kernels were compiled in AND the host supports
+/// it, so the suite degenerates gracefully on scalar-only builds
+/// (check-all-simd-off) without weakening where vectors exist.
 std::vector<SimdLevel> SupportedLevels() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  for (const SimdLevel level : {SimdLevel::kAvx2, SimdLevel::kNeon}) {
-    if (SimdLevelSupported(level)) levels.push_back(level);
-  }
+  if (SimdLevelSupported(SimdLevel::kAvx2)) levels.push_back(SimdLevel::kAvx2);
   return levels;
 }
 
-/// A level that must be rejected on this binary + host. AVX2 and NEON are
-/// mutually exclusive (x86-64 vs aarch64), so at least one always exists.
+/// A level that must be rejected on this binary + host: AVX2 where it is
+/// compiled out or the CPU lacks it, otherwise a value outside the enum —
+/// which no binary can run, and which takes the same LDP_CHECK path.
 SimdLevel UnsupportedLevel() {
-  for (const SimdLevel level : {SimdLevel::kAvx2, SimdLevel::kNeon}) {
-    if (!SimdLevelSupported(level)) return level;
-  }
-  ADD_FAILURE() << "no unsupported level on this host?";
-  return SimdLevel::kScalar;
+  if (!SimdLevelSupported(SimdLevel::kAvx2)) return SimdLevel::kAvx2;
+  return static_cast<SimdLevel>(99);
 }
 
-/// Value counts covering the remainder cases around both lane widths
-/// (NEON: 2, AVX2: 4): 1, lane-1, lane, lane+1, and a longer mixed run.
+/// Value counts covering the remainder cases around the AVX2 lane width
+/// of 4: 1, lane-1, lane, lane+1, and a longer mixed run.
 const size_t kValueCounts[] = {1, 2, 3, 4, 5, 8, 37};
 /// Element offsets into over-allocated buffers: offset 0 may be 32-byte
 /// aligned, the others force 8/16/24-byte misalignment of values AND theta.
@@ -206,6 +204,118 @@ TEST(SimdKernelFuzzTest, AllLevelsMatchScalarBitwise) {
   }
 }
 
+// The SC support-bit entries map lanes to reports, so their edge cases are
+// report counts: around one 64-bit word, and around one kExecChunkRows
+// report chunk (16384).
+const size_t kReportCounts[] = {1, 63, 64, 65, 16383, 16385};
+
+/// Brute-force support bit: H_seed(value) == y.
+bool Supports(uint32_t seed, uint32_t y, uint64_t value, uint32_t g) {
+  return SeededHashFamily::Eval(seed, value, g) == y;
+}
+
+TEST(SimdKernelFuzzTest, OlhSupportBitsMatchScalarAndBruteForce) {
+  Rng rng(21);
+  for (const size_t n : kReportCounts) {
+    for (const size_t off : kOffsets) {
+      const uint32_t g = 2 + static_cast<uint32_t>(rng.UniformInt(6));
+      std::vector<uint32_t> seeds(n + off), ys(n + off);
+      for (size_t i = 0; i < n + off; ++i) {
+        seeds[i] = static_cast<uint32_t>(rng());
+        ys[i] = static_cast<uint32_t>(rng.UniformInt(g));
+      }
+      // 11 values: one row each, all written in one pass over the reports.
+      std::vector<uint64_t> values(11 + off);
+      for (uint64_t& v : values) v = rng.UniformInt(1000);
+      const size_t words = (n + 63) / 64;
+      const size_t stride = words + 3;  // rows need not be adjacent
+      const std::string what =
+          "n=" + std::to_string(n) + " off=" + std::to_string(off);
+      std::vector<uint64_t> reference;
+      for (const SimdLevel level : SupportedLevels()) {
+        // Garbage-filled: the kernel must overwrite every word of a row.
+        std::vector<uint64_t> bits(11 * stride + off, ~0ull);
+        KernelsForLevel(level).olh_support_bits(
+            seeds.data() + off, ys.data() + off, n, g, values.data() + off,
+            11, bits.data() + off, stride);
+        if (level == SimdLevel::kScalar) {
+          for (size_t v = 0; v < 11; ++v) {
+            for (size_t i = 0; i < words * 64; ++i) {
+              const bool bit =
+                  (bits[off + v * stride + i / 64] >> (i % 64)) & 1;
+              const bool want = i < n && Supports(seeds[off + i], ys[off + i],
+                                                  values[off + v], g);
+              ASSERT_EQ(bit, want) << what << " value " << v << " report " << i;
+            }
+          }
+          reference = bits;
+          continue;
+        }
+        for (size_t v = 0; v < 11; ++v) {
+          for (size_t w = 0; w < words; ++w) {
+            ASSERT_EQ(bits[off + v * stride + w],
+                      reference[off + v * stride + w])
+                << SimdLevelName(level) << " " << what << " value " << v
+                << " word " << w;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelFuzzTest, MaskedWeightSumMatchesScalarAndBruteForce) {
+  Rng rng(22);
+  for (const size_t n : kReportCounts) {
+    for (const size_t off : kOffsets) {
+      const size_t words = (n + 63) / 64;
+      std::vector<double> weights(n + off);
+      // Inexact, mixed-sign weights (and exact zeros), so a different
+      // grouping of the sum would show in its bits.
+      for (double& w : weights) {
+        w = rng.Bernoulli(0.1) ? 0.0 : rng.UniformDouble() - 0.5;
+      }
+      // Four sets of mixed density; garbage past n must be ignored.
+      std::vector<std::vector<uint64_t>> set_words(4);
+      for (size_t j = 0; j < 4; ++j) {
+        set_words[j].resize(words + off);
+        for (uint64_t& w : set_words[j]) {
+          w = rng() | (j % 2 == 0 ? rng() : 0);
+        }
+      }
+      for (size_t num_sets = 0; num_sets <= 4; ++num_sets) {
+        std::vector<const uint64_t*> sets;
+        for (size_t j = 0; j < num_sets; ++j) {
+          sets.push_back(set_words[j].data() + off);
+        }
+        // Brute force in long double for the value; the scalar kernel's
+        // 4-partial grouping for the bits.
+        long double exact = 0.0L;
+        for (size_t i = 0; i < n; ++i) {
+          bool in = true;
+          for (const uint64_t* set : sets) {
+            in = in && ((set[i / 64] >> (i % 64)) & 1);
+          }
+          if (in) exact += weights[off + i];
+        }
+        const std::string what = "n=" + std::to_string(n) + " off=" +
+                                 std::to_string(off) + " sets=" +
+                                 std::to_string(num_sets);
+        const double reference =
+            KernelsForLevel(SimdLevel::kScalar)
+                .masked_weight_sum(sets.data(), num_sets,
+                                   weights.data() + off, n);
+        EXPECT_NEAR(reference, static_cast<double>(exact), 1e-9) << what;
+        for (const SimdLevel level : SupportedLevels()) {
+          ExpectBitEqual(KernelsForLevel(level).masked_weight_sum(
+                             sets.data(), num_sets, weights.data() + off, n),
+                         reference, SimdLevelName(level) + " " + what);
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Accumulator level: EstimateManyWeighted under a forced level must match
 // the scalar-forced run bitwise for every oracle, tiling, and span offset.
@@ -297,28 +407,30 @@ TEST(SimdAccumulatorTest, HadamardBitIdentical) {
 
 // ---------------------------------------------------------------------------
 // Engine level: forced levels x thread counts x cache states must answer
-// bit-identically (the ISSUE's acceptance matrix).
+// bit-identically.
 
-Table TwoDimTable(uint64_t n = 2000) {
+/// Sensitive dims a and b, plus c when `with_c`; one measure m.
+Table EngineTable(uint64_t n, bool with_c) {
   TableSpec spec;
   spec.dims.push_back({"a", AttributeKind::kSensitiveOrdinal, 16,
                        ColumnDist::kGaussianBell, 1.0});
   spec.dims.push_back(
       {"b", AttributeKind::kSensitiveOrdinal, 16, ColumnDist::kZipf, 1.1});
+  if (with_c) {
+    spec.dims.push_back(
+        {"c", AttributeKind::kSensitiveOrdinal, 8, ColumnDist::kUniform, 1.0});
+  }
   spec.measures.push_back(
       {"m", 0.0, 10.0, ColumnDist::kUniform, 1.0, -1, 0.0});
   return GenerateTable(spec, n, 99).ValueOrDie();
 }
 
-TEST(SimdEngineTest, BitIdenticalAcrossLevelsThreadsAndCache) {
-  const Table table = TwoDimTable();
-  const std::vector<std::string> sqls = {
-      "SELECT COUNT(*) FROM T WHERE a BETWEEN 2 AND 11 AND b BETWEEN 1 AND "
-      "13",
-      "SELECT SUM(m) FROM T WHERE a BETWEEN 0 AND 7 AND b BETWEEN 4 AND 15"};
+void CheckEngineBitIdenticalAcrossLevelsThreadsAndCache(
+    MechanismKind mechanism, const Table& table,
+    const std::vector<std::string>& sqls) {
   auto make_engine = [&](SimdLevel level, int threads, bool cache) {
     EngineOptions options;
-    options.mechanism = MechanismKind::kHio;
+    options.mechanism = mechanism;
     options.params.epsilon = 2.0;
     options.params.fanout = 2;
     options.seed = 4242;
@@ -341,7 +453,8 @@ TEST(SimdEngineTest, BitIdenticalAcrossLevelsThreadsAndCache) {
         for (size_t q = 0; q < sqls.size(); ++q) {
           ExpectBitEqual(engine->ExecuteSql(sqls[q]).ValueOrDie(),
                          reference[q],
-                         SimdLevelName(level) + " threads " +
+                         MechanismKindName(mechanism) + " " +
+                             SimdLevelName(level) + " threads " +
                              std::to_string(threads) +
                              (cache ? " cache" : " no-cache") + " query " +
                              std::to_string(q));
@@ -352,19 +465,38 @@ TEST(SimdEngineTest, BitIdenticalAcrossLevelsThreadsAndCache) {
   SetSimdLevel(SimdLevel::kAuto);
 }
 
+TEST(SimdEngineTest, BitIdenticalAcrossLevelsThreadsAndCache) {
+  CheckEngineBitIdenticalAcrossLevelsThreadsAndCache(
+      MechanismKind::kHio, EngineTable(2000, false),
+      {"SELECT COUNT(*) FROM T WHERE a BETWEEN 2 AND 11 AND b BETWEEN 1 AND "
+       "13",
+       "SELECT SUM(m) FROM T WHERE a BETWEEN 0 AND 7 AND b BETWEEN 4 AND 15"});
+  // SC over more than one report chunk with a partial last bitset word
+  // (n % 64 != 0): a 2-dim box (subset expansion), a 3-dim box (popcount
+  // classes), and an OR (three boxes, one of them the 2-dim intersection).
+  CheckEngineBitIdenticalAcrossLevelsThreadsAndCache(
+      MechanismKind::kSc, EngineTable(20001, true),
+      {"SELECT COUNT(*) FROM T WHERE a BETWEEN 2 AND 11 AND b BETWEEN 1 AND "
+       "13",
+       "SELECT SUM(m) FROM T WHERE a BETWEEN 2 AND 11 AND b BETWEEN 1 AND 13 "
+       "AND c BETWEEN 1 AND 5",
+       "SELECT SUM(m) FROM T WHERE a BETWEEN 3 AND 9 OR b BETWEEN 4 AND 15",
+       "SELECT AVG(m) FROM T WHERE b BETWEEN 0 AND 6"});
+}
+
 // ---------------------------------------------------------------------------
 // Level-name surface and dispatch plumbing.
 
 TEST(SimdLevelTest, NamesRoundTrip) {
   for (const SimdLevel level :
-       {SimdLevel::kAuto, SimdLevel::kScalar, SimdLevel::kAvx2,
-        SimdLevel::kNeon}) {
+       {SimdLevel::kAuto, SimdLevel::kScalar, SimdLevel::kAvx2}) {
     const auto parsed = SimdLevelFromString(SimdLevelName(level));
     ASSERT_TRUE(parsed.ok()) << SimdLevelName(level);
     EXPECT_EQ(parsed.value(), level);
   }
   EXPECT_EQ(SimdLevelFromString("AVX2").ValueOrDie(), SimdLevel::kAvx2);
   EXPECT_FALSE(SimdLevelFromString("sse9").ok());
+  EXPECT_FALSE(SimdLevelFromString("neon").ok());
   EXPECT_FALSE(SimdLevelFromString("").ok());
 }
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
-#include "common/hash.h"
 #include "common/logging.h"
 #include "mech/multi.h"
 #include "query/plan.h"
@@ -13,41 +11,15 @@ namespace ldp {
 
 namespace {
 
-/// Canonical rendering of everything the planner's candidate scoring can
-/// see — the registered mechanism kinds (in order), the mechanism params,
-/// the consistency flag — plus the resolved SIMD kernel level, so recorded
-/// plans name the kernels that executed them. Checksummed into the
-/// plan-cache configuration fingerprint so plans built under one
-/// configuration are never served under another.
-uint64_t ConfigFingerprint(std::span<const MechanismKind> kinds,
-                          const EngineOptions& options) {
-  const MechanismParams& params = options.params;
-  std::ostringstream os;
-  for (const MechanismKind kind : kinds) {
-    os << MechanismKindName(kind) << ",";
-  }
-  os << "|eps=" << params.epsilon << "|b=" << params.fanout
-     << "|fo=" << static_cast<int>(params.fo_kind)
-     << "|pool=" << params.hash_pool_size
-     << "|hint=" << params.population_hint
-     << "|consistency=" << (options.planner_consistency ? 1 : 0)
-     << "|feedback=" << (options.enable_feedback ? 1 : 0)
-     << "|fbk=" << (options.enable_feedback
-                        ? std::max(options.feedback_min_observations, 1)
-                        : 0)
-     << "|simd=" << SimdLevelName(ActiveSimdLevel());
-  return Checksum64(os.str());
-}
-
 /// The executed plan's measured actuals, from its locally profiled run.
-PlanObservation ObservationOf(const QueryProfile& local,
-                              const NodeTouchMeter& meter) {
+PlanObservation ObservationOf(const QueryProfile& local) {
   PlanObservation obs;
   obs.wall_nanos = local.total_nanos;
   obs.fanout_nanos = local.stages[QueryProfile::kFanout].wall_nanos;
   obs.estimate_nanos = local.stages[QueryProfile::kEstimate].wall_nanos;
   obs.estimate_calls = local.estimate_calls;
-  obs.nodes_touched = meter.Touched();
+  // Nodes the cache served plus nodes the kernels estimated.
+  obs.nodes_touched = local.cache_hits + local.nodes_estimated;
   return obs;
 }
 
@@ -62,8 +34,7 @@ Result<std::unique_ptr<AnalyticsEngine>> AnalyticsEngine::Create(
   GlobalMetrics().set_enabled(options.enable_metrics);
   // Process-wide like the metrics switch; LDP_CHECK-fatal on a forced level
   // this host cannot run (a silent fallback would record benchmarks under
-  // the wrong kernel label). Resolves kAuto, so ConfigFingerprint below
-  // sees a concrete level.
+  // the wrong kernel label).
   SetSimdLevel(options.simd_level);
   engine->exec_ = std::make_unique<ExecutionContext>(options.num_threads);
   // Registered mechanism set: `mechanisms` (when non-empty) overrides the
@@ -88,17 +59,12 @@ Result<std::unique_ptr<AnalyticsEngine>> AnalyticsEngine::Create(
   }
   PlannerOptions planner_options;
   planner_options.enable_consistency = options.planner_consistency;
-  planner_options.enable_feedback = options.enable_feedback;
   engine->planner_ = std::make_unique<Planner>(table.schema(), kinds,
                                                options.params,
                                                planner_options);
   if (options.enable_feedback) {
-    engine->plan_stats_ = std::make_unique<PlanStatsStore>(
-        std::max<size_t>(options.feedback_store_entries, 1), /*alpha=*/0.25,
-        static_cast<uint64_t>(std::max(options.feedback_min_observations, 1)));
-    engine->planner_->set_stats_store(engine->plan_stats_.get());
+    engine->plan_stats_ = std::make_unique<PlanStatsStore>();
   }
-  engine->config_fingerprint_ = ConfigFingerprint(kinds, options);
   if (options.enable_plan_cache && options.plan_cache_entries > 0) {
     engine->plan_cache_ =
         std::make_unique<PlanCache>(options.plan_cache_entries);
@@ -165,7 +131,7 @@ Result<std::shared_ptr<const PhysicalPlan>> AnalyticsEngine::GetPlan(
     TraceSpan probe_span(profile, QueryProfile::kPlan);
     if (plan_cache_ != nullptr) {
       key = QueryCacheKey(schema(), query);
-      if (auto plan = plan_cache_->Get(key, epoch, config_fingerprint_)) {
+      if (auto plan = plan_cache_->Get(key, epoch)) {
         return plan;
       }
     }
@@ -177,7 +143,6 @@ Result<std::shared_ptr<const PhysicalPlan>> AnalyticsEngine::GetPlan(
   TraceSpan build_span(profile, QueryProfile::kPlan);
   LDP_ASSIGN_OR_RETURN(PhysicalPlan physical,
                        planner_->Plan(std::move(logical).value(), epoch));
-  physical.config_fingerprint = config_fingerprint_;
   build_span.Stop();
   GlobalMetrics()
       .counter(std::string("plan.mechanism_choices.") +
@@ -202,7 +167,6 @@ Result<double> AnalyticsEngine::ExecuteRecorded(
   // execution's actuals, then merge into the caller's profile — its totals
   // match the unrecorded path exactly.
   QueryProfile local;
-  const NodeTouchMeter meter(*mechanism_);
   const Result<double> result = [&]() -> Result<double> {
     ProfiledQueryScope scope(&local, *mechanism_, *exec_);
     if (query != nullptr) {
@@ -212,7 +176,7 @@ Result<double> AnalyticsEngine::ExecuteRecorded(
   }();
   if (profile != nullptr) profile->Merge(local);
   if (result.ok() && plan != nullptr) {
-    plan_stats_->Record(PlanIdentityOf(*plan), ObservationOf(local, meter));
+    plan_stats_->Record(plan->fingerprint, ObservationOf(local));
   }
   return result;
 }
@@ -228,9 +192,8 @@ Result<double> AnalyticsEngine::ExecuteSql(std::string_view sql,
   // skipping the parse as well. The index never stores plans itself — the
   // epoch check happens in the keyed cache it points into.
   if (plan_cache_ != nullptr) {
-    if (auto plan = plan_cache_->GetSql(std::string(sql),
-                                        mechanism_->num_reports(),
-                                        config_fingerprint_)) {
+    if (auto plan =
+            plan_cache_->GetSql(std::string(sql), mechanism_->num_reports())) {
       return ExecuteRecorded(nullptr, std::move(plan), profile);
     }
   }
@@ -296,7 +259,7 @@ Status AnalyticsEngine::ExecuteBatch(std::span<const Query> queries,
   if (profile != nullptr) profile->Merge(local);
   if (status.ok()) {
     for (size_t i = 0; i < observations.size() && i < plans.size(); ++i) {
-      plan_stats_->Record(PlanIdentityOf(*plans[i]), observations[i]);
+      plan_stats_->Record(plans[i]->fingerprint, observations[i]);
     }
   }
   return status;
@@ -304,7 +267,9 @@ Status AnalyticsEngine::ExecuteBatch(std::span<const Query> queries,
 
 Result<std::shared_ptr<const PhysicalPlan>> AnalyticsEngine::PlanFor(
     const Query& query) const {
-  return GetPlan(query, nullptr);
+  LDP_ASSIGN_OR_RETURN(auto plan, GetPlan(query, nullptr));
+  if (plan_stats_ == nullptr) return plan;
+  return std::make_shared<const PhysicalPlan>(WithLiveFeedback(*plan));
 }
 
 PhysicalPlan AnalyticsEngine::WithLiveFeedback(
@@ -313,7 +278,7 @@ PhysicalPlan AnalyticsEngine::WithLiveFeedback(
   if (const auto stats = plan_stats_->Lookup(plan.fingerprint)) {
     live.feedback.observations = stats->observations;
     live.feedback.warmed =
-        stats->observations >= plan_stats_->min_observations();
+        stats->observations >= PlanStatsStore::kWarmupObservations;
     live.feedback.wall_nanos = stats->ewma_wall_nanos;
     live.feedback.estimate_calls = stats->ewma_estimate_calls;
     live.feedback.nodes = stats->ewma_nodes;
@@ -322,12 +287,7 @@ PhysicalPlan AnalyticsEngine::WithLiveFeedback(
 }
 
 Result<std::string> AnalyticsEngine::Explain(const Query& query) const {
-  LDP_ASSIGN_OR_RETURN(const auto plan, GetPlan(query, nullptr));
-  if (plan_stats_ != nullptr) {
-    // Refresh predicted-vs-actual from the live store: the cached plan's
-    // own feedback snapshot predates any execution since it was planned.
-    return WithLiveFeedback(*plan).ToText(schema());
-  }
+  LDP_ASSIGN_OR_RETURN(const auto plan, PlanFor(query));
   return plan->ToText(schema());
 }
 

@@ -64,26 +64,19 @@ struct EngineOptions {
   /// tree) for qualifying deployments — see PlannerOptions. Changes answers
   /// (that is its point), hence off by default.
   bool planner_consistency = false;
-  /// Measured-cost feedback planning (see PlanStatsStore and
-  /// PlannerOptions::enable_feedback): every Execute/ExecuteBatch records
-  /// the executed plan's actuals, and once every candidate mechanism has
-  /// >= feedback_min_observations observations for a query, measured work
-  /// replaces the analytic proxy in mechanism scoring. Only which mechanism
-  /// wins may change — any chosen plan's estimate stays bit-identical across
-  /// threads/caches/SIMD — but since the winner MAY differ from the analytic
-  /// choice, this defaults off for golden-test stability.
+  /// Measured plan actuals for EXPLAIN (see PlanStatsStore): every
+  /// Execute/ExecuteBatch records the executed plan's wall time, estimate
+  /// calls and nodes touched, and once a plan has
+  /// PlanStatsStore::kWarmupObservations observations, Explain and PlanFor
+  /// show them next to the planner's predictions. Display data only — plans
+  /// and answers are identical with it on or off. Off by default: recording
+  /// adds a profiled scope and a store update to every query.
   bool enable_feedback = false;
-  /// Observations a plan fingerprint needs before feedback trusts it.
-  int feedback_min_observations = 3;
-  /// Entry budget for the plan stats store (per-fingerprint EWMA records).
-  size_t feedback_store_entries = 1024;
   /// Instruction-set level for the frequency-oracle estimate kernels
   /// (src/fo/simd/). kAuto picks the best supported level at Create();
   /// forcing a level the host does not support is LDP_CHECK-fatal. Purely a
-  /// performance knob — every level is bit-identical (see FoKernels) — but
-  /// the RESOLVED level is folded into config_fingerprint() so recorded
-  /// benchmark artifacts and cached plans name the kernels that produced
-  /// them. Process-wide, like enable_metrics: the last engine created wins.
+  /// performance knob — every level is bit-identical (see FoKernels).
+  /// Process-wide, like enable_metrics: the last engine created wins.
   SimdLevel simd_level = SimdLevel::kAuto;
 };
 
@@ -166,7 +159,9 @@ class AnalyticsEngine {
   /// Explain for a SQL string; accepts both "SELECT ..." and
   /// "EXPLAIN SELECT ...".
   Result<std::string> ExplainSql(std::string_view sql) const;
-  /// The plan itself, for programmatic consumers (ToJson, tests).
+  /// The plan itself, for programmatic consumers (ToJson, tests). With
+  /// EngineOptions::enable_feedback on, its feedback block carries the live
+  /// stats store's actuals, as Explain shows them.
   Result<std::shared_ptr<const PhysicalPlan>> PlanFor(
       const Query& query) const;
 
@@ -180,15 +175,9 @@ class AnalyticsEngine {
   const Schema& schema() const { return table_.schema(); }
   /// The plan cache, or null when disabled.
   PlanCache* plan_cache() const { return plan_cache_.get(); }
-  /// The measured-cost plan stats store, or null unless
-  /// EngineOptions::enable_feedback is set. Exposed for tests and the replay
-  /// harness (ComparePlanStats over two engines' stores).
+  /// The plan stats store, or null unless EngineOptions::enable_feedback is
+  /// set. Exposed for tests.
   PlanStatsStore* plan_stats() const { return plan_stats_.get(); }
-  /// Fingerprint of the planner-visible configuration (registered mechanism
-  /// set, mechanism params, consistency flag). Stamped into every plan and
-  /// checked by the plan cache, so a cached plan is never served after the
-  /// candidate set changes. Exposed for tests.
-  uint64_t config_fingerprint() const { return config_fingerprint_; }
 
   /// Sum over rows of |expr| for the query's aggregate — the MNAE
   /// normalizer Sigma_S (Section 6, error measures). COUNT uses n.
@@ -212,9 +201,9 @@ class AnalyticsEngine {
                                  std::shared_ptr<const PhysicalPlan> plan,
                                  QueryProfile* profile) const;
 
-  /// Copies `plan` with its feedback block refreshed from the live stats
-  /// store — EXPLAIN stays current even when the plan cache serves a plan
-  /// whose snapshot predates recent executions.
+  /// Copies `plan` with its feedback block filled from the live stats store.
+  /// The planner leaves the block empty and cached plans are shared, so
+  /// Explain and PlanFor fill a copy every time. Requires plan_stats_.
   PhysicalPlan WithLiveFeedback(const PhysicalPlan& plan) const;
 
   const Table& table_;
@@ -228,8 +217,6 @@ class AnalyticsEngine {
   /// Null unless EngineOptions::enable_feedback is on.
   std::unique_ptr<PlanStatsStore> plan_stats_;
   std::unique_ptr<PlanExecutor> executor_;
-  /// See config_fingerprint().
-  uint64_t config_fingerprint_ = 0;
 };
 
 }  // namespace ldp

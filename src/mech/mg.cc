@@ -163,6 +163,10 @@ Result<double> MgMechanism::EstimateBox(std::span<const Interval> ranges,
           EstimateNodesBatched(store_, nodes, weights, num_reports_, cache,
                                SerialExecutionContext(), estimates);
         } else {
+          // One kernel batch over the chunk's cells, counted the way
+          // EstimateNodesBatched counts a cached box's.
+          FoEstimateMetrics().nodes->Add(len);
+          FoEstimateMetrics().batches->Add(1);
           acc.EstimateManyWeighted(cells, weights, estimates);
         }
         double sub = 0.0;

@@ -195,14 +195,12 @@ MetricsRegistry& GlobalMetrics() {
              "plan.rewrites", "plan.estimate_calls", "plan.batch_queries",
              "plan.batch_dedup_hits", "plan_cache.hits", "plan_cache.misses",
              "plan_cache.insertions", "plan_cache.evictions",
-             "plan_cache.epoch_drops", "plan_cache.config_drops",
+             "plan_cache.epoch_drops",
              "plan.mechanism_choices.HI", "plan.mechanism_choices.HIO",
              "plan.mechanism_choices.SC", "plan.mechanism_choices.MG",
              "plan.mechanism_choices.QuadTree", "plan.mechanism_choices.Haar",
              "plan.mechanism_choices.HDG", "plan.mechanism_choices.CALM",
              "plan.feedback_records", "plan.feedback_evictions",
-             "plan.feedback_lookups", "plan.feedback_hits",
-             "plan.feedback_overrides",
              "storage.wal_appends",
              "storage.wal_bytes", "storage.fsyncs", "storage.wal_torn_tails",
              "storage.wal_corrupt_drops", "storage.wal_segments_deleted",

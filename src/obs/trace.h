@@ -46,8 +46,10 @@ struct QueryProfile {
   /// Mechanism EstimateBox calls the executor actually issued (batch dedup
   /// hits are not counted — they issue no call).
   uint64_t estimate_calls = 0;
-  /// Hierarchy/grid nodes handed to estimation kernels (cache misses) plus
-  /// nodes served from the estimate cache.
+  /// Hierarchy/grid nodes handed to estimation kernels: the nodes the query
+  /// touched (`estimate.nodes`) minus those the estimate cache served. With
+  /// the cache on these are its misses plus the nodes of boxes too large to
+  /// cache. Nodes served from the cache are not counted (see cache_hits).
   uint64_t nodes_estimated = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;

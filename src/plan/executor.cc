@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <sstream>
 #include <unordered_map>
 
@@ -43,6 +42,26 @@ std::string TaskKey(const PlanOp& op, const PhysicalPlan& plan) {
   }
   if (op.kind == PlanOpKind::kConsistency) key << "|c";
   return key.str();
+}
+
+/// Summed stats of the estimate caches `mechanism` probes: its own, or a
+/// MultiMechanism's per-sub caches (the composite holds none itself).
+EstimateCache::Stats CacheStatsOf(const Mechanism& mechanism) {
+  EstimateCache::Stats sum;
+  auto add = [&sum](const EstimateCache* cache) {
+    if (cache == nullptr) return;
+    const EstimateCache::Stats stats = cache->stats();
+    sum.hits += stats.hits;
+    sum.misses += stats.misses;
+    sum.epoch_drops += stats.epoch_drops;
+  };
+  add(mechanism.estimate_cache());
+  if (const auto* multi = dynamic_cast<const MultiMechanism*>(&mechanism)) {
+    for (int i = 0; i < multi->num_sub_mechanisms(); ++i) {
+      add(multi->sub(i).estimate_cache());
+    }
+  }
+  return sum;
 }
 
 }  // namespace
@@ -218,10 +237,10 @@ Status PlanExecutor::RunBatch(
     // totals identical to the unobserved path.
     QueryProfile local;
     QueryProfile* prof = observations != nullptr ? &local : profile;
-    std::optional<NodeTouchMeter> meter;
+    uint64_t nodes_before = 0;
     std::chrono::steady_clock::time_point start;
     if (observations != nullptr) {
-      meter.emplace(mechanism_);
+      nodes_before = FoEstimateMetrics().nodes->value();
       start = std::chrono::steady_clock::now();
     }
     if (plan.logical.terms.empty()) {
@@ -240,41 +259,12 @@ Status PlanExecutor::RunBatch(
       obs.fanout_nanos = local.stages[QueryProfile::kFanout].wall_nanos;
       obs.estimate_nanos = local.stages[QueryProfile::kEstimate].wall_nanos;
       obs.estimate_calls = local.estimate_calls;
-      obs.nodes_touched = meter->Touched();
+      obs.nodes_touched = FoEstimateMetrics().nodes->value() - nodes_before;
       observations->push_back(obs);
       if (profile != nullptr) profile->Merge(local);
     }
   }
   return Status::OK();
-}
-
-// --- NodeTouchMeter --------------------------------------------------------
-
-NodeTouchMeter::NodeTouchMeter(const Mechanism& mechanism) {
-  if (const EstimateCache* cache = mechanism.estimate_cache()) {
-    caches_.emplace_back(cache, cache->stats());
-  } else if (const auto* multi =
-                 dynamic_cast<const MultiMechanism*>(&mechanism)) {
-    // The composite holds no cache of its own; its subs do (all or none).
-    for (int i = 0; i < multi->num_sub_mechanisms(); ++i) {
-      if (const EstimateCache* cache = multi->sub(i).estimate_cache()) {
-        caches_.emplace_back(cache, cache->stats());
-      }
-    }
-  }
-  if (caches_.empty()) kernel_before_ = FoEstimateMetrics().nodes->value();
-}
-
-uint64_t NodeTouchMeter::Touched() const {
-  if (caches_.empty()) {
-    return FoEstimateMetrics().nodes->value() - kernel_before_;
-  }
-  uint64_t touched = 0;
-  for (const auto& [cache, before] : caches_) {
-    const EstimateCache::Stats now = cache->stats();
-    touched += (now.hits - before.hits) + (now.misses - before.misses);
-  }
-  return touched;
 }
 
 // --- ProfiledQueryScope ----------------------------------------------------
@@ -291,9 +281,7 @@ ProfiledQueryScope::ProfiledQueryScope(QueryProfile* profile,
   start_ = std::chrono::steady_clock::now();
   stage_nanos_before_ = StageNanos();
   chunks_before_ = exec_.chunks_dispatched();
-  if (const EstimateCache* cache = mechanism_.estimate_cache()) {
-    cache_before_ = cache->stats();
-  }
+  cache_before_ = CacheStatsOf(mechanism_);
   nodes_counter_before_ = FoEstimateMetrics().nodes->value();
 }
 
@@ -313,23 +301,22 @@ ProfiledQueryScope::~ProfiledQueryScope() {
       total > staged ? total - staged : 0;
   profile_->stages[QueryProfile::kAggregate].calls += num_queries_;
   profile_->exec_chunks += exec_.chunks_dispatched() - chunks_before_;
-  if (const EstimateCache* cache = mechanism_.estimate_cache()) {
-    const EstimateCache::Stats now = cache->stats();
-    profile_->cache_hits += now.hits - cache_before_.hits;
-    profile_->cache_misses += now.misses - cache_before_.misses;
-    profile_->cache_epoch_drops += now.epoch_drops - cache_before_.epoch_drops;
-    // Every cache miss is exactly one node estimated by a kernel, for every
-    // mechanism (they all route per-node estimates through the cache when it
-    // is on).
-    profile_->nodes_estimated += now.misses - cache_before_.misses;
-  } else {
-    // Cache off: fall back to the `estimate.nodes` counter, which every
-    // mechanism feeds (SC with one count per sub-query). Zero while metrics
-    // are disabled — a best-effort view, unlike the cache path.
-    profile_->nodes_estimated +=
-        static_cast<uint64_t>(FoEstimateMetrics().nodes->value()) -
-        nodes_counter_before_;
-  }
+  const EstimateCache::Stats now = CacheStatsOf(mechanism_);
+  const uint64_t hits = now.hits - cache_before_.hits;
+  const uint64_t misses = now.misses - cache_before_.misses;
+  profile_->cache_hits += hits;
+  profile_->cache_misses += misses;
+  profile_->cache_epoch_drops += now.epoch_drops - cache_before_.epoch_drops;
+  // Every mechanism feeds the `estimate.nodes` counter with each node it
+  // touches, cached or not, so the kernels estimated the touched nodes the
+  // cache did not serve. That includes boxes too large to cache (MG over
+  // 2^16 cells, SC over 4096 sub-queries), which probe nothing. The counter
+  // stands still while metrics are disabled; every miss is still one
+  // kernel-estimated node then.
+  const uint64_t touched =
+      FoEstimateMetrics().nodes->value() - nodes_counter_before_;
+  profile_->nodes_estimated +=
+      std::max(misses, touched > hits ? touched - hits : 0);
 }
 
 uint64_t ProfiledQueryScope::StageNanos() const {

@@ -92,33 +92,6 @@ class PlanExecutor {
   std::unique_ptr<WeightStore> weights_;
 };
 
-/// Measures PlanObservation::nodes_touched: the total hierarchy/grid node
-/// estimates an execution requested between construction and Touched(),
-/// cache-served nodes included. With the estimate cache on, the measure is
-/// the cache's probe count (hits + misses — every per-node estimate routes
-/// through the cache, on the composite's sub-caches too); with it off, the
-/// `estimate.nodes` kernel counter. Both equal total nodes touched, so the
-/// measure is invariant to the cache configuration — which is what lets
-/// feedback planning consume it without breaking cross-config determinism.
-/// Every mechanism feeds the counter: through EstimateNodesBatched, or (SC)
-/// one count per sub-query of the box. Caveats (best-effort, like
-/// QueryProfile's work counters): the kernel counter is zero while metrics
-/// are disabled, and MG boxes over 2^16 cells and SC boxes over 4096
-/// sub-queries bypass the cache.
-class NodeTouchMeter {
- public:
-  explicit NodeTouchMeter(const Mechanism& mechanism);
-
-  /// Nodes touched since construction. Deterministic for a deterministic
-  /// execution; exact when queries run one at a time per engine.
-  uint64_t Touched() const;
-
- private:
-  /// Per-cache baseline stats (the composite case has one per sub).
-  std::vector<std::pair<const EstimateCache*, EstimateCache::Stats>> caches_;
-  uint64_t kernel_before_ = 0;
-};
-
 /// Differences engine-level work stats around a profiled query (or batch of
 /// `num_queries`) and folds them into the profile — the attribution layer
 /// behind QueryProfile's work counters. Stack-scoped: captured at
@@ -145,6 +118,8 @@ class ProfiledQueryScope {
   uint64_t stage_nanos_before_ = 0;
   uint64_t chunks_before_ = 0;
   uint64_t nodes_counter_before_ = 0;
+  /// Summed over the mechanism's estimate caches (a composite's per-sub
+  /// caches included).
   EstimateCache::Stats cache_before_;
 };
 

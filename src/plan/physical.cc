@@ -127,7 +127,6 @@ std::string PhysicalPlan::ToText(const Schema& schema) const {
     // this block default-empty), so observation can't change plan identity.
     os << "feedback:\n";
     os << "  observations: " << feedback.observations << "\n";
-    os << "  overrode: " << (feedback.overrode ? 1 : 0) << "\n";
     os << "  estimate_calls: predicted=" << PredictedEstimateCalls(*this)
        << " actual~" << FormatDouble(feedback.estimate_calls) << "\n";
     os << "  node_estimates: predicted=" << predicted_node_estimates
@@ -179,7 +178,6 @@ std::string PhysicalPlan::ToJson(const Schema& schema) const {
   }
   if (feedback.warmed) {
     os << ",\"feedback\":{\"observations\":" << feedback.observations
-       << ",\"overrode\":" << (feedback.overrode ? "true" : "false")
        << ",\"predicted_estimate_calls\":" << PredictedEstimateCalls(*this)
        << ",\"actual_estimate_calls\":" << FormatDouble(feedback.estimate_calls)
        << ",\"predicted_node_estimates\":" << predicted_node_estimates

@@ -79,21 +79,18 @@ struct PlanOp {
   std::string weight_key;
 };
 
-/// Measured-cost feedback riding along with a plan (PlanStatsStore entries
-/// for this plan's fingerprint at planning/explain time). Display data only:
-/// feedback may change which mechanism a multi-mechanism planner picks, never
-/// how a picked plan computes its estimate. Excluded from the plan
+/// Measured actuals riding along with a plan (the engine's PlanStatsStore
+/// entry for this plan's fingerprint at EXPLAIN time). Display data only:
+/// nothing in planning or execution reads it. Excluded from the plan
 /// fingerprint — the planner fingerprints the plan with this block
-/// default-empty and fills it afterwards, so observing a plan never changes
-/// its identity.
+/// default-empty and the engine fills it afterwards, so observing a plan
+/// never changes its identity.
 struct PlanFeedback {
   /// Recorded executions of this fingerprint.
   uint64_t observations = 0;
-  /// True once observations >= the store's warmup K; EXPLAIN renders the
-  /// predicted-vs-actual block only then.
+  /// True once observations >= PlanStatsStore::kWarmupObservations; EXPLAIN
+  /// renders the predicted-vs-actual block only then.
   bool warmed = false;
-  /// True when measured cost overrode the analytic mechanism choice.
-  bool overrode = false;
   /// EWMA actuals (see PlanStatsStore). wall_nanos is nondeterministic
   /// timing data; estimate_calls/nodes are deterministic work measures.
   double wall_nanos = 0.0;
@@ -129,18 +126,13 @@ struct PhysicalPlan {
   /// Checksum of the canonical plan text (epoch excluded): two structurally
   /// identical plans have the same fingerprint across runs and processes.
   uint64_t fingerprint = 0;
-  /// Checksum of the engine configuration the plan was built under
-  /// (registered mechanism set, params, planner options). The plan cache
-  /// hard-drops entries whose config fingerprint differs — a cached plan is
-  /// never served after the candidate set changed. 0 = unconstrained.
-  uint64_t config_fingerprint = 0;
   /// Per-candidate cost-model scores behind the mechanism choice, in
   /// candidate-registration order. Empty for single-mechanism planners (the
   /// choice is forced), so single-mechanism EXPLAIN output is unchanged.
   std::vector<MechanismScore> candidates;
-  /// Measured-cost actuals for this fingerprint, when feedback planning is
-  /// enabled and the stats store has seen it. Default-empty (not rendered,
-  /// not fingerprinted) otherwise.
+  /// Measured actuals for this fingerprint, filled by the engine when
+  /// EngineOptions::enable_feedback is on and the stats store has seen it.
+  /// Default-empty (not rendered, not fingerprinted) otherwise.
   PlanFeedback feedback;
   std::vector<PlanOp> ops;
 

@@ -10,8 +10,7 @@ PlanCache::PlanCache(size_t max_entries)
       m_misses_(GlobalMetrics().counter("plan_cache.misses")),
       m_insertions_(GlobalMetrics().counter("plan_cache.insertions")),
       m_evictions_(GlobalMetrics().counter("plan_cache.evictions")),
-      m_epoch_drops_(GlobalMetrics().counter("plan_cache.epoch_drops")),
-      m_config_drops_(GlobalMetrics().counter("plan_cache.config_drops")) {}
+      m_epoch_drops_(GlobalMetrics().counter("plan_cache.epoch_drops")) {}
 
 void PlanCache::EraseLocked(const std::string& key) {
   auto it = entries_.find(key);
@@ -28,8 +27,7 @@ void PlanCache::EraseLocked(const std::string& key) {
 }
 
 std::shared_ptr<const PhysicalPlan> PlanCache::Get(const std::string& key,
-                                                   uint64_t epoch,
-                                                   uint64_t config_fingerprint) {
+                                                   uint64_t epoch) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
@@ -37,21 +35,13 @@ std::shared_ptr<const PhysicalPlan> PlanCache::Get(const std::string& key,
     m_misses_->Increment();
     return nullptr;
   }
-  if (it->second.plan->epoch != epoch ||
-      it->second.plan->config_fingerprint != config_fingerprint) {
+  if (it->second.plan->epoch != epoch) {
     // Hard drop on mismatch in either direction — see the class comment.
-    const bool config_mismatch =
-        it->second.plan->config_fingerprint != config_fingerprint;
     EraseLocked(key);
     ++stats_.misses;
     m_misses_->Increment();
-    if (config_mismatch) {
-      ++stats_.config_drops;
-      m_config_drops_->Increment();
-    } else {
-      ++stats_.epoch_drops;
-      m_epoch_drops_->Increment();
-    }
+    ++stats_.epoch_drops;
+    m_epoch_drops_->Increment();
     return nullptr;
   }
   lru_.splice(lru_.end(), lru_, it->second.lru_it);
@@ -77,8 +67,7 @@ void PlanCache::Put(const std::string& key,
 }
 
 std::shared_ptr<const PhysicalPlan> PlanCache::GetSql(const std::string& sql,
-                                                      uint64_t epoch,
-                                                      uint64_t config_fingerprint) {
+                                                      uint64_t epoch) {
   std::string key;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -86,7 +75,7 @@ std::shared_ptr<const PhysicalPlan> PlanCache::GetSql(const std::string& sql,
     if (it == sql_index_.end()) return nullptr;
     key = it->second;
   }
-  return Get(key, epoch, config_fingerprint);
+  return Get(key, epoch);
 }
 
 void PlanCache::LinkSql(const std::string& sql, const std::string& key) {

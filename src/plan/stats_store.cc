@@ -1,72 +1,37 @@
 #include "plan/stats_store.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
-
-#include "common/hash.h"
 
 namespace ldp {
 
-PlanIdentity PlanIdentityOf(const PhysicalPlan& plan) {
-  PlanIdentity id;
-  id.fingerprint = plan.fingerprint;
-  id.query_hash = Checksum64(plan.logical.cache_key);
-  id.mechanism = plan.mechanism;
-  id.strategy = plan.strategy;
-  return id;
-}
-
-PlanStatsStore::PlanStatsStore(size_t max_entries, double alpha,
-                               uint64_t min_observations)
+PlanStatsStore::PlanStatsStore(size_t max_entries)
     : max_entries_(std::max<size_t>(max_entries, 1)),
-      alpha_(std::clamp(alpha, 0.0, 1.0)),
-      min_observations_(std::max<uint64_t>(min_observations, 1)),
       m_records_(GlobalMetrics().counter("plan.feedback_records")),
       m_evictions_(GlobalMetrics().counter("plan.feedback_evictions")) {}
 
-uint64_t PlanStatsStore::QueryMechKey(uint64_t query_hash,
-                                      MechanismKind mechanism) {
-  // Golden-ratio mix of the mechanism into the query hash; collisions across
-  // distinct (query, mechanism) pairs are as unlikely as Checksum64 ones.
-  return query_hash ^
-         (0x9e3779b97f4a7c15ull * (static_cast<uint64_t>(mechanism) + 1));
-}
-
-void PlanStatsStore::Record(const PlanIdentity& id,
+void PlanStatsStore::Record(uint64_t fingerprint,
                             const PlanObservation& obs) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(id.fingerprint);
+  auto it = entries_.find(fingerprint);
   if (it == entries_.end()) {
     while (entries_.size() >= max_entries_) {
-      const uint64_t victim = lru_.front();
+      entries_.erase(lru_.front());
       lru_.pop_front();
-      auto vit = entries_.find(victim);
-      if (vit != entries_.end()) {
-        // Prune the secondary index with its entry so LookupByQuery never
-        // resolves to an evicted fingerprint.
-        auto idx = index_.find(vit->second.query_mech_key);
-        if (idx != index_.end() && idx->second == victim) index_.erase(idx);
-        entries_.erase(vit);
-      }
       m_evictions_->Increment();
     }
     Entry entry;
-    entry.stats.id = id;
-    entry.lru_it = lru_.insert(lru_.end(), id.fingerprint);
-    entry.query_mech_key = QueryMechKey(id.query_hash, id.mechanism);
-    it = entries_.emplace(id.fingerprint, std::move(entry)).first;
-    index_[it->second.query_mech_key] = id.fingerprint;
+    entry.lru_it = lru_.insert(lru_.end(), fingerprint);
+    it = entries_.emplace(fingerprint, std::move(entry)).first;
   } else {
     lru_.splice(lru_.end(), lru_, it->second.lru_it);
   }
   PlanStats& stats = it->second.stats;
-  auto fold = [this, &stats](double* ewma, uint64_t v) {
+  auto fold = [&stats](double* ewma, uint64_t v) {
     const double value = static_cast<double>(v);
     if (stats.observations == 0) {
       *ewma = value;
     } else {
-      *ewma += alpha_ * (value - *ewma);
+      *ewma += kAlpha * (value - *ewma);
     }
   };
   fold(&stats.ewma_wall_nanos, obs.wall_nanos);
@@ -85,177 +50,9 @@ std::optional<PlanStats> PlanStatsStore::Lookup(uint64_t fingerprint) const {
   return it->second.stats;
 }
 
-std::optional<PlanStats> PlanStatsStore::LookupByQuery(
-    uint64_t query_hash, MechanismKind mechanism) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto idx = index_.find(QueryMechKey(query_hash, mechanism));
-  if (idx == index_.end()) return std::nullopt;
-  auto it = entries_.find(idx->second);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second.stats;
-}
-
-std::vector<PlanStats> PlanStatsStore::Snapshot() const {
-  std::vector<PlanStats> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out.reserve(entries_.size());
-    for (const auto& [fingerprint, entry] : entries_) {
-      out.push_back(entry.stats);
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const PlanStats& a, const PlanStats& b) {
-    return a.id.fingerprint < b.id.fingerprint;
-  });
-  return out;
-}
-
-void PlanStatsStore::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  lru_.clear();
-  index_.clear();
-}
-
 size_t PlanStatsStore::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
-}
-
-// --- Replay ----------------------------------------------------------------
-
-namespace {
-
-/// Same fixed formatting as EXPLAIN: report text must be stable across
-/// compilers.
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-std::string FormatFingerprint(uint64_t fingerprint) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fingerprint));
-  return buf;
-}
-
-}  // namespace
-
-ReplayReport ComparePlanStats(const PlanStatsStore& baseline,
-                              const PlanStatsStore& current,
-                              double threshold) {
-  ReplayReport report;
-  report.threshold = threshold;
-  const std::vector<PlanStats> base = baseline.Snapshot();
-  const std::vector<PlanStats> cur = current.Snapshot();
-  std::unordered_map<uint64_t, const PlanStats*> cur_by_fp;
-  cur_by_fp.reserve(cur.size());
-  for (const PlanStats& s : cur) cur_by_fp.emplace(s.id.fingerprint, &s);
-  std::unordered_map<uint64_t, bool> base_seen;
-  base_seen.reserve(base.size());
-  for (const PlanStats& b : base) {
-    base_seen.emplace(b.id.fingerprint, true);
-    auto it = cur_by_fp.find(b.id.fingerprint);
-    if (it == cur_by_fp.end()) {
-      report.only_in_baseline.push_back(b.id.fingerprint);
-      continue;
-    }
-    const PlanStats& c = *it->second;
-    ReplayFinding finding;
-    finding.id = b.id;
-    finding.baseline_observations = b.observations;
-    finding.current_observations = c.observations;
-    finding.baseline_wall_nanos = b.ewma_wall_nanos;
-    finding.current_wall_nanos = c.ewma_wall_nanos;
-    finding.baseline_nodes = b.ewma_nodes;
-    finding.current_nodes = c.ewma_nodes;
-    finding.ratio = b.ewma_wall_nanos > 0.0
-                        ? c.ewma_wall_nanos / b.ewma_wall_nanos
-                        : 0.0;
-    finding.regressed = b.observations > 0 && c.observations > 0 &&
-                        c.ewma_wall_nanos > threshold * b.ewma_wall_nanos;
-    if (finding.regressed) ++report.num_regressions;
-    report.findings.push_back(finding);
-  }
-  for (const PlanStats& c : cur) {
-    if (!base_seen.count(c.id.fingerprint)) {
-      report.only_in_current.push_back(c.id.fingerprint);
-    }
-  }
-  std::sort(report.findings.begin(), report.findings.end(),
-            [](const ReplayFinding& a, const ReplayFinding& b) {
-              if (a.ratio != b.ratio) return a.ratio > b.ratio;
-              return a.id.fingerprint < b.id.fingerprint;
-            });
-  // Snapshot() is fingerprint-sorted, so the only_in_* lists already are.
-  return report;
-}
-
-std::string ReplayReport::ToText() const {
-  std::ostringstream os;
-  os << "replay: " << findings.size() << " shared fingerprints, "
-     << num_regressions << " regression(s) at threshold "
-     << FormatDouble(threshold) << "x\n";
-  for (const ReplayFinding& f : findings) {
-    os << "  " << (f.regressed ? "REGRESSED " : "ok        ")
-       << FormatFingerprint(f.id.fingerprint) << " "
-       << MechanismKindName(f.id.mechanism) << "/"
-       << PlanStrategyName(f.id.strategy)
-       << " wall " << FormatDouble(f.baseline_wall_nanos) << " -> "
-       << FormatDouble(f.current_wall_nanos) << " ns (ratio "
-       << FormatDouble(f.ratio) << ", obs " << f.baseline_observations << "/"
-       << f.current_observations << ")\n";
-  }
-  if (!only_in_baseline.empty()) {
-    os << "  only in baseline:";
-    for (const uint64_t fp : only_in_baseline) {
-      os << " " << FormatFingerprint(fp);
-    }
-    os << "\n";
-  }
-  if (!only_in_current.empty()) {
-    os << "  only in current:";
-    for (const uint64_t fp : only_in_current) {
-      os << " " << FormatFingerprint(fp);
-    }
-    os << "\n";
-  }
-  return os.str();
-}
-
-std::string ReplayReport::ToJson() const {
-  std::ostringstream os;
-  os << "{\"threshold\":" << FormatDouble(threshold)
-     << ",\"num_regressions\":" << num_regressions << ",\"findings\":[";
-  for (size_t i = 0; i < findings.size(); ++i) {
-    if (i > 0) os << ",";
-    const ReplayFinding& f = findings[i];
-    os << "{\"fingerprint\":\"" << FormatFingerprint(f.id.fingerprint)
-       << "\",\"mechanism\":\"" << MechanismKindName(f.id.mechanism)
-       << "\",\"strategy\":\"" << PlanStrategyName(f.id.strategy)
-       << "\",\"baseline_wall_nanos\":" << FormatDouble(f.baseline_wall_nanos)
-       << ",\"current_wall_nanos\":" << FormatDouble(f.current_wall_nanos)
-       << ",\"baseline_nodes\":" << FormatDouble(f.baseline_nodes)
-       << ",\"current_nodes\":" << FormatDouble(f.current_nodes)
-       << ",\"baseline_observations\":" << f.baseline_observations
-       << ",\"current_observations\":" << f.current_observations
-       << ",\"ratio\":" << FormatDouble(f.ratio)
-       << ",\"regressed\":" << (f.regressed ? "true" : "false") << "}";
-  }
-  os << "],\"only_in_baseline\":[";
-  for (size_t i = 0; i < only_in_baseline.size(); ++i) {
-    if (i > 0) os << ",";
-    os << "\"" << FormatFingerprint(only_in_baseline[i]) << "\"";
-  }
-  os << "],\"only_in_current\":[";
-  for (size_t i = 0; i < only_in_current.size(); ++i) {
-    if (i > 0) os << ",";
-    os << "\"" << FormatFingerprint(only_in_current[i]) << "\"";
-  }
-  os << "]}";
-  return os.str();
 }
 
 }  // namespace ldp

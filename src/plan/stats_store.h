@@ -5,49 +5,30 @@
 #include <list>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "obs/metrics.h"
-#include "plan/physical.h"
 
 namespace ldp {
 
-/// Identity of one executed plan as the stats store keys it. The fingerprint
-/// is the primary key (a plan's canonical text checksum — stable across runs
-/// and processes); query_hash (Checksum64 of the logical cache key) plus the
-/// mechanism form a secondary key so the planner can ask "what did THIS query
-/// cost under THAT candidate mechanism" before the candidate's plan (and
-/// hence its fingerprint) exists.
-struct PlanIdentity {
-  uint64_t fingerprint = 0;
-  uint64_t query_hash = 0;
-  MechanismKind mechanism = MechanismKind::kHio;
-  PlanStrategy strategy = PlanStrategy::kDirectLevelGrid;
-};
-
-/// The identity of a plan as executed — what Record() keys on.
-PlanIdentity PlanIdentityOf(const PhysicalPlan& plan);
-
 /// One measured execution of a plan, as observed by the engine. Wall times
-/// are display/replay data only; nodes_touched and estimate_calls are the
+/// are nondeterministic timing data; nodes_touched and estimate_calls are
 /// deterministic work measures (identical across thread counts, estimate
-/// cache on/off, and SIMD levels) that feedback-driven planning may consume.
+/// cache on/off, and SIMD levels).
 struct PlanObservation {
   uint64_t wall_nanos = 0;
   uint64_t fanout_nanos = 0;
   uint64_t estimate_nanos = 0;
   uint64_t estimate_calls = 0;
-  /// Hierarchy/grid nodes the execution touched: kernel-estimated nodes plus
-  /// nodes served from the estimate cache (hits + misses when the cache is
-  /// on), so the measure is invariant to the cache being enabled.
+  /// Hierarchy/grid nodes the execution touched, cached or not, as the
+  /// `estimate.nodes` counter counts them — so the measure is invariant to
+  /// the estimate cache. Best-effort while metrics are disabled, when that
+  /// counter stands still.
   uint64_t nodes_touched = 0;
 };
 
 /// EWMA-smoothed per-fingerprint actuals.
 struct PlanStats {
-  PlanIdentity id;
   uint64_t observations = 0;
   double ewma_wall_nanos = 0.0;
   double ewma_fanout_nanos = 0.0;
@@ -56,49 +37,35 @@ struct PlanStats {
   double ewma_nodes = 0.0;
 };
 
-/// Bounded, thread-safe store of measured plan costs — the obs → planner
-/// feedback channel. AnalyticsEngine records one PlanObservation per
-/// Execute/ExecuteBatch plan execution; Planner::Plan consults the store
-/// (when PlannerOptions::enable_feedback is on) to rank mechanism candidates
-/// by measured work once every candidate has >= min_observations()
-/// observations for the query, and EXPLAIN renders predicted-vs-actual from
-/// the same entries.
+/// Bounded, thread-safe store of measured plan costs, keyed by plan
+/// fingerprint — the data source of EXPLAIN's predicted-vs-actual block.
+/// AnalyticsEngine records one PlanObservation per Execute/ExecuteBatch plan
+/// execution. The store is display data only: nothing in planning or
+/// execution reads it.
 ///
 /// Smoothing is a classic EWMA: the first observation seeds the value,
-/// subsequent ones fold in as ewma += alpha * (v - ewma). Entries are evicted
-/// least-recently-recorded first when the store exceeds max_entries(); the
-/// (query_hash, mechanism) secondary index is pruned together with its entry,
-/// so a LookupByQuery never resolves to an evicted fingerprint.
+/// subsequent ones fold in as ewma += kAlpha * (v - ewma). Entries are
+/// evicted least-recently-recorded first when the store exceeds
+/// max_entries().
 ///
 /// GlobalMetrics mirrors activity under `plan.feedback_records` and
-/// `plan.feedback_evictions`; the planner-side counters
-/// (`plan.feedback_lookups/hits/overrides`) live in the planner.
+/// `plan.feedback_evictions`.
 class PlanStatsStore {
  public:
-  explicit PlanStatsStore(size_t max_entries = 1024, double alpha = 0.25,
-                          uint64_t min_observations = 3);
+  /// EWMA smoothing factor.
+  static constexpr double kAlpha = 0.25;
+  /// Observations a fingerprint needs before EXPLAIN shows its actuals.
+  static constexpr uint64_t kWarmupObservations = 3;
+
+  explicit PlanStatsStore(size_t max_entries = 1024);
 
   /// Folds one measured execution into the fingerprint's EWMA entry,
   /// creating (and possibly evicting) as needed.
-  void Record(const PlanIdentity& id, const PlanObservation& obs);
+  void Record(uint64_t fingerprint, const PlanObservation& obs);
 
   /// The smoothed stats for a plan fingerprint, if recorded.
   std::optional<PlanStats> Lookup(uint64_t fingerprint) const;
 
-  /// The smoothed stats for (query, candidate mechanism) — the planner's
-  /// pre-fingerprint view. Returns the entry of the most recently recorded
-  /// fingerprint for that pair.
-  std::optional<PlanStats> LookupByQuery(uint64_t query_hash,
-                                         MechanismKind mechanism) const;
-
-  /// All entries, fingerprint-sorted — deterministic, for replay/reporting.
-  std::vector<PlanStats> Snapshot() const;
-
-  void Clear();
-
-  /// Observations a fingerprint needs before feedback treats it as warmed.
-  uint64_t min_observations() const { return min_observations_; }
-  double alpha() const { return alpha_; }
   size_t max_entries() const { return max_entries_; }
   size_t size() const;
 
@@ -106,63 +73,16 @@ class PlanStatsStore {
   struct Entry {
     PlanStats stats;
     std::list<uint64_t>::iterator lru_it;
-    /// Back-pointer into index_ so eviction prunes the secondary index.
-    uint64_t query_mech_key = 0;
   };
 
-  static uint64_t QueryMechKey(uint64_t query_hash, MechanismKind mechanism);
-
   size_t max_entries_;
-  double alpha_;
-  uint64_t min_observations_;
   mutable std::mutex mu_;
   std::unordered_map<uint64_t, Entry> entries_;
   /// Least-recently-recorded order, front = evict first.
   std::list<uint64_t> lru_;
-  /// (query_hash, mechanism) -> fingerprint of the latest recorded plan.
-  std::unordered_map<uint64_t, uint64_t> index_;
   Counter* m_records_;
   Counter* m_evictions_;
 };
-
-/// One fingerprint's baseline-vs-current comparison in a replay report.
-struct ReplayFinding {
-  PlanIdentity id;
-  uint64_t baseline_observations = 0;
-  uint64_t current_observations = 0;
-  double baseline_wall_nanos = 0.0;
-  double current_wall_nanos = 0.0;
-  double baseline_nodes = 0.0;
-  double current_nodes = 0.0;
-  /// current_wall / baseline_wall (0 when the baseline wall is 0).
-  double ratio = 0.0;
-  /// True when current wall exceeds threshold x baseline wall.
-  bool regressed = false;
-};
-
-/// Plan-regression report over two recorded runs of a workload: one finding
-/// per fingerprint present in both stores, ordered by descending wall ratio
-/// (fingerprint ascending on ties), plus the fingerprints only one side saw.
-struct ReplayReport {
-  double threshold = 1.5;
-  std::vector<ReplayFinding> findings;
-  size_t num_regressions = 0;
-  std::vector<uint64_t> only_in_baseline;
-  std::vector<uint64_t> only_in_current;
-
-  /// Human-readable table, worst ratio first.
-  std::string ToText() const;
-  /// The same content as a single JSON object.
-  std::string ToJson() const;
-};
-
-/// Compares per-fingerprint actuals across two runs (same workload, two
-/// builds/configs) and flags strategies whose measured wall time got slower
-/// by more than `threshold` x — the plan-regression detection entry point
-/// behind bench/micro_plan_replay.
-ReplayReport ComparePlanStats(const PlanStatsStore& baseline,
-                              const PlanStatsStore& current,
-                              double threshold = 1.5);
 
 }  // namespace ldp
 

@@ -286,15 +286,13 @@ TEST(MechanismSelectionTest, ChoiceCountersTrackPlannerDecisions) {
   EXPECT_EQ(hio->value(), hio_before + 1);
 }
 
-TEST(MechanismSelectionTest, ConfigFingerprintSeparatesMechanismSets) {
+TEST(MechanismSelectionTest, CandidateListsFollowTheMechanismSet) {
   const Table table = WideDomainTable(500);
   const auto hio_only = MakeMultiEngine(table, {MechanismKind::kHio});
   const auto hio_mg =
       MakeMultiEngine(table, {MechanismKind::kHio, MechanismKind::kMg});
   const auto hio_hdg =
       MakeMultiEngine(table, {MechanismKind::kHio, MechanismKind::kHdg});
-  EXPECT_NE(hio_only->config_fingerprint(), hio_mg->config_fingerprint());
-  EXPECT_NE(hio_mg->config_fingerprint(), hio_hdg->config_fingerprint());
 
   // A single-entry mechanisms list is the classic single-mechanism engine.
   EngineOptions classic;
@@ -302,13 +300,27 @@ TEST(MechanismSelectionTest, ConfigFingerprintSeparatesMechanismSets) {
   classic.params.epsilon = 2.0;
   classic.params.hash_pool_size = 256;
   const auto single = AnalyticsEngine::Create(table, classic).ValueOrDie();
-  EXPECT_EQ(single->config_fingerprint(), hio_only->config_fingerprint());
   // Single-mechanism plans carry no candidate scores (forced choice).
   const Query q =
       ParseQuery(table.schema(), "SELECT COUNT(*) FROM T WHERE a <= 5")
           .ValueOrDie();
   EXPECT_TRUE(single->PlanFor(q).ValueOrDie()->candidates.empty());
-  EXPECT_FALSE(hio_mg->PlanFor(q).ValueOrDie()->candidates.empty());
+  EXPECT_TRUE(hio_only->PlanFor(q).ValueOrDie()->candidates.empty());
+  // A composite scores exactly its registered set, in registration order.
+  const auto kinds = [&q](const AnalyticsEngine& engine) {
+    std::vector<MechanismKind> out;
+    for (const MechanismScore& score :
+         engine.PlanFor(q).ValueOrDie()->candidates) {
+      out.push_back(score.kind);
+    }
+    return out;
+  };
+  EXPECT_EQ(kinds(*hio_mg),
+            (std::vector<MechanismKind>{MechanismKind::kHio,
+                                        MechanismKind::kMg}));
+  EXPECT_EQ(kinds(*hio_hdg),
+            (std::vector<MechanismKind>{MechanismKind::kHio,
+                                        MechanismKind::kHdg}));
 }
 
 TEST(MechanismSelectionTest, MultiEngineDeterministicAcrossThreadsAndCache) {

@@ -431,15 +431,57 @@ TEST(EngineProfileTest, GlobalRegistryObservesEngineWork) {
 // SC counts one estimate.nodes per sub-query of the box — the product of the
 // per-dimension piece counts — whether or not the cache serves it, so the
 // profile's node count agrees with the counter in both cache states.
-TEST(EngineProfileTest, ScNodesMatchPieceProductInBothCacheStates) {
+/// Runs `sql` twice on a fresh engine in each estimate-cache state and checks
+/// the node accounting: `estimate.nodes` rises by `nodes` on every run; with
+/// the cache on, a box small enough to cache probes it once per node
+/// (hits + misses) and the second run is all hits, while a larger box
+/// bypasses the cache; `nodes_estimated` is the rise minus the hits.
+void ExpectNodeAccounting(const Table& table, EngineOptions options,
+                          const std::string& sql, uint64_t nodes,
+                          bool cacheable) {
   GlobalMetrics().set_enabled(true);
+  Counter* counter = GlobalMetrics().counter("estimate.nodes");
+  for (const bool cache : {false, true}) {
+    options.enable_estimate_cache = cache;
+    const auto engine = AnalyticsEngine::Create(table, options).ValueOrDie();
+    for (int run = 0; run < 2; ++run) {
+      SCOPED_TRACE("cache " + std::to_string(cache) + " run " +
+                   std::to_string(run));
+      QueryProfile profile;
+      const uint64_t before = counter->value();
+      ASSERT_TRUE(engine->ExecuteSql(sql, &profile).ok());
+      const uint64_t delta = counter->value() - before;
+      EXPECT_EQ(delta, nodes);
+      if (cache && cacheable) {
+        EXPECT_EQ(profile.cache_hits + profile.cache_misses, delta);
+        EXPECT_EQ(profile.cache_hits, run == 0 ? 0u : nodes);
+      } else {
+        EXPECT_EQ(profile.cache_hits + profile.cache_misses, 0u);
+      }
+      EXPECT_EQ(profile.nodes_estimated, delta - profile.cache_hits);
+    }
+  }
+}
+
+/// Two 512-value sensitive dimensions: MG's grid has 2^18 cells, so boxes
+/// fall on both sides of its 2^16-cell cache gate.
+const Table& WideTable() {
+  static const Table* table = [] {
+    TableSpec spec;
+    spec.dims.push_back({"a", AttributeKind::kSensitiveOrdinal, 512,
+                         ColumnDist::kUniform, 1.0});
+    spec.dims.push_back({"b", AttributeKind::kSensitiveOrdinal, 512,
+                         ColumnDist::kUniform, 1.0});
+    return new Table(GenerateTable(spec, 2000, /*seed=*/31).ValueOrDie());
+  }();
+  return *table;
+}
+
+TEST(EngineProfileTest, ScNodesMatchPieceProductInBothCacheStates) {
   EngineOptions options;
   options.mechanism = MechanismKind::kSc;
   options.params.epsilon = 2.0;
   options.seed = 7;
-  const std::string sql =
-      "SELECT COUNT(*) FROM T WHERE age BETWEEN 1 AND 10 AND income BETWEEN "
-      "3 AND 7";
   const std::vector<Interval> box = {{1, 10}, {3, 7}, {0, 5}, {0, 1}};
   const auto dims =
       BuildHierarchies(ProfTable().schema(), options.params.fanout);
@@ -450,28 +492,50 @@ TEST(EngineProfileTest, ScNodesMatchPieceProductInBothCacheStates) {
     product *= pieces.size();
   }
   ASSERT_GT(product, 1u);
+  ExpectNodeAccounting(ProfTable(), options,
+                       "SELECT COUNT(*) FROM T WHERE age BETWEEN 1 AND 10 AND "
+                       "income BETWEEN 3 AND 7",
+                       product, /*cacheable=*/true);
+}
 
-  Counter* nodes = GlobalMetrics().counter("estimate.nodes");
-  for (const bool cache : {false, true}) {
-    options.enable_estimate_cache = cache;
-    const auto engine =
-        AnalyticsEngine::Create(ProfTable(), options).ValueOrDie();
-    // The second run is answered from the cache when it is on.
-    for (int run = 0; run < 2; ++run) {
-      QueryProfile profile;
-      const uint64_t before = nodes->value();
-      ASSERT_TRUE(engine->ExecuteSql(sql, &profile).ok());
-      const uint64_t delta = nodes->value() - before;
-      EXPECT_EQ(delta, product) << "cache " << cache << " run " << run;
-      if (cache) {
-        EXPECT_EQ(profile.cache_hits + profile.cache_misses, delta)
-            << "run " << run;
-        EXPECT_EQ(profile.cache_hits, run == 0 ? 0u : product);
-      } else {
-        EXPECT_EQ(profile.nodes_estimated, delta) << "run " << run;
-      }
-    }
-  }
+TEST(EngineProfileTest, MgNodesMatchBoxCellsOnBothSidesOfTheCacheGate) {
+  EngineOptions options;
+  options.mechanism = MechanismKind::kMg;
+  options.params.epsilon = 2.0;
+  options.params.hash_pool_size = 256;
+  options.seed = 7;
+  // 12 x 8 = 96 cells: cached.
+  ExpectNodeAccounting(WideTable(), options,
+                       "SELECT COUNT(*) FROM T WHERE a IN [0, 11] AND "
+                       "b IN [0, 7]",
+                       96, /*cacheable=*/true);
+  // 300 x 300 = 90,000 cells, over the 2^16 gate: streamed uncached.
+  ExpectNodeAccounting(WideTable(), options,
+                       "SELECT COUNT(*) FROM T WHERE a IN [0, 299] AND "
+                       "b IN [0, 299]",
+                       90000, /*cacheable=*/false);
+}
+
+TEST(EngineProfileTest, CompositeNodesCountTheSubCaches) {
+  // A MultiMechanism keeps one estimate cache per sub-mechanism and none of
+  // its own; the profile must sum the subs' traffic.
+  EngineOptions options;
+  options.mechanisms = {MechanismKind::kHio, MechanismKind::kMg};
+  options.params.epsilon = 2.0;
+  options.params.hash_pool_size = 256;
+  options.seed = 7;
+  const std::string sql = "SELECT COUNT(*) FROM T WHERE a IN [2, 9]";
+  const auto engine = AnalyticsEngine::Create(WideTable(), options).ValueOrDie();
+  const auto plan =
+      engine->PlanFor(ParseQuery(WideTable().schema(), sql).ValueOrDie())
+          .ValueOrDie();
+  ASSERT_EQ(plan->candidates.size(), 2u);
+  // One COUNT term: HIO's piece product and MG's cell count are exact, so
+  // the planner's prediction is the node count.
+  ASSERT_EQ(plan->logical.terms.size(), 1u);
+  ASSERT_GT(plan->predicted_node_estimates, 1u);
+  ExpectNodeAccounting(WideTable(), options, sql,
+                       plan->predicted_node_estimates, /*cacheable=*/true);
 }
 
 }  // namespace

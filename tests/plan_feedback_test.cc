@@ -1,9 +1,7 @@
-// The obs -> planner feedback loop: PlanStatsStore unit behavior (EWMA
-// smoothing, bounded eviction with secondary-index pruning), engine-level
-// recording, the bit-identity contract (feedback on/off, threads, caches),
-// EXPLAIN's predicted-vs-actual block and its warmup gating, measured-cost
-// mechanism overrides, ExecuteWithBound's per-plan variance dispatch, and
-// the ComparePlanStats replay-regression report.
+// Measured plan actuals: PlanStatsStore unit behavior (EWMA smoothing,
+// bounded eviction), engine-level recording, the bit-identity contract
+// (feedback on/off, threads, caches), EXPLAIN's predicted-vs-actual block and
+// its warmup gating, and ExecuteWithBound's per-plan variance dispatch.
 
 #include <algorithm>
 #include <cmath>
@@ -14,13 +12,13 @@
 
 #include <gtest/gtest.h>
 
-#include "common/hash.h"
 #include "data/generator.h"
 #include "engine/engine.h"
+#include "exec/execution_context.h"
 #include "mech/multi.h"
 #include "obs/metrics.h"
+#include "plan/executor.h"
 #include "plan/stats_store.h"
-#include "query/plan.h"
 
 namespace ldp {
 namespace {
@@ -39,7 +37,6 @@ struct FeedbackEngineConfig {
   std::vector<MechanismKind> mechanisms = {MechanismKind::kHio,
                                            MechanismKind::kMg};
   bool feedback = true;
-  int min_observations = 1;
   int threads = 1;
   bool estimate_cache = true;
   bool plan_cache = true;
@@ -56,7 +53,6 @@ std::unique_ptr<AnalyticsEngine> MakeEngine(const Table& table,
   options.enable_estimate_cache = cfg.estimate_cache;
   options.enable_plan_cache = cfg.plan_cache;
   options.enable_feedback = cfg.feedback;
-  options.feedback_min_observations = cfg.min_observations;
   return AnalyticsEngine::Create(table, options).ValueOrDie();
 }
 
@@ -97,15 +93,6 @@ std::string LineStartingWith(const std::string& text,
   return "";
 }
 
-PlanIdentity Identity(uint64_t fingerprint, uint64_t query_hash,
-                      MechanismKind mechanism) {
-  PlanIdentity id;
-  id.fingerprint = fingerprint;
-  id.query_hash = query_hash;
-  id.mechanism = mechanism;
-  return id;
-}
-
 PlanObservation Obs(uint64_t wall, uint64_t nodes, uint64_t calls = 1) {
   PlanObservation obs;
   obs.wall_nanos = wall;
@@ -119,10 +106,8 @@ PlanObservation Obs(uint64_t wall, uint64_t nodes, uint64_t calls = 1) {
 // --- PlanStatsStore units --------------------------------------------------
 
 TEST(PlanStatsStoreTest, EwmaSeedsThenSmooths) {
-  PlanStatsStore store(/*max_entries=*/16, /*alpha=*/0.25,
-                       /*min_observations=*/3);
-  const auto id = Identity(0xabc, 7, MechanismKind::kHio);
-  store.Record(id, Obs(100, 40, 2));
+  PlanStatsStore store(/*max_entries=*/16);
+  store.Record(0xabc, Obs(100, 40, 2));
   auto stats = store.Lookup(0xabc);
   ASSERT_TRUE(stats.has_value());
   // The first observation seeds the EWMA exactly.
@@ -131,7 +116,7 @@ TEST(PlanStatsStoreTest, EwmaSeedsThenSmooths) {
   EXPECT_DOUBLE_EQ(stats->ewma_nodes, 40.0);
   EXPECT_DOUBLE_EQ(stats->ewma_estimate_calls, 2.0);
 
-  store.Record(id, Obs(200, 80, 4));
+  store.Record(0xabc, Obs(200, 80, 4));
   stats = store.Lookup(0xabc);
   ASSERT_TRUE(stats.has_value());
   // ewma += alpha * (v - ewma) with alpha = 0.25.
@@ -139,109 +124,26 @@ TEST(PlanStatsStoreTest, EwmaSeedsThenSmooths) {
   EXPECT_DOUBLE_EQ(stats->ewma_wall_nanos, 125.0);
   EXPECT_DOUBLE_EQ(stats->ewma_nodes, 50.0);
   EXPECT_DOUBLE_EQ(stats->ewma_estimate_calls, 2.5);
-  EXPECT_EQ(stats->id.query_hash, 7u);
-  EXPECT_EQ(stats->id.mechanism, MechanismKind::kHio);
 }
 
 TEST(PlanStatsStoreTest, EvictionBoundsEntriesAndPrunesQueryIndex) {
   PlanStatsStore store(/*max_entries=*/2);
-  store.Record(Identity(1, 10, MechanismKind::kHio), Obs(100, 1));
-  store.Record(Identity(2, 20, MechanismKind::kHio), Obs(100, 1));
-  store.Record(Identity(3, 30, MechanismKind::kHio), Obs(100, 1));
+  store.Record(1, Obs(100, 1));
+  store.Record(2, Obs(100, 1));
+  store.Record(3, Obs(100, 1));
   EXPECT_EQ(store.size(), 2u);
-  // Fingerprint 1 was least recently recorded: gone from the primary map AND
-  // from the (query_hash, mechanism) index — a LookupByQuery must never
-  // resolve to an evicted entry.
+  // Fingerprint 1 was least recently recorded.
   EXPECT_FALSE(store.Lookup(1).has_value());
-  EXPECT_FALSE(store.LookupByQuery(10, MechanismKind::kHio).has_value());
   EXPECT_TRUE(store.Lookup(2).has_value());
-  EXPECT_TRUE(store.LookupByQuery(30, MechanismKind::kHio).has_value());
+  EXPECT_TRUE(store.Lookup(3).has_value());
 
   // Re-recording an existing fingerprint refreshes recency instead of
   // evicting it.
-  store.Record(Identity(2, 20, MechanismKind::kHio), Obs(100, 1));
-  store.Record(Identity(4, 40, MechanismKind::kHio), Obs(100, 1));
+  store.Record(2, Obs(100, 1));
+  store.Record(4, Obs(100, 1));
   EXPECT_TRUE(store.Lookup(2).has_value());
   EXPECT_FALSE(store.Lookup(3).has_value());
-  EXPECT_FALSE(store.LookupByQuery(30, MechanismKind::kHio).has_value());
-}
-
-TEST(PlanStatsStoreTest, LookupByQueryDistinguishesMechanisms) {
-  PlanStatsStore store(16);
-  store.Record(Identity(0x111, 5, MechanismKind::kHio), Obs(100, 10));
-  store.Record(Identity(0x222, 5, MechanismKind::kMg), Obs(100, 99));
-  const auto hio = store.LookupByQuery(5, MechanismKind::kHio);
-  const auto mg = store.LookupByQuery(5, MechanismKind::kMg);
-  ASSERT_TRUE(hio.has_value());
-  ASSERT_TRUE(mg.has_value());
-  EXPECT_EQ(hio->id.fingerprint, 0x111u);
-  EXPECT_EQ(mg->id.fingerprint, 0x222u);
-  EXPECT_DOUBLE_EQ(hio->ewma_nodes, 10.0);
-  EXPECT_DOUBLE_EQ(mg->ewma_nodes, 99.0);
-  EXPECT_FALSE(store.LookupByQuery(5, MechanismKind::kSc).has_value());
-}
-
-TEST(PlanStatsStoreTest, SnapshotIsFingerprintSortedAndClearEmpties) {
-  PlanStatsStore store(16);
-  store.Record(Identity(30, 1, MechanismKind::kHio), Obs(1, 1));
-  store.Record(Identity(10, 2, MechanismKind::kHio), Obs(1, 1));
-  store.Record(Identity(20, 3, MechanismKind::kHio), Obs(1, 1));
-  const auto snapshot = store.Snapshot();
-  ASSERT_EQ(snapshot.size(), 3u);
-  EXPECT_EQ(snapshot[0].id.fingerprint, 10u);
-  EXPECT_EQ(snapshot[1].id.fingerprint, 20u);
-  EXPECT_EQ(snapshot[2].id.fingerprint, 30u);
-  store.Clear();
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_TRUE(store.Snapshot().empty());
-  EXPECT_FALSE(store.Lookup(10).has_value());
-  EXPECT_FALSE(store.LookupByQuery(2, MechanismKind::kHio).has_value());
-}
-
-// --- Replay regression detection -------------------------------------------
-
-TEST(ReplayTest, FlagsArtificiallyInflatedFingerprint) {
-  // Two recorded runs of the same two-plan workload; one plan's wall time is
-  // inflated 3x in the current run — the report must name exactly it.
-  PlanStatsStore baseline(16), current(16);
-  const auto slow = Identity(0xdeadbeef, 1, MechanismKind::kHio);
-  const auto steady = Identity(0x42, 2, MechanismKind::kMg);
-  for (int i = 0; i < 3; ++i) {
-    baseline.Record(slow, Obs(1000, 50));
-    baseline.Record(steady, Obs(2000, 80));
-    current.Record(slow, Obs(3000, 50));
-    current.Record(steady, Obs(2000, 80));
-  }
-
-  const ReplayReport report = ComparePlanStats(baseline, current, 1.5);
-  EXPECT_EQ(report.num_regressions, 1u);
-  ASSERT_EQ(report.findings.size(), 2u);
-  // Worst ratio first.
-  EXPECT_EQ(report.findings[0].id.fingerprint, 0xdeadbeefu);
-  EXPECT_TRUE(report.findings[0].regressed);
-  EXPECT_DOUBLE_EQ(report.findings[0].ratio, 3.0);
-  EXPECT_FALSE(report.findings[1].regressed);
-  EXPECT_DOUBLE_EQ(report.findings[1].ratio, 1.0);
-  EXPECT_TRUE(report.only_in_baseline.empty());
-  EXPECT_TRUE(report.only_in_current.empty());
-
-  // The renderings name the regressed fingerprint.
-  EXPECT_NE(report.ToText().find("00000000deadbeef"), std::string::npos);
-  EXPECT_NE(report.ToJson().find("00000000deadbeef"), std::string::npos);
-  EXPECT_NE(report.ToJson().find("\"regressed\":true"), std::string::npos);
-}
-
-TEST(ReplayTest, DisjointFingerprintsAreReportedNotCompared) {
-  PlanStatsStore baseline(16), current(16);
-  baseline.Record(Identity(1, 1, MechanismKind::kHio), Obs(100, 1));
-  current.Record(Identity(2, 2, MechanismKind::kHio), Obs(100, 1));
-  const ReplayReport report = ComparePlanStats(baseline, current);
-  EXPECT_TRUE(report.findings.empty());
-  EXPECT_EQ(report.num_regressions, 0u);
-  ASSERT_EQ(report.only_in_baseline.size(), 1u);
-  ASSERT_EQ(report.only_in_current.size(), 1u);
-  EXPECT_EQ(report.only_in_baseline[0], 1u);
-  EXPECT_EQ(report.only_in_current[0], 2u);
+  EXPECT_TRUE(store.Lookup(4).has_value());
 }
 
 // --- Engine recording and bit-identity -------------------------------------
@@ -264,9 +166,6 @@ TEST(FeedbackEngineTest, ExecuteRecordsObservationsIntoTheStore) {
   EXPECT_EQ(stats->observations, 3u);
   EXPECT_GT(stats->ewma_nodes, 0.0);
   EXPECT_GT(stats->ewma_estimate_calls, 0.0);
-  EXPECT_EQ(stats->id.mechanism, plan->mechanism);
-  EXPECT_EQ(stats->id.query_hash,
-            Checksum64(QueryCacheKey(table.schema(), query)));
 }
 
 TEST(FeedbackEngineTest, FeedbackOffLeavesTheStoreNull) {
@@ -278,9 +177,7 @@ TEST(FeedbackEngineTest, FeedbackOffLeavesTheStoreNull) {
 }
 
 TEST(FeedbackEngineTest, ResultsBitIdenticalAcrossThreadsAndCaches) {
-  // The ISSUE's core contract: recording actuals and (potentially) ranking
-  // by them must never perturb an answer. Feedback cost is EWMA nodes
-  // touched — a deterministic work measure — so every (threads, cache)
+  // Recording actuals must never perturb an answer: every (threads, cache)
   // configuration executes the same plans and returns the same bits.
   const Table table = SmallTable();
   const std::vector<Query> queries = Workload(table.schema());
@@ -294,7 +191,7 @@ TEST(FeedbackEngineTest, ResultsBitIdenticalAcrossThreadsAndCaches) {
       cfg.estimate_cache = cache;
       const auto engine = MakeEngine(table, cfg);
       std::vector<double> answers;
-      for (int rep = 0; rep < 3; ++rep) {  // reps re-plan against a warming store
+      for (int rep = 0; rep < 3; ++rep) {  // reps run against a warming store
         for (const Query& q : queries) {
           answers.push_back(engine->Execute(q).ValueOrDie());
         }
@@ -324,10 +221,9 @@ TEST(FeedbackEngineTest, ResultsBitIdenticalAcrossThreadsAndCaches) {
 }
 
 TEST(FeedbackEngineTest, NodesTouchedInvariantToEstimateCache) {
-  // The recorded work measure counts cache probes (hits + misses) when the
-  // estimate cache is on and kernel-estimated nodes when it is off — the
-  // same total either way. This is what makes feedback ranking safe to
-  // compare across deployments with different cache settings.
+  // The recorded work measure counts every node touched — served by the
+  // estimate cache or estimated by a kernel — so it is the same total with
+  // the cache on or off.
   const Table table = SmallTable();
   const Query query = Workload(table.schema())[0];
 
@@ -355,13 +251,10 @@ TEST(FeedbackEngineTest, FeedbackOnMatchesFeedbackOffBitForBit) {
   FeedbackEngineConfig off_cfg;
   off_cfg.feedback = false;
   const auto off = MakeEngine(table, off_cfg);
-  FeedbackEngineConfig on_cfg;
-  on_cfg.min_observations = 1;  // warms as fast as possible
-  const auto on = MakeEngine(table, on_cfg);
+  const auto on = MakeEngine(table, FeedbackEngineConfig{});
 
-  // Even with an instantly warming store, natural execution only ever
-  // observes the chosen mechanism — the all-candidates-warmed gate keeps
-  // the analytic choice, so answers match the feedback-off engine exactly.
+  // Warmed plans keep the analytic choice: the store is display data, so
+  // answers match the feedback-off engine exactly.
   for (int rep = 0; rep < 5; ++rep) {
     for (const Query& q : queries) {
       EXPECT_EQ(on->Execute(q).ValueOrDie(), off->Execute(q).ValueOrDie());
@@ -373,48 +266,55 @@ TEST(FeedbackEngineTest, FeedbackOnMatchesFeedbackOffBitForBit) {
 
 TEST(FeedbackExplainTest, BlockAppearsOnlyAfterWarmup) {
   const Table table = SmallTable();
-  FeedbackEngineConfig cfg;
-  cfg.min_observations = 3;
-  // No plan cache: PlanFor re-plans against the live store, so the plan
-  // object itself (not just Explain's overlay) carries fresh feedback.
-  cfg.plan_cache = false;
-  const auto engine = MakeEngine(table, cfg);
   const Query query = Workload(table.schema())[0];
+  static_assert(PlanStatsStore::kWarmupObservations == 3);
+  // The engine fills the block from the live store on every Explain and
+  // PlanFor, so a cached plan shows it as soon as a fresh one does.
+  for (const bool plan_cache : {false, true}) {
+    SCOPED_TRACE(plan_cache ? "plan cache on" : "plan cache off");
+    FeedbackEngineConfig cfg;
+    cfg.plan_cache = plan_cache;
+    const auto engine = MakeEngine(table, cfg);
 
-  // Unobserved and under-observed plans render exactly the feedback-off
-  // text: no "feedback:" block before K observations.
-  EXPECT_EQ(LineStartingWith(engine->Explain(query).ValueOrDie(), "feedback:"),
-            "");
-  ASSERT_TRUE(engine->Execute(query).ok());
-  ASSERT_TRUE(engine->Execute(query).ok());
-  EXPECT_EQ(LineStartingWith(engine->Explain(query).ValueOrDie(), "feedback:"),
-            "");
+    // Unobserved and under-observed plans render exactly the feedback-off
+    // text: no "feedback:" block before K observations.
+    EXPECT_EQ(
+        LineStartingWith(engine->Explain(query).ValueOrDie(), "feedback:"),
+        "");
+    ASSERT_TRUE(engine->Execute(query).ok());
+    ASSERT_TRUE(engine->Execute(query).ok());
+    EXPECT_EQ(
+        LineStartingWith(engine->Explain(query).ValueOrDie(), "feedback:"),
+        "");
+    EXPECT_EQ(engine->PlanFor(query).ValueOrDie()->ToJson(table.schema())
+                  .find("\"feedback\""),
+              std::string::npos);
 
-  ASSERT_TRUE(engine->Execute(query).ok());
-  const std::string text = engine->Explain(query).ValueOrDie();
-  EXPECT_EQ(LineStartingWith(text, "feedback:"), "feedback:");
-  EXPECT_EQ(LineStartingWith(text, "  observations:"), "  observations: 3");
-  EXPECT_EQ(LineStartingWith(text, "  overrode:"), "  overrode: 0");
-  // The deterministic predicted-vs-actual rows: predictions come from the
-  // plan's cost annotations, actuals from the store's EWMA.
-  const auto plan = engine->PlanFor(query).ValueOrDie();
-  const auto stats = engine->plan_stats()->Lookup(plan->fingerprint);
-  ASSERT_TRUE(stats.has_value());
-  const std::string calls = LineStartingWith(text, "  estimate_calls:");
-  EXPECT_NE(calls.find("predicted="), std::string::npos) << calls;
-  EXPECT_NE(calls.find("actual~"), std::string::npos) << calls;
-  const std::string nodes = LineStartingWith(text, "  node_estimates:");
-  EXPECT_NE(
-      nodes.find("predicted=" + std::to_string(plan->predicted_node_estimates)),
-      std::string::npos)
-      << nodes;
-  EXPECT_NE(LineStartingWith(text, "  wall_nanos:").find("actual~"),
-            std::string::npos);
+    ASSERT_TRUE(engine->Execute(query).ok());
+    const std::string text = engine->Explain(query).ValueOrDie();
+    EXPECT_EQ(LineStartingWith(text, "feedback:"), "feedback:");
+    EXPECT_EQ(LineStartingWith(text, "  observations:"), "  observations: 3");
+    // The deterministic predicted-vs-actual rows: predictions come from the
+    // plan's cost annotations, actuals from the store's EWMA.
+    const auto plan = engine->PlanFor(query).ValueOrDie();
+    const auto stats = engine->plan_stats()->Lookup(plan->fingerprint);
+    ASSERT_TRUE(stats.has_value());
+    const std::string calls = LineStartingWith(text, "  estimate_calls:");
+    EXPECT_NE(calls.find("predicted="), std::string::npos) << calls;
+    EXPECT_NE(calls.find("actual~"), std::string::npos) << calls;
+    const std::string nodes = LineStartingWith(text, "  node_estimates:");
+    EXPECT_NE(nodes.find("predicted=" +
+                         std::to_string(plan->predicted_node_estimates)),
+              std::string::npos)
+        << nodes;
+    EXPECT_NE(LineStartingWith(text, "  wall_nanos:").find("actual~"),
+              std::string::npos);
 
-  // The JSON rendering carries the same block.
-  const std::string json =
-      engine->PlanFor(query).ValueOrDie()->ToJson(table.schema());
-  EXPECT_NE(json.find("\"feedback\":{\"observations\":3"), std::string::npos);
+    // The JSON rendering of the plan PlanFor returns carries the same block.
+    EXPECT_NE(plan->ToJson(table.schema())
+                  .find("\"feedback\":{\"observations\":3"),
+              std::string::npos);
+  }
 }
 
 TEST(FeedbackExplainTest, WarmedExplainIsGoldenTextPlusFeedbackBlock) {
@@ -423,116 +323,39 @@ TEST(FeedbackExplainTest, WarmedExplainIsGoldenTextPlusFeedbackBlock) {
   // the feedback-off engine's EXPLAIN verbatim — same fingerprint line
   // included, since the block is excluded from the fingerprint.
   const Table table = SmallTable();
-  FeedbackEngineConfig on_cfg;
-  on_cfg.min_observations = 1;
-  const auto on = MakeEngine(table, on_cfg);
+  const auto on = MakeEngine(table, FeedbackEngineConfig{});
   FeedbackEngineConfig off_cfg;
   off_cfg.feedback = false;
   const auto off = MakeEngine(table, off_cfg);
   const Query query = Workload(table.schema())[1];
 
-  ASSERT_TRUE(on->Execute(query).ok());
+  for (uint64_t i = 0; i < PlanStatsStore::kWarmupObservations; ++i) {
+    ASSERT_TRUE(on->Execute(query).ok());
+  }
   const std::vector<std::string> off_lines =
       Lines(off->Explain(query).ValueOrDie());
   std::vector<std::string> on_lines = Lines(on->Explain(query).ValueOrDie());
   const auto block = std::find(on_lines.begin(), on_lines.end(), "feedback:");
   ASSERT_NE(block, on_lines.end());
-  on_lines.erase(block, block + 6);  // "feedback:" + five detail rows
+  on_lines.erase(block, block + 5);  // "feedback:" + four detail rows
   EXPECT_EQ(on_lines, off_lines);
 
   EXPECT_EQ(on->PlanFor(query).ValueOrDie()->fingerprint,
             off->PlanFor(query).ValueOrDie()->fingerprint);
 }
 
-// --- Measured-cost override and per-plan variance dispatch ------------------
-
-/// Fabricates a fully warmed store for `query` that makes `winner` measure
-/// cheapest, so the next Plan() must pick it regardless of analytic scores.
-void WarmStoreTowards(AnalyticsEngine* engine, const Query& query,
-                      MechanismKind winner,
-                      const std::vector<MechanismKind>& kinds) {
-  const uint64_t query_hash =
-      Checksum64(QueryCacheKey(engine->schema(), query));
-  uint64_t fake_fingerprint = 0xf00d;
-  for (const MechanismKind kind : kinds) {
-    const uint64_t nodes = kind == winner ? 1 : 1000000;
-    for (uint64_t i = 0; i < engine->plan_stats()->min_observations(); ++i) {
-      engine->plan_stats()->Record(Identity(fake_fingerprint, query_hash, kind),
-                                   Obs(100, nodes));
-    }
-    ++fake_fingerprint;
-  }
-}
-
-TEST(FeedbackOverrideTest, MeasuredCostOverridesAnalyticChoice) {
-  const Table table = SmallTable();
-  FeedbackEngineConfig cfg;
-  cfg.plan_cache = false;  // every PlanFor re-plans against the live store
-  const auto engine = MakeEngine(table, cfg);
-  const Query query = Workload(table.schema())[0];
-
-  const auto analytic = engine->PlanFor(query).ValueOrDie();
-  EXPECT_FALSE(analytic->feedback.overrode);
-  ASSERT_EQ(analytic->candidates.size(), 2u);
-
-  // Make the analytically rejected candidate measure cheapest.
-  const MechanismKind loser = analytic->mechanism == MechanismKind::kHio
-                                  ? MechanismKind::kMg
-                                  : MechanismKind::kHio;
-  WarmStoreTowards(engine.get(), query, loser, cfg.mechanisms);
-
-  Counter* overrides = GlobalMetrics().counter("plan.feedback_overrides");
-  const uint64_t before = overrides->value();
-  const auto overridden = engine->PlanFor(query).ValueOrDie();
-  EXPECT_EQ(overridden->mechanism, loser);
-  EXPECT_TRUE(overridden->feedback.overrode);
-  EXPECT_EQ(overrides->value() - before, 1u);
-  // The override picks a different strategy, not different garbage: the
-  // plan still executes.
-  EXPECT_TRUE(engine->Execute(query).ok());
-
-  // Agreement (measured winner == analytic winner) is a hit, not an
-  // override. Start from an empty store — the fabricated entries above
-  // would otherwise keep biasing the EWMA.
-  engine->plan_stats()->Clear();
-  WarmStoreTowards(engine.get(), query, analytic->mechanism, cfg.mechanisms);
-  const auto agreed = engine->PlanFor(query).ValueOrDie();
-  EXPECT_EQ(agreed->mechanism, analytic->mechanism);
-  EXPECT_FALSE(agreed->feedback.overrode);
-}
-
-TEST(FeedbackOverrideTest, PartialWarmupKeepsTheAnalyticChoice) {
-  // Only one candidate warmed: comparing a measurement against an analytic
-  // proxy would bias toward whichever ran first, so the gate requires every
-  // feasible candidate to be warmed.
-  const Table table = SmallTable();
-  FeedbackEngineConfig cfg;
-  cfg.plan_cache = false;
-  const auto engine = MakeEngine(table, cfg);
-  const Query query = Workload(table.schema())[0];
-  const auto analytic = engine->PlanFor(query).ValueOrDie();
-
-  const MechanismKind loser = analytic->mechanism == MechanismKind::kHio
-                                  ? MechanismKind::kMg
-                                  : MechanismKind::kHio;
-  const uint64_t query_hash =
-      Checksum64(QueryCacheKey(engine->schema(), query));
-  engine->plan_stats()->Record(Identity(0xf00d, query_hash, loser),
-                               Obs(100, 1));
-
-  const auto plan = engine->PlanFor(query).ValueOrDie();
-  EXPECT_EQ(plan->mechanism, analytic->mechanism);
-  EXPECT_FALSE(plan->feedback.overrode);
-}
+// --- Per-plan variance dispatch --------------------------------------------
 
 TEST(FeedbackOverrideTest, ExecuteWithBoundUsesThePlansMechanism) {
   // The RunWithBound regression: on a composite engine the variance bound
   // used to route through MultiMechanism::VarianceBound's own shape-based
-  // sub selection, ignoring plan.mechanism — so a feedback (or cost-model)
-  // override would report an error bar for a mechanism the plan never ran.
+  // sub selection, ignoring plan.mechanism — so a plan executed through one
+  // sub could report the error bar of another. Run the analytic plan with
+  // its mechanism switched to the rejected candidate: the bound must follow
+  // the plan.
   const Table table = SmallTable();
   FeedbackEngineConfig cfg;
-  cfg.plan_cache = false;
+  cfg.feedback = false;
   const auto engine = MakeEngine(table, cfg);
   const Query query =
       ParseQuery(table.schema(), "SELECT COUNT(*) FROM T WHERE a IN [2, 9]")
@@ -543,38 +366,35 @@ TEST(FeedbackOverrideTest, ExecuteWithBoundUsesThePlansMechanism) {
   ASSERT_NE(multi, nullptr);
 
   const auto analytic = engine->PlanFor(query).ValueOrDie();
-  const MechanismKind loser = analytic->mechanism == MechanismKind::kHio
-                                  ? MechanismKind::kMg
-                                  : MechanismKind::kHio;
-  WarmStoreTowards(engine.get(), query, loser, cfg.mechanisms);
-  const auto plan = engine->PlanFor(query).ValueOrDie();
-  ASSERT_EQ(plan->mechanism, loser);
+  ASSERT_EQ(analytic->candidates.size(), 2u);
+  PhysicalPlan forced = *analytic;
+  forced.mechanism = analytic->mechanism == MechanismKind::kHio
+                         ? MechanismKind::kMg
+                         : MechanismKind::kHio;
 
   // COUNT with no public constraints weights every user 1.
   const WeightVector ones = WeightVector::Ones(table.num_rows());
-  double expected = 0.0;
-  for (const auto& term : plan->logical.terms) {
-    const double variance =
-        multi->VarianceBoundWith(plan->mechanism, term.sensitive, ones)
-            .ValueOrDie();
-    expected += std::abs(term.coefficient) *
+  const auto bound_through = [&](MechanismKind kind) {
+    double stddev = 0.0;
+    for (const auto& term : analytic->logical.terms) {
+      const double variance =
+          multi->VarianceBoundWith(kind, term.sensitive, ones).ValueOrDie();
+      stddev += std::abs(term.coefficient) *
                 std::sqrt(std::max(variance, 0.0));
-  }
+    }
+    return stddev;
+  };
+  const double expected = bound_through(forced.mechanism);
   // The two candidates bound differently — otherwise dispatch is untestable.
-  double other = 0.0;
-  for (const auto& term : plan->logical.terms) {
-    other += std::abs(term.coefficient) *
-             std::sqrt(std::max(
-                 multi
-                     ->VarianceBoundWith(analytic->mechanism, term.sensitive,
-                                         ones)
-                     .ValueOrDie(),
-                 0.0));
-  }
-  ASSERT_NE(expected, other);
+  ASSERT_NE(expected, bound_through(analytic->mechanism));
 
-  const auto bounded = engine->ExecuteWithBound(query).ValueOrDie();
+  const ExecutionContext exec(1);
+  const PlanExecutor executor(table, engine->mechanism(), exec);
+  const auto bounded = executor.RunWithBound(forced).ValueOrDie();
   EXPECT_DOUBLE_EQ(bounded.stddev, expected);
+  // The engine's own entry point bounds through the plan it chose.
+  EXPECT_DOUBLE_EQ(engine->ExecuteWithBound(query).ValueOrDie().stddev,
+                   bound_through(analytic->mechanism));
 }
 
 }  // namespace

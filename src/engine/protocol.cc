@@ -339,6 +339,7 @@ Result<CollectionServer> CollectionServer::CreateDurable(
       LDP_RETURN_NOT_OK(server.mechanism_->AddReport(report.value(),
                                                      entry.user));
       server.users_.insert(entry.user);
+      server.max_user_ = std::max(server.max_user_, entry.user);
     }
     server.stats_.accepted = snapshot.data.accepted;
     server.stats_.duplicate = snapshot.data.duplicate;
@@ -408,6 +409,7 @@ Status CollectionServer::ApplyFrame(std::string_view frame_bytes,
     return added;
   }
   users_.insert(user);
+  max_user_ = std::max(max_user_, user);
   ++stats_.accepted;
   IngestMetrics().accepted->Add(1);
   if (store_ != nullptr) store_->RetainAccepted(user, payload.value());
@@ -479,6 +481,7 @@ Status CollectionServer::IngestBatch(std::span<const ReportFrame> frames) {
       continue;
     }
     users_.insert(frames[i].user);
+    max_user_ = std::max(max_user_, frames[i].user);
     ++stats_.accepted;
     IngestMetrics().accepted->Add(1);
     if (store_ != nullptr) {
@@ -542,6 +545,11 @@ Result<double> CollectionServer::EstimateBox(std::span<const Interval> ranges,
     return Status::FailedPrecondition(
         "no accepted reports (" + std::to_string(stats_.quarantined()) +
         " quarantined): nothing to estimate from");
+  }
+  if (weights.size() <= max_user_) {
+    return Status::InvalidArgument(
+        "weight vector of length " + std::to_string(weights.size()) +
+        " has no entry for accepted user " + std::to_string(max_user_));
   }
   return mechanism_->EstimateBox(ranges, weights);
 }

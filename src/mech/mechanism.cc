@@ -1,5 +1,6 @@
 #include "mech/mechanism.h"
 
+#include "common/logging.h"
 #include "common/string_util.h"
 #include "exec/execution_context.h"
 
@@ -42,6 +43,16 @@ Result<MechanismKind> MechanismKindFromString(std::string_view name) {
 
 const ExecutionContext& Mechanism::exec() const {
   return exec_ != nullptr ? *exec_ : SerialExecutionContext();
+}
+
+Status Mechanism::EstimateBoxes(std::span<const BoxTask> tasks,
+                                std::span<double> out) const {
+  LDP_CHECK_EQ(tasks.size(), out.size());
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    LDP_ASSIGN_OR_RETURN(out[i],
+                         EstimateBox(tasks[i].ranges, *tasks[i].weights));
+  }
+  return Status::OK();
 }
 
 void Mechanism::EnableEstimateCache(size_t max_bytes) {

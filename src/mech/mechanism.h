@@ -78,6 +78,13 @@ struct LdpReport {
   friend bool operator==(const LdpReport& a, const LdpReport& b);
 };
 
+/// One box of a batched estimate (Mechanism::EstimateBoxes): the sensitive
+/// ranges and the weights to sum. Neither is owned.
+struct BoxTask {
+  std::span<const Interval> ranges;
+  const WeightVector* weights = nullptr;
+};
+
 /// An LDP mechanism (A, P̄): a client-side encoder plus a server-side
 /// estimation processor for MDA box aggregates.
 ///
@@ -147,6 +154,17 @@ class Mechanism {
   /// absent from the predicate).
   virtual Result<double> EstimateBox(std::span<const Interval> ranges,
                                      const WeightVector& weights) const = 0;
+
+  /// Batched EstimateBox: out[i] receives the bits EstimateBox(
+  /// tasks[i].ranges, *tasks[i].weights) returns, whatever the other tasks
+  /// are. An override may share work across the tasks (SC hashes each piece
+  /// once and shares masked sums) but never changes a result, and probes the
+  /// estimate cache under the same keys. When a task is invalid it returns
+  /// the Status the per-task loop would have returned first, and `out` is
+  /// unspecified. `out` must have one slot per task. The default loops over
+  /// EstimateBox.
+  virtual Status EstimateBoxes(std::span<const BoxTask> tasks,
+                               std::span<double> out) const;
 
   /// Number of *accepted* reports. All renormalization downstream is by this
   /// count — never by an intended population size — so estimates stay

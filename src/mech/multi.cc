@@ -159,17 +159,29 @@ Result<double> MultiMechanism::EstimateBox(std::span<const Interval> ranges,
   return EstimateBoxWith(subs_[SelectSub(ranges)]->kind(), ranges, weights);
 }
 
-Result<double> MultiMechanism::EstimateBoxWith(
-    MechanismKind kind, std::span<const Interval> ranges,
-    const WeightVector& weights) const {
+Status MultiMechanism::EstimateBoxesWith(MechanismKind kind,
+                                         std::span<const BoxTask> tasks,
+                                         std::span<double> out) const {
   for (const auto& sub : subs_) {
     if (sub->kind() != kind) continue;
-    LDP_ASSIGN_OR_RETURN(const double cohort,
-                         sub->EstimateBox(ranges, weights));
-    return static_cast<double>(subs_.size()) * cohort;
+    LDP_RETURN_NOT_OK(sub->EstimateBoxes(tasks, out));
+    for (double& estimate : out) {
+      estimate *= static_cast<double>(subs_.size());
+    }
+    return Status::OK();
   }
   return Status::InvalidArgument("mechanism not registered: " +
                                  MechanismKindName(kind));
+}
+
+Result<double> MultiMechanism::EstimateBoxWith(
+    MechanismKind kind, std::span<const Interval> ranges,
+    const WeightVector& weights) const {
+  const BoxTask task{ranges, &weights};
+  double estimate = 0.0;
+  LDP_RETURN_NOT_OK(EstimateBoxesWith(kind, std::span<const BoxTask>(&task, 1),
+                                      std::span<double>(&estimate, 1)));
+  return estimate;
 }
 
 Result<double> MultiMechanism::VarianceBound(

@@ -52,14 +52,18 @@ class MultiMechanism : public Mechanism {
   Result<double> VarianceBound(std::span<const Interval> ranges,
                                const WeightVector& weights) const override;
 
-  /// Population estimate through a specific registered mechanism — the
-  /// executor's per-plan dispatch point: k x the sub's cohort estimate.
+  /// Population estimates through a specific registered mechanism — the
+  /// executor's per-plan dispatch point: out[i] = k x the sub's cohort
+  /// estimate of tasks[i], from one EstimateBoxes call on the sub.
+  Status EstimateBoxesWith(MechanismKind kind, std::span<const BoxTask> tasks,
+                           std::span<double> out) const;
+  /// The one-task EstimateBoxesWith.
   Result<double> EstimateBoxWith(MechanismKind kind,
                                  std::span<const Interval> ranges,
                                  const WeightVector& weights) const;
 
   /// Variance bound through a specific registered mechanism: k^2 x the
-  /// sub's cohort bound. The per-plan companion of EstimateBoxWith, so a
+  /// sub's cohort bound. The per-plan companion of EstimateBoxesWith, so a
   /// confidence bound describes the mechanism the plan actually executed,
   /// not the one VarianceBound's own shape-based selection would pick.
   Result<double> VarianceBoundWith(MechanismKind kind,

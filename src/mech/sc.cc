@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <numeric>
 #include <unordered_map>
 
 #include "common/hash.h"
@@ -19,11 +20,12 @@ constexpr uint64_t kMaxSubQueries = 1ull << 20;
 /// probed again before eviction.
 constexpr uint64_t kMaxCachedSubQueries = 4096;
 /// Sub-queries with at most this many non-root pieces expand over the
-/// subsets of their pieces: 2^k masked sums, shared across the box's
-/// sub-queries, and k = 1 is OLH's estimator bit for bit. Larger ones sum per
-/// popcount class: k + 1 masked sums of their own, so the cost grows
-/// linearly in k. 2^k <= k + 2 exactly for k <= 2, so below this bound the
-/// expansion never needs more than one sum beyond the classes.
+/// subsets of their pieces: 2^k masked sums, shared across the sub-queries
+/// of the boxes with the same weights, and k = 1 is OLH's estimator bit for
+/// bit. Larger ones sum per popcount class: k + 1 masked sums of their own,
+/// so the cost grows linearly in k. 2^k <= k + 2 exactly for k <= 2, so
+/// below this bound the expansion never needs more than one sum beyond the
+/// classes.
 constexpr size_t kMaxExpandedPieces = 2;
 // Report chunks start on a bitset word, so a chunk's rows are plain offsets.
 static_assert(kExecChunkRows % 64 == 0);
@@ -44,6 +46,22 @@ struct RowsHash {
     uint64_t h = rows.size();
     for (const uint32_t row : rows) h = HashCombine(h, row);
     return static_cast<size_t>(h);
+  }
+};
+
+/// A sub-query's estimate-cache key: its node (flat level tuple, flat cell)
+/// and the weight-vector id.
+struct NodeKey {
+  uint64_t group = 0;
+  uint64_t node = 0;
+  uint64_t weights = 0;
+  bool operator==(const NodeKey&) const = default;
+};
+
+struct NodeKeyHash {
+  size_t operator()(const NodeKey& key) const {
+    return static_cast<size_t>(
+        HashCombine(HashCombine(key.group, key.node), key.weights));
   }
 };
 }  // namespace
@@ -182,131 +200,215 @@ Result<double> ScMechanism::VarianceBound(std::span<const Interval> ranges,
   return sub_queries * per_user * weights.sum_squares();
 }
 
+/// One box of an EstimateBoxes call, from its decomposition to its
+/// sub-query values.
+struct ScMechanism::BoxWork {
+  const WeightVector* weights = nullptr;
+  /// Per-dimension decomposition (eq. 20's pieces).
+  std::vector<std::vector<LevelInterval>> pieces;
+  /// Number of sub-queries: the product of the per-dimension piece counts.
+  uint64_t product = 1;
+  /// Non-root pieces per sub-query. Every sub-query of a box has the same
+  /// k, since a dimension decomposes either into the lone root piece or
+  /// into non-root pieces only.
+  size_t k = 0;
+  /// Sub-query values by rank.
+  std::vector<double> value;
+  /// Ranks the estimate cache did not serve, in rank order.
+  std::vector<uint64_t> todo;
+  /// Support-bitset row of pieces[i][p], or -1 when no todo sub-query uses
+  /// the piece (root pieces never get a row).
+  std::vector<std::vector<int64_t>> row_of;
+  /// todo[q]'s piece set K: the rows of its k non-root pieces, in dimension
+  /// order, at k_rows[q * k, (q + 1) * k).
+  std::vector<uint32_t> k_rows;
+};
+
 Result<double> ScMechanism::EstimateBox(std::span<const Interval> ranges,
                                         const WeightVector& weights) const {
-  LDP_RETURN_NOT_OK(EnsureReports());
-  const int d = grid_->num_dims();
-  if (static_cast<int>(ranges.size()) != d) {
-    return Status::InvalidArgument("EstimateBox needs one range per dim");
-  }
-  // Per-dimension decompositions (eq. 20's pieces).
-  std::vector<std::vector<LevelInterval>> pieces(d);
-  uint64_t product = 1;
-  for (int i = 0; i < d; ++i) {
-    LDP_RETURN_NOT_OK(grid_->dim(i).Decompose(ranges[i], &pieces[i]));
-    product *= pieces[i].size();
-    if (product > kMaxSubQueries) {
-      return Status::ResourceExhausted("box decomposes into too many pieces");
-    }
-  }
-  // Every sub-query is one node touched, cached or not.
-  FoEstimateMetrics().nodes->Add(product);
-
-  // Cache probe. A sub-query is one node of the d-dim level grid, so its
-  // canonical key is (flat level tuple, flat cell) — exact and independent
-  // of which query shape decomposed to it. Values are independent of the
-  // query shape too (a sub-query's value depends only on its own pieces),
-  // so a value cached by one query is the bit-exact value any other query
-  // would compute for the same node.
-  EstimateCache* cache =
-      product <= kMaxCachedSubQueries ? estimate_cache() : nullptr;
-  std::vector<double> value(product, 0.0);
-  std::vector<char> cached(product, 0);
-  std::vector<uint64_t> key_group, key_node;
-  uint64_t num_cached = 0;
-  if (cache != nullptr) {
-    key_group.resize(product);
-    key_node.resize(product);
-    std::vector<size_t> pick(d, 0);
-    std::vector<int> levels(d, 0);
-    std::vector<uint64_t> intervals(d, 0);
-    for (uint64_t rank = 0; rank < product; ++rank) {
-      PicksOf(pieces, rank, &pick);
-      for (int i = 0; i < d; ++i) {
-        levels[i] = pieces[i][pick[i]].level;
-        intervals[i] = pieces[i][pick[i]].index;
-      }
-      key_group[rank] = grid_->FlatOf(levels);
-      key_node[rank] = grid_->CellOfIntervals(levels, intervals);
-      if (cache->Get(key_group[rank], key_node[rank], weights.id(),
-                     num_reports_, &value[rank])) {
-        cached[rank] = 1;
-        ++num_cached;
-      }
-    }
-  }
-
-  std::vector<uint64_t> todo;
-  todo.reserve(product - num_cached);
-  for (uint64_t rank = 0; rank < product; ++rank) {
-    if (!cached[rank]) todo.push_back(rank);
-  }
-  if (!todo.empty()) {
-    EstimateSubQueries(pieces, todo, weights, value);
-  }
-  if (cache != nullptr) {
-    for (const uint64_t rank : todo) {
-      cache->Put(key_group[rank], key_node[rank], weights.id(), num_reports_,
-                 value[rank]);
-    }
-  }
-
-  // Total in rank order — cached and freshly computed values interleave
-  // without changing the floating-point grouping.
-  double total = 0.0;
-  for (const double v : value) total += v;
-  return total;
+  const BoxTask task{ranges, &weights};
+  double estimate = 0.0;
+  LDP_RETURN_NOT_OK(EstimateBoxes(std::span<const BoxTask>(&task, 1),
+                                  std::span<double>(&estimate, 1)));
+  return estimate;
 }
 
-void ScMechanism::EstimateSubQueries(
-    const std::vector<std::vector<LevelInterval>>& pieces,
-    std::span<const uint64_t> ranks, const WeightVector& weights,
-    std::span<double> value) const {
+Status ScMechanism::EstimateBoxes(std::span<const BoxTask> tasks,
+                                  std::span<double> out) const {
+  LDP_CHECK_EQ(tasks.size(), out.size());
+  if (tasks.empty()) return Status::OK();
+  LDP_RETURN_NOT_OK(EnsureReports());
+  const int d = grid_->num_dims();
+  // Every box decomposes before any work starts, so the first invalid box
+  // fails the call with the Status the per-box loop would have returned.
+  std::vector<BoxWork> boxes(tasks.size());
+  for (size_t b = 0; b < tasks.size(); ++b) {
+    BoxWork& box = boxes[b];
+    if (static_cast<int>(tasks[b].ranges.size()) != d) {
+      return Status::InvalidArgument("EstimateBox needs one range per dim");
+    }
+    box.weights = tasks[b].weights;
+    box.pieces.resize(d);
+    for (int i = 0; i < d; ++i) {
+      LDP_RETURN_NOT_OK(
+          grid_->dim(i).Decompose(tasks[b].ranges[i], &box.pieces[i]));
+      box.product *= box.pieces[i].size();
+      if (box.product > kMaxSubQueries) {
+        return Status::ResourceExhausted("box decomposes into too many pieces");
+      }
+      if (box.pieces[i][0].level != 0) ++box.k;
+    }
+  }
+
+  // Cache probe, box by box. A sub-query is one node of the d-dim level
+  // grid, so its canonical key is (flat level tuple, flat cell) — exact and
+  // independent of which query shape decomposed to it. Values are
+  // independent of the query shape too (a sub-query's value depends only on
+  // its own pieces), so a value cached by one query is the bit-exact value
+  // any other query would compute for the same node. A node an earlier box
+  // of this call estimates is the hit the per-box loop would have found
+  // after that box's Put: it is probed again once that box has put its
+  // values, and takes the earlier box's value.
+  EstimateCache* const cache = estimate_cache();
+  struct Deferred {
+    uint64_t rank = 0;
+    size_t source_box = 0;  // the earlier box estimating the node
+    uint64_t source_rank = 0;
+  };
+  std::vector<std::vector<NodeKey>> keys(boxes.size());
+  std::vector<std::vector<Deferred>> deferred(boxes.size());
+  std::unordered_map<NodeKey, std::pair<size_t, uint64_t>, NodeKeyHash>
+      estimated_by;
+  std::vector<size_t> pick(d, 0);
+  std::vector<int> levels(d, 0);
+  std::vector<uint64_t> intervals(d, 0);
+  for (size_t b = 0; b < boxes.size(); ++b) {
+    BoxWork& box = boxes[b];
+    // Every sub-query is one node touched, cached or not.
+    FoEstimateMetrics().nodes->Add(box.product);
+    box.value.assign(box.product, 0.0);
+    if (cache == nullptr || box.product > kMaxCachedSubQueries) {
+      box.todo.resize(box.product);
+      std::iota(box.todo.begin(), box.todo.end(), uint64_t{0});
+      continue;
+    }
+    keys[b].resize(box.product);
+    for (uint64_t rank = 0; rank < box.product; ++rank) {
+      PicksOf(box.pieces, rank, &pick);
+      for (int i = 0; i < d; ++i) {
+        levels[i] = box.pieces[i][pick[i]].level;
+        intervals[i] = box.pieces[i][pick[i]].index;
+      }
+      const NodeKey key{grid_->FlatOf(levels),
+                        grid_->CellOfIntervals(levels, intervals),
+                        box.weights->id()};
+      keys[b][rank] = key;
+      const auto earlier = estimated_by.find(key);
+      if (earlier != estimated_by.end()) {
+        deferred[b].push_back(
+            {rank, earlier->second.first, earlier->second.second});
+      } else if (!cache->Get(key.group, key.node, key.weights, num_reports_,
+                             &box.value[rank])) {
+        estimated_by.emplace(key, std::make_pair(b, rank));
+        box.todo.push_back(rank);
+      }
+    }
+  }
+
+  EstimateSubQueries(boxes);
+
+  for (size_t b = 0; b < boxes.size(); ++b) {
+    BoxWork& box = boxes[b];
+    for (const Deferred& node : deferred[b]) {
+      const NodeKey& key = keys[b][node.rank];
+      box.value[node.rank] = boxes[node.source_box].value[node.source_rank];
+      double cached = 0.0;
+      if (!cache->Get(key.group, key.node, key.weights, num_reports_,
+                      &cached)) {
+        cache->Put(key.group, key.node, key.weights, num_reports_,
+                   box.value[node.rank]);
+      }
+    }
+    if (!keys[b].empty()) {
+      for (const uint64_t rank : box.todo) {
+        const NodeKey& key = keys[b][rank];
+        cache->Put(key.group, key.node, key.weights, num_reports_,
+                   box.value[rank]);
+      }
+    }
+    // Total in rank order — cached and freshly computed values interleave
+    // without changing the floating-point grouping.
+    double total = 0.0;
+    for (const double v : box.value) total += v;
+    out[b] = total;
+  }
+  return Status::OK();
+}
+
+void ScMechanism::EstimateSubQueries(std::span<BoxWork> boxes) const {
   const int d = grid_->num_dims();
   const size_t n = users_.size();
   const size_t words = (n + 63) / 64;
   const uint64_t num_chunks = (n + kExecChunkRows - 1) / kExecChunkRows;
   const FoKernels& kernels = ActiveKernels();
 
-  // One support bitset row per non-root piece some sub-query uses; root
-  // pieces ('*') contribute factor 1 and get no row. A (dim, level) group's
-  // rows are contiguous, so one kernel call per group and report chunk
-  // writes all of them, evaluating each report's seed base once.
-  std::vector<std::vector<int64_t>> row_of(d);
-  for (int i = 0; i < d; ++i) row_of[i].assign(pieces[i].size(), -1);
+  // One support bitset row per distinct non-root piece (group, interval)
+  // that a todo sub-query of any box uses: the bits depend on the reports
+  // alone, never on the box or the weights. Root pieces ('*') contribute
+  // factor 1 and get no row. Rows are sorted by (group, interval), so a
+  // (dim, level) group's rows are contiguous and one kernel call per group
+  // and report chunk writes all of them, evaluating each report's seed base
+  // once.
+  std::vector<std::pair<int, uint64_t>> row_pieces;  // (group, interval)
   std::vector<size_t> pick(d, 0);
-  for (const uint64_t rank : ranks) {
-    PicksOf(pieces, rank, &pick);
-    for (int i = 0; i < d; ++i) {
-      if (pieces[i][pick[i]].level != 0) row_of[i][pick[i]] = 0;
+  for (BoxWork& box : boxes) {
+    box.row_of.resize(d);
+    for (int i = 0; i < d; ++i) box.row_of[i].assign(box.pieces[i].size(), -1);
+    for (const uint64_t rank : box.todo) {
+      PicksOf(box.pieces, rank, &pick);
+      for (int i = 0; i < d; ++i) {
+        const LevelInterval& piece = box.pieces[i][pick[i]];
+        if (piece.level != 0 && box.row_of[i][pick[i]] < 0) {
+          box.row_of[i][pick[i]] = 0;
+          row_pieces.push_back({GroupOf(i, piece.level), piece.index});
+        }
+      }
     }
   }
+  std::sort(row_pieces.begin(), row_pieces.end());
+  row_pieces.erase(std::unique(row_pieces.begin(), row_pieces.end()),
+                   row_pieces.end());
+  const size_t num_rows = row_pieces.size();
   struct GroupJob {
     int group = 0;
     size_t first_row = 0;
-    std::vector<std::pair<int, size_t>> members;  // (dim, piece index)
     std::vector<uint64_t> values;
   };
   std::vector<GroupJob> jobs;
-  std::unordered_map<int, size_t> job_of_group;
-  for (int i = 0; i < d; ++i) {
-    for (size_t p = 0; p < pieces[i].size(); ++p) {
-      if (row_of[i][p] < 0) continue;
-      const int group = GroupOf(i, pieces[i][p].level);
-      auto [it, inserted] = job_of_group.try_emplace(group, jobs.size());
-      if (inserted) {
-        jobs.emplace_back();
-        jobs.back().group = group;
-      }
-      jobs[it->second].members.push_back({i, p});
+  for (size_t r = 0; r < num_rows; ++r) {
+    if (jobs.empty() || jobs.back().group != row_pieces[r].first) {
+      jobs.push_back({row_pieces[r].first, r, {}});
     }
+    jobs.back().values.push_back(row_pieces[r].second);
   }
-  size_t num_rows = 0;
-  for (GroupJob& job : jobs) {
-    job.first_row = num_rows;
-    for (const auto& [i, p] : job.members) {
-      row_of[i][p] = static_cast<int64_t>(num_rows++);
-      job.values.push_back(pieces[i][p].index);
+  for (BoxWork& box : boxes) {
+    for (int i = 0; i < d; ++i) {
+      for (size_t p = 0; p < box.pieces[i].size(); ++p) {
+        if (box.row_of[i][p] < 0) continue;
+        const std::pair<int, uint64_t> piece{
+            GroupOf(i, box.pieces[i][p].level), box.pieces[i][p].index};
+        box.row_of[i][p] =
+            std::lower_bound(row_pieces.begin(), row_pieces.end(), piece) -
+            row_pieces.begin();
+      }
+    }
+    box.k_rows.reserve(box.todo.size() * box.k);
+    for (const uint64_t rank : box.todo) {
+      PicksOf(box.pieces, rank, &pick);
+      for (int i = 0; i < d; ++i) {
+        const int64_t row = box.row_of[i][pick[i]];
+        if (row >= 0) box.k_rows.push_back(static_cast<uint32_t>(row));
+      }
     }
   }
   std::vector<uint64_t> bits(num_rows * words);
@@ -326,29 +428,13 @@ void ScMechanism::EstimateSubQueries(
     FoEstimateMetrics().report_values->Add(n * num_rows);
   }
 
-  // Each sub-query's piece set K: the rows of its k non-root pieces, in
-  // dimension order, at k_rows[q * k, (q + 1) * k). Every sub-query of a box
-  // has the same k, since a dimension decomposes either into the lone root
-  // piece or into non-root pieces only.
-  size_t k = 0;
-  for (int i = 0; i < d; ++i) k += pieces[i][0].level != 0 ? 1 : 0;
-  std::vector<uint32_t> k_rows;
-  k_rows.reserve(ranks.size() * k);
-  for (const uint64_t rank : ranks) {
-    PicksOf(pieces, rank, &pick);
-    for (int i = 0; i < d; ++i) {
-      const int64_t row = row_of[i][pick[i]];
-      if (row >= 0) k_rows.push_back(static_cast<uint32_t>(row));
-    }
-  }
-  const size_t num_q = ranks.size();
-
   // Masked weight sums over all reports: `chunk_sums(first, w, out)` writes
   // `num_sums` sums over one report chunk (starting at report `first`, with
   // weights w), every chunk runs in parallel, and the partials reduce in
   // chunk order. Callers keep num_sums <= kExecChunkRows, so the partials
   // take at most one double per report.
-  const auto reduce_chunks = [&](size_t num_sums, const auto& chunk_sums) {
+  const auto reduce_chunks = [&](const WeightVector& weights, size_t num_sums,
+                                 const auto& chunk_sums) {
     std::vector<double> partial(num_chunks * num_sums);
     exec().ParallelChunks(
         n, kExecChunkRows, [&](uint64_t chunk, uint64_t first, uint64_t last) {
@@ -366,7 +452,9 @@ void ScMechanism::EstimateSubQueries(
     return sum;
   };
 
-  if (k > kMaxExpandedPieces) {
+  for (BoxWork& box : boxes) {
+    const size_t k = box.k;
+    if (k <= kMaxExpandedPieces) continue;
     // Popcount classes: with j(t) the number of K's pieces report t
     // supports, prod_{i in K} c(s_i(t)) = c1^j c0^(k-j), so
     //   value = sum_{j=0..k} c1^j c0^(k-j) W_j,  W_j = sum_{t: j(t)=j} w_t
@@ -381,11 +469,12 @@ void ScMechanism::EstimateSubQueries(
       for (size_t i = j; i < k; ++i) c0_pow *= c0_;
       class_factor[j] = c1_pow * c0_pow;
     }
+    const size_t num_q = box.todo.size();
     const size_t per_batch = std::max<size_t>(1, kExecChunkRows / (k + 1));
     for (size_t q0 = 0; q0 < num_q; q0 += per_batch) {
       const size_t batch = std::min(per_batch, num_q - q0);
       const std::vector<double> class_sum = reduce_chunks(
-          batch * (k + 1),
+          *box.weights, batch * (k + 1),
           [&](uint64_t first, std::span<const double> w, double* out) {
             const size_t chunk_words = (w.size() + 63) / 64;
             std::vector<uint64_t> count(chunk_words * planes);
@@ -394,8 +483,9 @@ void ScMechanism::EstimateSubQueries(
             for (size_t b = 0; b < batch; ++b) {
               std::fill(count.begin(), count.end(), 0);
               for (size_t r = 0; r < k; ++r) {
-                const uint64_t* row =
-                    bits.data() + k_rows[(q0 + b) * k + r] * words + first / 64;
+                const uint64_t* row = bits.data() +
+                                      box.k_rows[(q0 + b) * k + r] * words +
+                                      first / 64;
                 for (size_t x = 0; x < chunk_words; ++x) {
                   uint64_t carry = row[x];
                   for (size_t l = 0; carry != 0; ++l) {
@@ -425,87 +515,115 @@ void ScMechanism::EstimateSubQueries(
         for (size_t j = 0; j <= k; ++j) {
           v += class_factor[j] * class_sum[b * (k + 1) + j];
         }
-        value[ranks[q0 + b]] = v;
+        box.value[box.todo[q0 + b]] = v;
       }
     }
-    return;
   }
 
-  // Subset expansion: c(s) = c0 + Delta s, where c0 = -scale / g and
-  // Delta = scale (Prop. 10), so the conjunctive estimator (eq. 42) expands
-  // over the subsets S of K:
+  // Subset expansion (k <= kMaxExpandedPieces): c(s) = c0 + Delta s, where
+  // c0 = -scale / g and Delta = scale (Prop. 10), so the conjunctive
+  // estimator (eq. 42) expands over the subsets S of K:
   //   sum_t w_t prod_{i in K} c(s_i(t))
   //     = scale^k  sum_{S subset of K} (-1/g)^(k-|S|) M_S,
   //   M_S = sum_t w_t prod_{i in S} s_i(t)   (M_{} = W, the group weight).
-  // The (sub-query, subset) terms fold into inner[q] in one fixed order —
-  // sub-queries in rank order, each one's subsets by mask from K down to
-  // {} — so for k = 1 the value is scale * (M - W / g): OLH's estimator
-  // exactly. M_S is memoized across the sub-queries of the call, in
-  // batches of at most kExecChunkRows sets. g^j and scale^j come from
-  // repeated multiplication (g^j is exact below 2^53).
-  std::vector<double> g_pow(k + 1, 1.0);
-  std::vector<double> scale_pow(k + 1, 1.0);
-  for (size_t j = 1; j <= k; ++j) {
+  // Each sub-query's (subset) terms fold into its inner sum in one fixed
+  // order — by mask from K down to {} — so for k = 1 the value is
+  // scale * (M - W / g): OLH's estimator exactly. M_S is memoized across the
+  // sub-queries of every box with the same weight vector, in batches of at
+  // most kExecChunkRows sets, so an OR's intersection box reuses the
+  // singleton sums of its two sides. g^j and scale^j come from repeated
+  // multiplication (g^j is exact below 2^53).
+  std::vector<double> g_pow(kMaxExpandedPieces + 1, 1.0);
+  std::vector<double> scale_pow(kMaxExpandedPieces + 1, 1.0);
+  for (size_t j = 1; j <= kMaxExpandedPieces; ++j) {
     g_pow[j] = g_pow[j - 1] * static_cast<double>(protocols_[0]->g());
     scale_pow[j] = scale_pow[j - 1] * protocols_[0]->scale();
   }
-  std::vector<double> inner(num_q, 0.0);
+  // Boxes still to expand; each pass takes every pending box that shares
+  // the first pending box's weight vector.
+  std::vector<char> pending(boxes.size());
+  for (size_t b = 0; b < boxes.size(); ++b) {
+    pending[b] = boxes[b].k <= kMaxExpandedPieces && !boxes[b].todo.empty();
+  }
+  struct SubQuery {
+    BoxWork* box = nullptr;
+    size_t q = 0;  // index into box->todo
+  };
   struct Term {
-    size_t q = 0;
-    uint64_t mask = 0;  // subset of K_q, counting down to 0
+    size_t s = 0;       // index into subs
+    uint64_t mask = 0;  // subset of subs[s]'s K, counting down to 0
   };
-  const uint64_t full_mask = (uint64_t{1} << k) - 1;
-  const auto advance = [&](Term* t) {
-    if (t->mask > 0) {
-      --t->mask;
-    } else if (++t->q < num_q) {
-      t->mask = full_mask;
-    }
-  };
-  const auto subset = [&](const Term& t, std::vector<uint32_t>* rows) {
-    rows->clear();
-    for (uint64_t m = t.mask; m != 0; m &= m - 1) {
-      rows->push_back(k_rows[t.q * k + std::countr_zero(m)]);
-    }
-  };
+  std::vector<SubQuery> subs;
   std::unordered_map<std::vector<uint32_t>, size_t, RowsHash> set_index;
   std::vector<std::vector<uint32_t>> sets;
   std::vector<uint32_t> rows;
-  Term begin{0, full_mask};
-  while (begin.q < num_q) {
-    set_index.clear();
-    sets.clear();
-    Term end = begin;
-    for (; end.q < num_q; advance(&end)) {
-      subset(end, &rows);
-      if (set_index.count(rows) != 0) continue;
-      if (sets.size() == kExecChunkRows) break;
-      set_index.emplace(rows, sets.size());
-      sets.push_back(rows);
+  for (size_t b0 = 0; b0 < boxes.size(); ++b0) {
+    if (!pending[b0]) continue;
+    const WeightVector& weights = *boxes[b0].weights;
+    subs.clear();
+    for (size_t b = b0; b < boxes.size(); ++b) {
+      if (!pending[b] || boxes[b].weights->id() != weights.id()) continue;
+      pending[b] = 0;
+      for (size_t q = 0; q < boxes[b].todo.size(); ++q) {
+        subs.push_back({&boxes[b], q});
+      }
     }
-    const std::vector<double> sum = reduce_chunks(
-        sets.size(),
-        [&](uint64_t first, std::span<const double> w, double* out) {
-          std::vector<const uint64_t*> set_bits;
-          for (size_t s = 0; s < sets.size(); ++s) {
-            set_bits.clear();
-            for (const uint32_t row : sets[s]) {
-              set_bits.push_back(bits.data() + row * words + first / 64);
+    const size_t num_subs = subs.size();
+    const auto full_mask = [&](size_t s) {
+      return (uint64_t{1} << subs[s].box->k) - 1;
+    };
+    const auto advance = [&](Term* t) {
+      if (t->mask > 0) {
+        --t->mask;
+      } else if (++t->s < num_subs) {
+        t->mask = full_mask(t->s);
+      }
+    };
+    const auto subset = [&](const Term& t, std::vector<uint32_t>* out) {
+      const BoxWork& box = *subs[t.s].box;
+      out->clear();
+      for (uint64_t m = t.mask; m != 0; m &= m - 1) {
+        out->push_back(box.k_rows[subs[t.s].q * box.k + std::countr_zero(m)]);
+      }
+    };
+    std::vector<double> inner(num_subs, 0.0);
+    Term begin{0, full_mask(0)};
+    while (begin.s < num_subs) {
+      set_index.clear();
+      sets.clear();
+      Term end = begin;
+      for (; end.s < num_subs; advance(&end)) {
+        subset(end, &rows);
+        if (set_index.count(rows) != 0) continue;
+        if (sets.size() == kExecChunkRows) break;
+        set_index.emplace(rows, sets.size());
+        sets.push_back(rows);
+      }
+      const std::vector<double> sum = reduce_chunks(
+          weights, sets.size(),
+          [&](uint64_t first, std::span<const double> w, double* out) {
+            std::vector<const uint64_t*> set_bits;
+            for (size_t s = 0; s < sets.size(); ++s) {
+              set_bits.clear();
+              for (const uint32_t row : sets[s]) {
+                set_bits.push_back(bits.data() + row * words + first / 64);
+              }
+              out[s] = kernels.masked_weight_sum(
+                  set_bits.data(), set_bits.size(), w.data(), w.size());
             }
-            out[s] = kernels.masked_weight_sum(set_bits.data(), set_bits.size(),
-                                               w.data(), w.size());
-          }
-        });
-    for (Term t = begin; t.q != end.q || t.mask != end.mask; advance(&t)) {
-      subset(t, &rows);
-      const size_t missing = k - rows.size();
-      const double term = sum[set_index.at(rows)] / g_pow[missing];
-      inner[t.q] += missing % 2 == 0 ? term : -term;
+          });
+      for (Term t = begin; t.s != end.s || t.mask != end.mask; advance(&t)) {
+        subset(t, &rows);
+        const size_t missing = subs[t.s].box->k - rows.size();
+        const double term = sum[set_index.at(rows)] / g_pow[missing];
+        inner[t.s] += missing % 2 == 0 ? term : -term;
+      }
+      begin = end;
     }
-    begin = end;
-  }
-  for (size_t q = 0; q < num_q; ++q) {
-    value[ranks[q]] = scale_pow[k] * inner[q];
+    for (size_t s = 0; s < num_subs; ++s) {
+      BoxWork& box = *subs[s].box;
+      box.value[box.todo[subs[s].q]] = scale_pow[box.k] * inner[s];
+    }
   }
 }
 

@@ -27,10 +27,11 @@ namespace ldp {
 /// Dimensions whose decomposed piece is the root ('*') contribute factor 1.
 ///
 /// Evaluation: each factor is one of two constants picked by one OLH support
-/// bit, so a query packs each piece's support bits into a bitset (1 bit per
-/// report). A sub-query over k <= 2 pieces expands the product over subsets
-/// of its pieces into masked weight sums, memoized across the query's
-/// sub-queries; a one-piece sub-query is exactly OLH's
+/// bit, so an EstimateBoxes call packs each distinct piece's support bits
+/// into one bitset (1 bit per report) shared by all of its boxes. A
+/// sub-query over k <= 2 pieces expands the product over subsets of its
+/// pieces into masked weight sums, memoized across the sub-queries of every
+/// box with the same weights; a one-piece sub-query is exactly OLH's
 /// scale * (theta - W / g). From k = 3 on, a sub-query sums the weights of
 /// each popcount class (how many of its pieces a report supports): k + 1
 /// masked sums, so the cost grows linearly in k.
@@ -52,8 +53,11 @@ class ScMechanism : public Mechanism {
   Status AddReport(const LdpReport& report, uint64_t user) override;
   Status ValidateReport(const LdpReport& report) const override;
   Status Merge(Mechanism&& shard) override;
+  /// The one-task EstimateBoxes.
   Result<double> EstimateBox(std::span<const Interval> ranges,
                              const WeightVector& weights) const override;
+  Status EstimateBoxes(std::span<const BoxTask> tasks,
+                       std::span<double> out) const override;
   Result<double> VarianceBound(std::span<const Interval> ranges,
                                const WeightVector& weights) const override;
 
@@ -70,12 +74,12 @@ class ScMechanism : public Mechanism {
     return group_offset_[dim] + level - 1;
   }
 
-  /// Computes value[rank] for every rank in `ranks` (sub-queries of the
-  /// box decomposed into `pieces`) from packed per-report support bitsets.
-  void EstimateSubQueries(
-      const std::vector<std::vector<LevelInterval>>& pieces,
-      std::span<const uint64_t> ranks, const WeightVector& weights,
-      std::span<double> value) const;
+  /// One box of an EstimateBoxes call (defined in sc.cc).
+  struct BoxWork;
+
+  /// Computes every box's value[rank] for the ranks in its `todo` from
+  /// packed per-report support bitsets shared by all the boxes.
+  void EstimateSubQueries(std::span<BoxWork> boxes) const;
 
   std::unique_ptr<LevelGrid> grid_;
   double per_report_epsilon_ = 0.0;

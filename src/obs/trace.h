@@ -27,7 +27,7 @@ struct QueryProfile {
     kRewrite,       ///< predicate -> inclusion-exclusion box terms
     kPlan,          ///< plan-cache probe + physical-plan build (planner)
     kFanout,        ///< box -> weight vectors + node decomposition setup
-    kEstimate,      ///< mechanism EstimateBox calls (kernel time lives here)
+    kEstimate,      ///< mechanism estimates; `calls` counts boxes (kernels)
     kAggregate,     ///< combining component estimates (AVG/STDEV arithmetic)
     kNumStages,
   };
@@ -43,8 +43,9 @@ struct QueryProfile {
 
   /// Inclusion-exclusion terms the predicate rewrote into.
   uint64_t ie_terms = 0;
-  /// Mechanism EstimateBox calls the executor actually issued (batch dedup
-  /// hits are not counted — they issue no call).
+  /// Boxes the executor actually sent to the mechanism (batch dedup hits
+  /// are not counted — they send nothing), whether or not they shared one
+  /// EstimateBoxes call.
   uint64_t estimate_calls = 0;
   /// Hierarchy/grid nodes handed to estimation kernels: the nodes the query
   /// touched (`estimate.nodes`) minus those the estimate cache served. With

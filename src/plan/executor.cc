@@ -85,6 +85,18 @@ PlanExecutor::PlanExecutor(const Table& table, const Mechanism& mechanism,
 Status PlanExecutor::AccumulateComponents(
     const PhysicalPlan& plan, RunState* state, QueryProfile* profile,
     double (&totals)[kNumComponentKinds]) const {
+  // Gather, in op order: serve memo hits, fetch weights, run consistency
+  // ops, and collect the node-estimate boxes for one mechanism call.
+  constexpr size_t kNoTask = static_cast<size_t>(-1);
+  struct OpEstimate {
+    const PlanOp* op = nullptr;
+    double value = 0.0;    // set unless `task` names a gathered box
+    size_t task = kNoTask;
+  };
+  std::vector<OpEstimate> estimates;
+  std::vector<BoxTask> tasks;
+  std::vector<std::shared_ptr<const WeightVector>> task_weights;
+  std::unordered_map<std::string, size_t> task_of_key;  // dedup only
   for (const PlanOp& op : plan.ops) {
     if (op.kind != PlanOpKind::kNodeEstimate &&
         op.kind != PlanOpKind::kConsistency) {
@@ -99,8 +111,13 @@ Status PlanExecutor::AccumulateComponents(
         // Bit-exact reuse: EstimateBox is deterministic post-processing, so
         // the skipped call would have produced these very bits.
         BatchDedupHits()->Increment();
-        totals[static_cast<int>(op.component)] +=
-            term.coefficient * it->second;
+        estimates.push_back({&op, it->second, kNoTask});
+        continue;
+      }
+      auto gathered = task_of_key.find(task_key);
+      if (gathered != task_of_key.end()) {
+        BatchDedupHits()->Increment();
+        estimates.push_back({&op, 0.0, gathered->second});
         continue;
       }
     }
@@ -110,39 +127,69 @@ Status PlanExecutor::AccumulateComponents(
         weights_->Get(op.component, plan.logical.query.aggregate.expr,
                       term.public_constraints));
     fanout_span.Stop();
-    TraceSpan estimate_span(profile, QueryProfile::kEstimate);
-    double estimate = 0.0;
-    if (op.kind == PlanOpKind::kConsistency) {
-      auto tree_it = state->trees.find(weights->id());
-      if (tree_it == state->trees.end()) {
-        const auto* hio = dynamic_cast<const HioMechanism*>(&mechanism_);
-        if (hio == nullptr) {
-          return Status::Internal(
-              "consistency strategy planned for a non-HIO mechanism");
-        }
-        LDP_ASSIGN_OR_RETURN(ConsistentHio tree,
-                             ConsistentHio::Build(*hio, *weights));
-        tree_it = state->trees
-                      .emplace(weights->id(), std::make_shared<const ConsistentHio>(
-                                                  std::move(tree)))
-                      .first;
-      }
-      LDP_ASSIGN_OR_RETURN(estimate,
-                           tree_it->second->EstimateRange(term.sensitive[0]));
-    } else if (multi_ != nullptr) {
-      // Composite engine: dispatch to the mechanism this plan chose.
-      LDP_ASSIGN_OR_RETURN(
-          estimate,
-          multi_->EstimateBoxWith(plan.mechanism, term.sensitive, *weights));
-    } else {
-      LDP_ASSIGN_OR_RETURN(estimate,
-                           mechanism_.EstimateBox(term.sensitive, *weights));
+    if (op.kind == PlanOpKind::kNodeEstimate) {
+      if (state->dedup) task_of_key.emplace(std::move(task_key), tasks.size());
+      estimates.push_back({&op, 0.0, tasks.size()});
+      tasks.push_back({term.sensitive, weights.get()});
+      task_weights.push_back(std::move(weights));
+      continue;
     }
+    TraceSpan estimate_span(profile, QueryProfile::kEstimate);
+    auto tree_it = state->trees.find(weights->id());
+    if (tree_it == state->trees.end()) {
+      const auto* hio = dynamic_cast<const HioMechanism*>(&mechanism_);
+      if (hio == nullptr) {
+        return Status::Internal(
+            "consistency strategy planned for a non-HIO mechanism");
+      }
+      LDP_ASSIGN_OR_RETURN(ConsistentHio tree,
+                           ConsistentHio::Build(*hio, *weights));
+      tree_it = state->trees
+                    .emplace(weights->id(), std::make_shared<const ConsistentHio>(
+                                                std::move(tree)))
+                    .first;
+    }
+    LDP_ASSIGN_OR_RETURN(const double estimate,
+                         tree_it->second->EstimateRange(term.sensitive[0]));
     estimate_span.Stop();
     EstimateCalls()->Increment();
     if (profile != nullptr) ++profile->estimate_calls;
     if (state->dedup) state->memo.emplace(std::move(task_key), estimate);
-    totals[static_cast<int>(op.component)] += term.coefficient * estimate;
+    estimates.push_back({&op, estimate, kNoTask});
+  }
+
+  // One mechanism call for every gathered box: a mechanism may share work
+  // across them (SC hashes each piece once per plan) without changing any
+  // estimate's bits.
+  std::vector<double> box_estimates(tasks.size());
+  if (!tasks.empty()) {
+    TraceSpan estimate_span(profile, QueryProfile::kEstimate);
+    if (multi_ != nullptr) {
+      // Composite engine: dispatch to the mechanism this plan chose.
+      LDP_RETURN_NOT_OK(
+          multi_->EstimateBoxesWith(plan.mechanism, tasks, box_estimates));
+    } else {
+      LDP_RETURN_NOT_OK(mechanism_.EstimateBoxes(tasks, box_estimates));
+    }
+    estimate_span.Stop();
+    EstimateCalls()->Add(tasks.size());
+    if (profile != nullptr) {
+      // Estimate calls and the estimate stage count boxes, one per task.
+      profile->estimate_calls += tasks.size();
+      profile->stages[QueryProfile::kEstimate].calls += tasks.size() - 1;
+    }
+    for (const auto& [key, task] : task_of_key) {
+      state->memo.emplace(key, box_estimates[task]);
+    }
+  }
+
+  // Totals in op order: each op adds coefficient * estimate to its
+  // component, exactly as when every box was its own call.
+  for (const OpEstimate& e : estimates) {
+    const double estimate =
+        e.task == kNoTask ? e.value : box_estimates[e.task];
+    totals[static_cast<int>(e.op->component)] +=
+        plan.logical.terms[e.op->term].coefficient * estimate;
   }
   if (profile != nullptr) {
     profile->ie_terms +=

@@ -25,8 +25,11 @@ class MultiMechanism;
 ///
 ///   * ops run in list order — component-major, term-minor, exactly the
 ///     legacy accumulation order;
-///   * each estimate op contributes `coefficient * EstimateBox(...)` to its
-///     component's running total, in term order;
+///   * a plan's node-estimate ops reach the mechanism as one EstimateBoxes
+///     call (each box's EstimateBox bits, so a mechanism may share work
+///     across them — SC hashes each piece once per plan);
+///   * each estimate op then contributes `coefficient * estimate` to its
+///     component's running total, in op order;
 ///   * components compose in the legacy order (AVG = SUM then COUNT;
 ///     STDEV = SUMSQ, SUM, COUNT) with the legacy guards (count <= 0 -> 0).
 ///
@@ -35,9 +38,10 @@ class MultiMechanism;
 /// query of the batch) with the same (weights, sensitive box) — the reuse
 /// returns the bit-exact value a recomputation would, so batch answers equal
 /// the sequential ones while the mechanism sees each distinct estimate only
-/// once. GlobalMetrics: `plan.estimate_calls` counts mechanism estimate
-/// calls actually issued, `plan.batch_queries` and `plan.batch_dedup_hits`
-/// the batch traffic and the calls the dedup saved.
+/// once. GlobalMetrics: `plan.estimate_calls` counts the boxes (and
+/// consistency estimates) actually sent to the mechanism,
+/// `plan.batch_queries` and `plan.batch_dedup_hits` the batch traffic and the
+/// estimates the dedup saved.
 class PlanExecutor {
  public:
   /// References must outlive the executor; none are owned.

@@ -21,8 +21,9 @@ enum class PlanOpKind {
   /// public dimensions. Deduplicated across terms and components — two
   /// estimate ops with the same weight key share one filter op.
   kExactFilter,
-  /// One mechanism EstimateBox call: the term's sensitive box against the
-  /// filter op's weights, fanned out over EstimateNodesBatched internally.
+  /// One mechanism box estimate: the term's sensitive box against the
+  /// filter op's weights. The executor sends all of a plan's boxes to the
+  /// mechanism in one EstimateBoxes call.
   kNodeEstimate,
   /// Consistency-corrected range estimate on the least-squares consistent
   /// HIO tree (ConsistentHio) instead of the raw per-level estimates. Only

@@ -23,6 +23,8 @@
 #include "fo/olh.h"
 #include "fo/oue.h"
 #include "mech/estimate_cache.h"
+#include "mech/factory.h"
+#include "mech/multi.h"
 
 namespace ldp {
 namespace {
@@ -442,6 +444,269 @@ TEST(MechanismBatchedEstimateTest, RepeatedQueryHitsCacheCompletely) {
   EXPECT_EQ(after.insertions, warm.insertions);
   EXPECT_EQ(after.misses, warm.misses);
   EXPECT_GT(after.hits, warm.hits);
+}
+
+// ---------------------------------------------------------------------------
+// Mechanism::EstimateBoxes: one call returns, bit for bit, what EstimateBox
+// returns task by task, probes the estimate cache like that loop, and fails
+// on an invalid task with the Status the loop returns first.
+
+Schema OrdinalSchema(int dims) {
+  Schema schema;
+  for (int i = 0; i < dims; ++i) {
+    EXPECT_TRUE(schema.AddOrdinal("d" + std::to_string(i), 16).ok());
+  }
+  return schema;
+}
+
+MechanismParams BoxesParams(uint32_t pool) {
+  MechanismParams params;
+  params.epsilon = 2.0;
+  params.fanout = 2;
+  params.hash_pool_size = pool;
+  return params;
+}
+
+void FillReports(Mechanism* mech, uint64_t n) {
+  const auto& dims = mech->schema().sensitive_dims();
+  Rng rng(61);
+  std::vector<uint32_t> values(dims.size());
+  for (uint64_t u = 0; u < n; ++u) {
+    for (size_t i = 0; i < dims.size(); ++i) {
+      const uint64_t domain = mech->schema().attribute(dims[i]).domain_size;
+      // Skewed toward low values, so box estimates differ from each other.
+      values[i] = static_cast<uint32_t>(
+          std::min(rng.UniformInt(domain), rng.UniformInt(domain)));
+    }
+    ASSERT_TRUE(mech->AddReport(mech->EncodeUser(values, rng), u).ok());
+  }
+}
+
+/// A full-domain box (k = 0), two 1-dim boxes (k = 1), their OR's
+/// intersection (k = 2), a 3-dim box (k = 3, popcount classes), a box
+/// sharing pieces with the first 1-dim box, and a repeat of it — each
+/// truncated to the first `dims` dimensions.
+std::vector<std::vector<Interval>> TaskBoxes(int dims) {
+  const Interval full{0, 15};
+  std::vector<std::vector<Interval>> boxes = {
+      {full, full, full},         {{2, 11}, full, full},
+      {full, {3, 9}, full},       {{2, 11}, {3, 9}, full},
+      {{1, 6}, {3, 9}, {5, 14}},  {{4, 11}, full, full},
+      {{2, 11}, full, full},
+  };
+  for (auto& box : boxes) box.resize(dims);
+  return boxes;
+}
+
+/// Every box against both weight vectors, alternating which comes first.
+std::vector<BoxTask> MakeTasks(const std::vector<std::vector<Interval>>& boxes,
+                               const WeightVector& a, const WeightVector& b) {
+  std::vector<BoxTask> tasks;
+  for (size_t i = 0; i < boxes.size(); ++i) {
+    const WeightVector& first = i % 2 == 0 ? a : b;
+    const WeightVector& second = i % 2 == 0 ? b : a;
+    tasks.push_back({boxes[i], &first});
+    tasks.push_back({boxes[i], &second});
+  }
+  return tasks;
+}
+
+/// `estimate_all(tasks, out)` must equal `estimate_one(task)` per task, bit
+/// for bit, against a serial cache-off reference, at threads {1, 2, 8} with
+/// the cache off and on; with the cache on, a batched call on an empty cache
+/// leaves the same hit, miss and insertion counts as the loop.
+template <typename EstimateAll, typename EstimateOne>
+void CheckBatchedMatchesLoop(Mechanism* mech,
+                             std::span<const BoxTask> tasks,
+                             const EstimateAll& estimate_all,
+                             const EstimateOne& estimate_one,
+                             const std::string& what) {
+  const auto cache_stats = [&] {
+    EstimateCache::Stats sum;
+    std::vector<const EstimateCache*> caches = {mech->estimate_cache()};
+    if (const auto* multi = dynamic_cast<const MultiMechanism*>(mech)) {
+      for (int i = 0; i < multi->num_sub_mechanisms(); ++i) {
+        caches.push_back(multi->sub(i).estimate_cache());
+      }
+    }
+    for (const EstimateCache* cache : caches) {
+      if (cache == nullptr) continue;
+      sum.hits += cache->stats().hits;
+      sum.misses += cache->stats().misses;
+      sum.insertions += cache->stats().insertions;
+    }
+    return sum;
+  };
+  mech->set_execution_context(nullptr);
+  mech->EnableEstimateCache(0);
+  std::vector<double> reference;
+  for (const BoxTask& task : tasks) {
+    reference.push_back(estimate_one(task).ValueOrDie());
+  }
+  for (const int threads : {1, 2, 8}) {
+    const ExecutionContext exec(threads);
+    mech->set_execution_context(&exec);
+    for (const bool cache : {false, true}) {
+      const std::string config = what + " threads " + std::to_string(threads) +
+                                 (cache ? " cache" : " no-cache");
+      mech->EnableEstimateCache(cache ? 1 << 20 : 0);
+      // Cold, then warm: the second call is served from the cache.
+      for (int pass = 0; pass < 2; ++pass) {
+        std::vector<double> out(tasks.size(), -1.0);
+        ASSERT_TRUE(estimate_all(tasks, std::span<double>(out)).ok());
+        for (size_t i = 0; i < tasks.size(); ++i) {
+          ExpectBitEqual(out[i], reference[i],
+                         config + " pass " + std::to_string(pass) + " task " +
+                             std::to_string(i));
+        }
+      }
+      if (cache) {
+        mech->EnableEstimateCache(1 << 20);
+        std::vector<double> out(tasks.size());
+        ASSERT_TRUE(estimate_all(tasks, std::span<double>(out)).ok());
+        const EstimateCache::Stats batched = cache_stats();
+        mech->EnableEstimateCache(1 << 20);
+        for (const BoxTask& task : tasks) {
+          ASSERT_TRUE(estimate_one(task).ok());
+        }
+        const EstimateCache::Stats loop = cache_stats();
+        EXPECT_EQ(batched.hits, loop.hits) << config;
+        EXPECT_EQ(batched.misses, loop.misses) << config;
+        EXPECT_EQ(batched.insertions, loop.insertions) << config;
+      }
+    }
+    mech->set_execution_context(nullptr);
+  }
+}
+
+void CheckKind(MechanismKind kind, int dims, uint64_t n, uint32_t pool) {
+  auto mech = CreateMechanism(kind, OrdinalSchema(dims), BoxesParams(pool))
+                  .ValueOrDie();
+  FillReports(mech.get(), n);
+  const WeightVector ones = WeightVector::Ones(n);
+  const WeightVector mixed = MixedWeights(n);
+  const auto boxes = TaskBoxes(dims);
+  const std::vector<BoxTask> tasks = MakeTasks(boxes, ones, mixed);
+  CheckBatchedMatchesLoop(
+      mech.get(), tasks,
+      [&](std::span<const BoxTask> t, std::span<double> out) {
+        return mech->EstimateBoxes(t, out);
+      },
+      [&](const BoxTask& t) { return mech->EstimateBox(t.ranges, *t.weights); },
+      MechanismKindName(kind));
+}
+
+TEST(EstimateBoxesTest, EveryKindMatchesThePerBoxLoop) {
+  // Three report chunks for SC, whose sums reduce over chunks.
+  CheckKind(MechanismKind::kSc, 3, 2 * kExecChunkRows + 300, 0);
+  CheckKind(MechanismKind::kHi, 3, 1500, 0);
+  CheckKind(MechanismKind::kHio, 3, 1500, 0);
+  CheckKind(MechanismKind::kMg, 3, 1500, 64);
+  CheckKind(MechanismKind::kHdg, 3, 1500, 0);
+  CheckKind(MechanismKind::kCalm, 3, 1500, 0);
+  CheckKind(MechanismKind::kQuadTree, 2, 1500, 0);
+  CheckKind(MechanismKind::kHaar, 1, 1500, 0);
+}
+
+TEST(EstimateBoxesTest, CompositeMatchesThePerBoxLoop) {
+  const std::vector<MechanismKind> kinds = {MechanismKind::kHio,
+                                            MechanismKind::kSc};
+  const uint64_t n = 2 * kExecChunkRows + 300;
+  auto multi =
+      MultiMechanism::Create(OrdinalSchema(3), BoxesParams(0), kinds)
+          .ValueOrDie();
+  FillReports(multi.get(), n);
+  const WeightVector ones = WeightVector::Ones(n);
+  const WeightVector mixed = MixedWeights(n);
+  const auto boxes = TaskBoxes(3);
+  const std::vector<BoxTask> tasks = MakeTasks(boxes, ones, mixed);
+  CheckBatchedMatchesLoop(
+      multi.get(), tasks,
+      [&](std::span<const BoxTask> t, std::span<double> out) {
+        return multi->EstimateBoxes(t, out);
+      },
+      [&](const BoxTask& t) {
+        return multi->EstimateBox(t.ranges, *t.weights);
+      },
+      "Multi");
+  for (const MechanismKind kind : kinds) {
+    // The per-sub reference: the sub's own EstimateBox, scaled by k.
+    const Mechanism* sub = nullptr;
+    for (int i = 0; i < multi->num_sub_mechanisms(); ++i) {
+      if (multi->sub(i).kind() == kind) sub = &multi->sub(i);
+    }
+    ASSERT_NE(sub, nullptr);
+    CheckBatchedMatchesLoop(
+        multi.get(), tasks,
+        [&](std::span<const BoxTask> t, std::span<double> out) {
+          return multi->EstimateBoxesWith(kind, t, out);
+        },
+        [&](const BoxTask& t) -> Result<double> {
+          LDP_ASSIGN_OR_RETURN(const double cohort,
+                               sub->EstimateBox(t.ranges, *t.weights));
+          return static_cast<double>(kinds.size()) * cohort;
+        },
+        "Multi with " + MechanismKindName(kind));
+  }
+}
+
+TEST(EstimateBoxesTest, InvalidTaskFailsLikeThePerBoxLoop) {
+  // Two 1100-value categorical dimensions: a box over both decomposes into
+  // 1099^2 sub-queries, past SC's limit of 2^20.
+  Schema schema;
+  ASSERT_TRUE(schema.AddOrdinal("d0", 16).ok());
+  ASSERT_TRUE(schema.AddCategorical("c1", 1100).ok());
+  ASSERT_TRUE(schema.AddCategorical("c2", 1100).ok());
+  const std::vector<MechanismKind> kinds = {MechanismKind::kHio,
+                                            MechanismKind::kSc};
+  auto multi =
+      MultiMechanism::Create(schema, BoxesParams(0), kinds).ValueOrDie();
+  FillReports(multi.get(), 600);
+  const Mechanism* sc = &multi->sub(1);
+  ASSERT_EQ(sc->kind(), MechanismKind::kSc);
+  const WeightVector w = MixedWeights(600);
+  const Interval full_c{0, 1099};
+  const std::vector<std::vector<Interval>> valid = {
+      {{0, 15}, full_c, full_c},
+      {{2, 11}, {5, 5}, full_c},
+      {{2, 11}, {5, 5}, {7, 9}},
+  };
+  const std::vector<std::vector<Interval>> invalid = {
+      {{0, 15}, full_c},            // one range short
+      {{0, 16}, full_c, full_c},    // outside the domain
+      {{0, 15}, {0, 1098}, {0, 1098}},  // too many sub-queries
+  };
+  for (const bool cache : {false, true}) {
+    multi->EnableEstimateCache(cache ? 1 << 20 : 0);
+    for (size_t bad = 0; bad < invalid.size(); ++bad) {
+      for (size_t pos = 0; pos <= valid.size(); ++pos) {
+        SCOPED_TRACE("invalid " + std::to_string(bad) + " at " +
+                     std::to_string(pos) + (cache ? " cache" : ""));
+        std::vector<BoxTask> tasks;
+        for (const auto& box : valid) tasks.push_back({box, &w});
+        tasks.insert(tasks.begin() + pos, BoxTask{invalid[bad], &w});
+        // A later invalid task never wins over the first one.
+        tasks.push_back({invalid[(bad + 1) % invalid.size()], &w});
+        Status expected = Status::OK();
+        for (const BoxTask& task : tasks) {
+          const auto one = sc->EstimateBox(task.ranges, *task.weights);
+          if (!one.ok()) {
+            expected = one.status();
+            break;
+          }
+        }
+        ASSERT_FALSE(expected.ok());
+        std::vector<double> out(tasks.size());
+        const Status direct = sc->EstimateBoxes(tasks, out);
+        EXPECT_EQ(direct.code(), expected.code());
+        EXPECT_EQ(direct.message(), expected.message());
+        const Status composite =
+            multi->EstimateBoxesWith(MechanismKind::kSc, tasks, out);
+        EXPECT_EQ(composite.code(), expected.code());
+        EXPECT_EQ(composite.message(), expected.message());
+      }
+    }
+  }
 }
 
 }  // namespace

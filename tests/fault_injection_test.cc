@@ -10,9 +10,11 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "data/generator.h"
 #include "engine/protocol.h"
 #include "engine/transport.h"
+#include "storage/fault_fs.h"
 
 namespace ldp {
 namespace {
@@ -187,6 +189,103 @@ TEST(FaultInjectionSweep, TotalCorruptionYieldsTypedErrorNotNan) {
   EXPECT_EQ(est.status().code(), StatusCode::kFailedPrecondition);
   const auto pop_est = server.EstimateBoxForPopulation(ranges, w, n);
   EXPECT_FALSE(pop_est.ok());
+}
+
+// Ingest accepts any 64-bit user id and estimation indexes the caller's
+// weights by it, so a weight vector with no entry for the largest accepted id
+// must be refused with a typed error instead of being read past its end.
+const std::vector<uint64_t>& SparseUsers() {
+  static const std::vector<uint64_t> users = {1000000, 0, 1, 2, 3,
+                                              4,       5, 6, 7, 8};
+  return users;
+}
+
+CollectionSpec TwoDimSpec(MechanismKind kind) {
+  Schema schema;
+  LDP_CHECK(schema.AddOrdinal("age", 54).ok());
+  LDP_CHECK(schema.AddCategorical("state", 6).ok());
+  MechanismParams params;
+  params.epsilon = 2.0;
+  return CollectionSpec::FromSchema(schema, kind, params);
+}
+
+std::vector<std::string> SparseFrames(const CollectionSpec& spec) {
+  const LdpClient client = LdpClient::Create(spec).ValueOrDie();
+  Rng rng(11);
+  std::vector<std::string> frames;
+  for (size_t i = 0; i < SparseUsers().size(); ++i) {
+    const std::vector<uint32_t> values = {
+        static_cast<uint32_t>(rng.UniformInt(54)),
+        static_cast<uint32_t>(rng.UniformInt(6))};
+    frames.push_back(client.EncodeUser(values, rng).ValueOrDie());
+  }
+  return frames;
+}
+
+void ExpectShortWeightsRefused(const CollectionServer& server) {
+  ASSERT_EQ(server.ingest_stats().accepted, SparseUsers().size());
+  const std::vector<Interval> ranges = {{10, 35}, {0, 5}};
+  const WeightVector short_weights = WeightVector::Ones(10);
+  const auto est = server.EstimateBox(ranges, short_weights);
+  ASSERT_FALSE(est.ok());
+  EXPECT_EQ(est.status().code(), StatusCode::kInvalidArgument);
+  const auto pop_est = server.EstimateBoxForPopulation(ranges, short_weights,
+                                                       SparseUsers().size());
+  ASSERT_FALSE(pop_est.ok());
+  EXPECT_EQ(pop_est.status().code(), StatusCode::kInvalidArgument);
+  // One entry past the largest id is enough.
+  EXPECT_TRUE(
+      server.EstimateBox(ranges, WeightVector::Ones(1000001)).ok());
+}
+
+TEST(FaultInjectionSweep, ShortWeightVectorIsTypedErrorNotOutOfBoundsRead) {
+  for (const MechanismKind kind : {MechanismKind::kSc, MechanismKind::kHio}) {
+    SCOPED_TRACE(MechanismKindName(kind));
+    const CollectionSpec spec = TwoDimSpec(kind);
+    const std::vector<std::string> frames = SparseFrames(spec);
+
+    CollectionServer serial = CollectionServer::Create(spec).ValueOrDie();
+    for (size_t i = 0; i < frames.size(); ++i) {
+      ASSERT_TRUE(serial.Ingest(frames[i], SparseUsers()[i]).ok());
+    }
+    ExpectShortWeightsRefused(serial);
+
+    CollectionServer batched = CollectionServer::Create(spec, 2).ValueOrDie();
+    std::vector<CollectionServer::ReportFrame> batch;
+    for (size_t i = 0; i < frames.size(); ++i) {
+      batch.push_back({frames[i], SparseUsers()[i]});
+    }
+    ASSERT_TRUE(batched.IngestBatch(batch).ok());
+    ExpectShortWeightsRefused(batched);
+  }
+}
+
+TEST(FaultInjectionSweep, DurableReopenRestoresTheWeightBound) {
+  const CollectionSpec spec = TwoDimSpec(MechanismKind::kSc);
+  const std::vector<std::string> frames = SparseFrames(spec);
+  // 0: the reopen replays the WAL alone; 4: the largest id (ingested first)
+  // comes back from a snapshot.
+  for (const uint64_t snapshot_every : {uint64_t{0}, uint64_t{4}}) {
+    SCOPED_TRACE("snapshot every " + std::to_string(snapshot_every));
+    FaultFs fs;
+    StorageOptions storage;
+    storage.dir = "/campaign";
+    storage.fs = &fs;
+    storage.sync = WalSyncPolicy::kAlways;
+    storage.snapshot_every_frames = snapshot_every;
+    {
+      CollectionServer server =
+          CollectionServer::CreateDurable(spec, storage).ValueOrDie();
+      for (size_t i = 0; i < frames.size(); ++i) {
+        ASSERT_TRUE(server.Ingest(frames[i], SparseUsers()[i]).ok());
+      }
+    }
+    CollectionServer reopened =
+        CollectionServer::CreateDurable(spec, storage).ValueOrDie();
+    ASSERT_NE(reopened.recovery_info(), nullptr);
+    EXPECT_EQ(reopened.recovery_info()->snapshot_loaded, snapshot_every > 0);
+    ExpectShortWeightsRefused(reopened);
+  }
 }
 
 TEST(FaultInjectionSweep, PopulationExtrapolationCorrectsDropout) {

@@ -498,6 +498,62 @@ TEST(EngineProfileTest, ScNodesMatchPieceProductInBothCacheStates) {
                        product, /*cacheable=*/true);
 }
 
+// SC's support bits depend on the reports alone, so a plan hashes each
+// distinct piece once: an AVG's SUM and COUNT boxes share their rows, and an
+// OR's intersection box reuses the rows of its two sides. The box and node
+// counters still count every box and every sub-query.
+TEST(EngineProfileTest, ScHashesEachPieceOncePerPlan) {
+  GlobalMetrics().set_enabled(true);
+  EngineOptions options;
+  options.mechanism = MechanismKind::kSc;
+  options.params.epsilon = 2.0;
+  options.seed = 7;
+  options.enable_estimate_cache = false;
+  const auto engine = AnalyticsEngine::Create(ProfTable(), options).ValueOrDie();
+  const uint64_t n = ProfTable().num_rows();
+  const auto dims =
+      BuildHierarchies(ProfTable().schema(), options.params.fanout);
+  const auto num_pieces = [&](int dim, Interval range) {
+    std::vector<LevelInterval> pieces;
+    EXPECT_TRUE(dims[dim]->Decompose(range, &pieces).ok());
+    return static_cast<uint64_t>(pieces.size());
+  };
+  const uint64_t age = num_pieces(0, {2, 9});
+  const uint64_t income = num_pieces(1, {3, 7});
+  ASSERT_GT(age, 1u);
+  ASSERT_GT(income, 1u);
+
+  struct Case {
+    const char* sql;
+    uint64_t boxes;
+    uint64_t nodes;
+    uint64_t report_values;
+  };
+  const Case cases[] = {
+      {"SELECT AVG(weekly_work_hour) FROM T WHERE age BETWEEN 2 AND 9", 2,
+       2 * age, n * age},
+      {"SELECT COUNT(*) FROM T WHERE age BETWEEN 2 AND 9 OR "
+       "income BETWEEN 3 AND 7",
+       3, age + income + age * income, n * (age + income)},
+  };
+  Counter* report_values = GlobalMetrics().counter("estimate.report_values");
+  Counter* nodes = GlobalMetrics().counter("estimate.nodes");
+  Counter* calls = GlobalMetrics().counter("plan.estimate_calls");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.sql);
+    const uint64_t report_values_before = report_values->value();
+    const uint64_t nodes_before = nodes->value();
+    const uint64_t calls_before = calls->value();
+    QueryProfile profile;
+    ASSERT_TRUE(engine->ExecuteSql(c.sql, &profile).ok());
+    EXPECT_EQ(report_values->value() - report_values_before, c.report_values);
+    EXPECT_EQ(nodes->value() - nodes_before, c.nodes);
+    EXPECT_EQ(calls->value() - calls_before, c.boxes);
+    EXPECT_EQ(profile.estimate_calls, c.boxes);
+    EXPECT_EQ(profile.stages[QueryProfile::kEstimate].calls, c.boxes);
+  }
+}
+
 TEST(EngineProfileTest, MgNodesMatchBoxCellsOnBothSidesOfTheCacheGate) {
   EngineOptions options;
   options.mechanism = MechanismKind::kMg;

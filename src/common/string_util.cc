@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
 
 namespace ldp {
@@ -53,6 +54,12 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
     out += parts[i];
   }
   return out;
+}
+
+std::string HexDouble(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
 }
 
 Result<int64_t> ParseInt64(std::string_view s) {

@@ -25,6 +25,10 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 /// Joins the strings with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
+/// Lossless text for `v`: a hex float ("%a"), which round-trips every bit
+/// pattern, so keys built from it never merge two different doubles.
+std::string HexDouble(double v);
+
 /// Strict integer / floating-point parsing (the whole string must parse).
 Result<int64_t> ParseInt64(std::string_view s);
 Result<double> ParseDouble(std::string_view s);

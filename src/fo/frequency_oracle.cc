@@ -73,7 +73,10 @@ void FoAccumulator::EstimateManyWeighted(std::span<const uint64_t> values,
 }
 
 WeightVector::WeightVector(std::vector<double> weights)
-    : id_(g_next_weight_id.fetch_add(1)), weights_(std::move(weights)) {
+    : WeightVector(std::move(weights), g_next_weight_id.fetch_add(1)) {}
+
+WeightVector::WeightVector(std::vector<double> weights, uint64_t id)
+    : id_(id), weights_(std::move(weights)) {
   for (const double w : weights_) {
     total_ += w;
     sum_squares_ += w * w;

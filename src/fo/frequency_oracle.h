@@ -66,11 +66,17 @@ struct FoReport {
 
 /// A reusable per-user weight assignment (the public measure M, an all-ones
 /// vector for COUNT, or measure x public-predicate indicator; Sections 3.1
-/// and 7). Each instance carries a unique id so accumulators can cache
-/// derived per-seed histograms keyed by weight set.
+/// and 7). The id keys every cache derived from the weights (accumulator
+/// histograms, estimate-cache entries), so two instances share an id only
+/// if their values are bit-identical.
 class WeightVector {
  public:
+  /// Takes a fresh, never-used id.
   explicit WeightVector(std::vector<double> weights);
+  /// Reuses `id`, which must have been given to bit-identical `weights`:
+  /// every cache keyed by it then stays valid. WeightStore is the only
+  /// caller — it rebuilds an evicted vector from an unchanging table.
+  WeightVector(std::vector<double> weights, uint64_t id);
 
   /// All-ones weights of length n (COUNT aggregation).
   static WeightVector Ones(uint64_t n);

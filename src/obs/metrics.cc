@@ -201,6 +201,7 @@ MetricsRegistry& GlobalMetrics() {
              "plan.mechanism_choices.QuadTree", "plan.mechanism_choices.Haar",
              "plan.mechanism_choices.HDG", "plan.mechanism_choices.CALM",
              "plan.feedback_records", "plan.feedback_evictions",
+             "weights.hits", "weights.builds", "weights.evictions",
              "storage.wal_appends",
              "storage.wal_bytes", "storage.fsyncs", "storage.wal_torn_tails",
              "storage.wal_corrupt_drops", "storage.wal_segments_deleted",
@@ -215,6 +216,8 @@ MetricsRegistry& GlobalMetrics() {
     // numeric SimdLevel value (1 = scalar, 2 = avx2); 0 until the
     // first estimate resolves the level.
     registry->gauge("simd.active_level");
+    // Bytes of the weight vectors held by every live WeightStore.
+    registry->gauge("weights.resident_bytes");
     // Recovery wall time in *milliseconds* (unlike the ns-valued latency
     // histograms): recovery replays whole logs, so ns buckets would waste
     // the histogram's range. Bucket edges therefore read as ms here.

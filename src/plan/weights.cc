@@ -2,16 +2,74 @@
 
 #include <sstream>
 
+#include "common/string_util.h"
+#include "obs/metrics.h"
+
 namespace ldp {
+
+namespace {
+
+Counter* WeightHits() {
+  static Counter* c = GlobalMetrics().counter("weights.hits");
+  return c;
+}
+Counter* WeightBuilds() {
+  static Counter* c = GlobalMetrics().counter("weights.builds");
+  return c;
+}
+Counter* WeightEvictions() {
+  static Counter* c = GlobalMetrics().counter("weights.evictions");
+  return c;
+}
+
+/// Moves the bytes every live WeightStore holds by `delta` and publishes the
+/// total to the `weights.resident_bytes` gauge. The total lives here and is
+/// Set whole, so a registry Reset or a stretch with metrics off is corrected
+/// at the next change.
+void AddResidentBytes(int64_t delta) {
+  static std::mutex mu;
+  static int64_t total = 0;
+  static Gauge* gauge = GlobalMetrics().gauge("weights.resident_bytes");
+  std::lock_guard<std::mutex> lock(mu);
+  total += delta;
+  gauge->Set(total);
+}
+
+int64_t BytesOf(const WeightVector& w) {
+  return static_cast<int64_t>(w.size() * sizeof(double));
+}
+
+}  // namespace
+
+WeightStore::~WeightStore() {
+  int64_t bytes = 0;
+  for (const std::string& key : recency_) {
+    bytes += BytesOf(*entries_.at(key).vector);
+  }
+  AddResidentBytes(-bytes);
+}
 
 std::string WeightStore::Key(ComponentKind component, const MeasureExpr& expr,
                              const Schema& schema,
                              std::span<const Constraint> public_constraints) {
-  // Key format matches the pre-planner engine cache: component + measure
-  // expression + the public part of the box.
+  // Component + measure expression + the public part of the box. The
+  // expression is spelled like MeasureExpr::ToString, with hex floats in
+  // place of its 6-digit numbers so distinct coefficients never share a key.
   std::ostringstream key;
   key << static_cast<int>(component) << "|";
-  if (component != ComponentKind::kCount) key << expr.ToString(schema);
+  if (component != ComponentKind::kCount) {
+    bool first = true;
+    for (const auto& t : expr.terms) {
+      if (!first) key << " + ";
+      first = false;
+      if (t.coef != 1.0) key << HexDouble(t.coef) << "*";
+      key << schema.attribute(t.attr).name;
+    }
+    if (expr.constant != 0.0 || first) {
+      if (!first) key << " + ";
+      key << HexDouble(expr.constant);
+    }
+  }
   key << "|";
   for (const auto& c : public_constraints) {
     key << c.attr << ":" << c.range.lo << "-" << c.range.hi << ";";
@@ -22,11 +80,22 @@ std::string WeightStore::Key(ComponentKind component, const MeasureExpr& expr,
 Result<std::shared_ptr<const WeightVector>> WeightStore::Get(
     ComponentKind component, const MeasureExpr& expr,
     std::span<const Constraint> public_constraints) {
-  const std::string key =
-      Key(component, expr, table_.schema(), public_constraints);
+  std::string key = Key(component, expr, table_.schema(), public_constraints);
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
+  Entry& entry = entries_[key];
+  if (entry.vector != nullptr) {
+    recency_.splice(recency_.begin(), recency_, entry.recency);
+    WeightHits()->Increment();
+    return entry.vector;
+  }
+  // Evict before building, so at most kMaxCachedWeightVectors are resident.
+  if (recency_.size() >= kMaxCachedWeightVectors) {
+    Entry& victim = entries_.at(recency_.back());
+    AddResidentBytes(-BytesOf(*victim.vector));
+    victim.vector.reset();
+    recency_.pop_back();
+    WeightEvictions()->Increment();
+  }
 
   const uint64_t n = table_.num_rows();
   std::vector<double> weights;
@@ -51,10 +120,17 @@ Result<std::shared_ptr<const WeightVector>> WeightStore::Get(
       if (!c.range.Contains(col[row])) weights[row] = 0.0;
     }
   }
-  if (cache_.size() >= kMaxCachedWeightVectors) cache_.clear();
-  auto wv = std::make_shared<const WeightVector>(std::move(weights));
-  cache_.emplace(key, wv);
-  return {std::move(wv)};
+  // A rebuild keeps the key's first id: same table, same key, same bits.
+  entry.vector =
+      entry.id == 0
+          ? std::make_shared<const WeightVector>(std::move(weights))
+          : std::make_shared<const WeightVector>(std::move(weights), entry.id);
+  entry.id = entry.vector->id();
+  recency_.push_front(std::move(key));
+  entry.recency = recency_.begin();
+  WeightBuilds()->Increment();
+  AddResidentBytes(BytesOf(*entry.vector));
+  return entry.vector;
 }
 
 }  // namespace ldp

@@ -1,9 +1,8 @@
 #include "query/plan.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <sstream>
 
+#include "common/string_util.h"
 #include "obs/metrics.h"
 
 namespace ldp {
@@ -21,15 +20,6 @@ const char* ComponentKindName(ComponentKind kind) {
 }
 
 namespace {
-
-/// Exact double serialization: hex floats round-trip bit patterns, so two
-/// queries differing only in the 17th digit of a coefficient never share a
-/// cache key.
-void AppendDouble(std::ostringstream& os, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  os << buf;
-}
 
 void AppendPredicate(std::ostringstream& os, const Predicate& pred) {
   switch (pred.kind()) {
@@ -76,12 +66,11 @@ std::string QueryCacheKey(const Schema& schema, const Query& query) {
   std::ostringstream os;
   os << "agg" << static_cast<int>(query.aggregate.kind) << "[";
   for (const auto& term : query.aggregate.expr.terms) {
-    os << term.attr << "*";
-    AppendDouble(os, term.coef);
-    os << "+";
+    os << term.attr << "*" << HexDouble(term.coef) << "+";
   }
-  AppendDouble(os, query.aggregate.expr.constant);
-  os << "]|";
+  // Hex floats: queries differing only in the 17th digit of a coefficient
+  // never share a cache key.
+  os << HexDouble(query.aggregate.expr.constant) << "]|";
   if (query.where != nullptr) AppendPredicate(os, *query.where);
   return os.str();
 }

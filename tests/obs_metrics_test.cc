@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "engine/engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "plan/weights.h"
 
 namespace ldp {
 namespace {
@@ -592,6 +594,89 @@ TEST(EngineProfileTest, CompositeNodesCountTheSubCaches) {
   ASSERT_GT(plan->predicted_node_estimates, 1u);
   ExpectNodeAccounting(WideTable(), options, sql,
                        plan->predicted_node_estimates, /*cacheable=*/true);
+}
+
+
+// --- WeightStore metrics ---------------------------------------------------
+
+/// One sensitive dimension and a 40-value public `region`: one distinct
+/// weight key per region, more than the WeightStore's 32-vector cap.
+const Table& RegionTable() {
+  static const Table* table = [] {
+    TableSpec spec;
+    spec.dims.push_back({"age", AttributeKind::kSensitiveOrdinal, 16,
+                         ColumnDist::kGaussianBell, 1.1});
+    spec.dims.push_back({"region", AttributeKind::kPublicDimension, 40,
+                         ColumnDist::kUniform, 1.0});
+    spec.measures.push_back(
+        {"hours", 1.0, 99.0, ColumnDist::kGaussianBell, 1.1, 0, 0.3});
+    return new Table(GenerateTable(spec, 2000, 5).ValueOrDie());
+  }();
+  return *table;
+}
+
+// Every WeightStore::Get is one `weights.hits` or one `weights.builds`, and
+// `weights.resident_bytes` holds 8n bytes per resident vector: it grows with
+// the distinct keys up to the 32-vector cap, then stays there, and returns
+// to its prior value once the store (or the engine owning it) is destroyed.
+TEST(WeightStoreMetricsTest, HitsPlusBuildsCountGetsAndGaugeTracksResidency) {
+  GlobalMetrics().set_enabled(true);
+  const Table& table = RegionTable();
+  const int region = table.schema().FindAttribute("region").ValueOrDie();
+  Counter* hits = GlobalMetrics().counter("weights.hits");
+  Counter* builds = GlobalMetrics().counter("weights.builds");
+  Counter* evictions = GlobalMetrics().counter("weights.evictions");
+  Gauge* resident = GlobalMetrics().gauge("weights.resident_bytes");
+  const int64_t vector_bytes =
+      static_cast<int64_t>(sizeof(double) * table.num_rows());
+  const int64_t prior = resident->value();
+  constexpr int64_t kCap = 32;
+
+  {
+    WeightStore store(table);
+    const uint64_t hits_before = hits->value();
+    const uint64_t builds_before = builds->value();
+    const uint64_t evictions_before = evictions->value();
+    uint64_t gets = 0;
+    auto get = [&](uint64_t r) {
+      const Constraint c{region, Interval{r, r}};
+      ASSERT_TRUE(store.Get(ComponentKind::kCount, MeasureExpr{},
+                            std::span<const Constraint>(&c, 1))
+                      .ok());
+      ++gets;
+    };
+    for (uint64_t r = 0; r < 10; ++r) {
+      for (int rep = 0; rep < 3; ++rep) get(r);
+    }
+    EXPECT_EQ(resident->value(), prior + 10 * vector_bytes);
+    for (uint64_t r = 0; r < 40; ++r) get(r);
+    EXPECT_EQ(hits->value() - hits_before + builds->value() - builds_before,
+              gets);
+    EXPECT_EQ(builds->value() - builds_before, 40u);
+    EXPECT_EQ(evictions->value() - evictions_before, 40u - kCap);
+    EXPECT_EQ(resident->value(), prior + kCap * vector_bytes);
+  }
+  EXPECT_EQ(resident->value(), prior);
+
+  EngineOptions options;
+  options.mechanism = MechanismKind::kHio;
+  options.params.epsilon = 2.0;
+  options.seed = 7;
+  {
+    const auto engine = AnalyticsEngine::Create(table, options).ValueOrDie();
+    auto run = [&](uint64_t r) {
+      ASSERT_TRUE(engine
+                      ->ExecuteSql("SELECT COUNT(*) FROM T WHERE age BETWEEN "
+                                   "1 AND 6 AND region = " +
+                                   std::to_string(r))
+                      .ok());
+    };
+    for (uint64_t r = 0; r < 5; ++r) run(r);
+    EXPECT_EQ(resident->value(), prior + 5 * vector_bytes);
+    for (uint64_t r = 0; r < 40; ++r) run(r);
+    EXPECT_EQ(resident->value(), prior + kCap * vector_bytes);
+  }
+  EXPECT_EQ(resident->value(), prior);
 }
 
 }  // namespace

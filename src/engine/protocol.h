@@ -254,7 +254,8 @@ class CollectionServer {
   Status ApplyFrame(std::string_view frame_bytes, uint64_t user);
 
   /// Writes an automatic snapshot when the store says one is due. Failures
-  /// are recorded in last_snapshot_status(), never surfaced to ingest.
+  /// are recorded in last_snapshot_status(), never surfaced to ingest, and
+  /// the next attempt waits a full snapshot interval like after a success.
   void MaybeSnapshot();
 
   CollectionSpec spec_;

@@ -18,6 +18,7 @@ const FoCacheCounters& FoCacheMetrics() {
       GlobalMetrics().counter("fo_cache.builds"),
       GlobalMetrics().counter("fo_cache.stale_rebuilds"),
       GlobalMetrics().counter("fo_cache.evictions"),
+      GlobalMetrics().counter("fo_cache.folded_reports"),
       GlobalMetrics().histogram("fo_cache.histogram_build_ns"),
   };
   return counters;

@@ -13,17 +13,22 @@
 
 namespace ldp {
 
-/// Shared GlobalMetrics handles for the oracles' lazy weighted-histogram /
-/// spectrum caches (`fo_cache.*`): hits (generation-valid cached entry
-/// served), builds (full O(n) rebuilds, first-time or after staleness),
-/// stale_rebuilds (subset of builds caused by the built_reports generation
-/// check), evictions (FIFO capacity drops), build_ns (wall time of each
+/// Shared GlobalMetrics handles for the oracles' weighted-histogram and
+/// spectrum caches (`fo_cache.*`, see WeightSetCache): hits (a cached entry
+/// that covers every report, served as is), builds (entries made: first
+/// builds plus the replacements of stale ones), stale_rebuilds (the builds
+/// that found a stale entry; OLH extends it by the appended reports, GRR and
+/// HR rebuild it from all of them), evictions (least recently used entries
+/// dropped at capacity), folded_reports (reports folded into entries by
+/// builds: all of them for a first build or a full rebuild, only the
+/// appended ones for an extended OLH histogram), build_ns (wall time of each
 /// build — `fo_cache.histogram_build_ns`). Resolved once per process.
 struct FoCacheCounters {
   Counter* hits;
   Counter* builds;
   Counter* stale_rebuilds;
   Counter* evictions;
+  Counter* folded_reports;
   LatencyHistogram* build_ns;
 };
 const FoCacheCounters& FoCacheMetrics();

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "fo/frequency_oracle.h"
+#include "fo/weight_set_cache.h"
 
 namespace ldp {
 
@@ -85,13 +86,10 @@ class GrrAccumulator : public FoAccumulator {
   const GrrProtocol& protocol_;
   std::vector<uint32_t> values_;
   std::vector<uint64_t> users_;
-  mutable std::mutex cache_mu_;
-  mutable std::unordered_map<uint64_t,
-                             std::shared_ptr<const WeightedHistogram>>
-      hist_cache_;
-  mutable std::deque<uint64_t> hist_order_;
+  mutable WeightSetCache<WeightedHistogram> hist_cache_;
   /// Weight-set ids whose first batched estimate went through the raw scan;
-  /// bounded FIFO, guarded by cache_mu_.
+  /// bounded FIFO, guarded by raw_probed_mu_.
+  mutable std::mutex raw_probed_mu_;
   mutable std::deque<uint64_t> raw_probed_;
 };
 

@@ -2,13 +2,11 @@
 #define LDPMDA_FO_HADAMARD_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "fo/frequency_oracle.h"
+#include "fo/weight_set_cache.h"
 
 namespace ldp {
 
@@ -97,9 +95,7 @@ class HadamardAccumulator : public FoAccumulator {
   std::vector<uint64_t> indices_;
   std::vector<int8_t> signs_;
   std::vector<uint64_t> users_;
-  mutable std::mutex cache_mu_;
-  mutable std::unordered_map<uint64_t, std::shared_ptr<const Spectrum>> cache_;
-  mutable std::deque<uint64_t> cache_order_;
+  mutable WeightSetCache<Spectrum> cache_;
 };
 
 }  // namespace ldp

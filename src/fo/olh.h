@@ -2,14 +2,12 @@
 #define LDPMDA_FO_OLH_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/hash.h"
 #include "fo/frequency_oracle.h"
+#include "fo/weight_set_cache.h"
 
 namespace ldp {
 
@@ -66,11 +64,14 @@ class OlhProtocol : public FrequencyOracle {
 /// Server-side OLH state: a structure-of-arrays of (seed, y, user) triples
 /// plus, when seeds are pooled and the group is large, cached per-seed
 /// histograms of weight sums so one cell estimate costs O(pool) rather than
-/// O(#reports). Histogram caches are keyed by WeightVector id; lazy builds
-/// are mutex-guarded and handed out as shared_ptr, so concurrent estimation
-/// fan-out (parallel box decomposition) is safe. Cached histograms record
-/// the report count they were built at and are discarded lazily at lookup
-/// time once more reports arrive, so Add/Merge stay lock-free.
+/// O(#reports). The histograms live in a WeightSetCache keyed by
+/// WeightVector id: builds are mutex-guarded and handed out as shared_ptr,
+/// so concurrent estimation fan-out (parallel box decomposition) is safe.
+/// Each histogram records the report count it covers. Once more reports
+/// arrive, its next lookup builds a copy extended by just the appended
+/// reports, bit for bit what a rebuild from all of them gives, so a read
+/// after an ingest costs O(pool * g + appended) and Add/Merge stay
+/// lock-free.
 class OlhAccumulator : public FoAccumulator {
  public:
   explicit OlhAccumulator(const OlhProtocol& protocol);
@@ -96,8 +97,8 @@ class OlhAccumulator : public FoAccumulator {
     /// hist[seed * g + y] = sum of weights of reports with (seed, y).
     std::vector<double> hist;
     double group_weight = 0.0;
-    /// Report count at build time; a mismatch with the live count marks the
-    /// entry stale (reports are append-only, so the count is a generation).
+    /// Reports [0, built_reports) are folded in; a lower count than the
+    /// live one marks the entry stale (reports are append-only).
     uint64_t built_reports = 0;
   };
 
@@ -108,14 +109,7 @@ class OlhAccumulator : public FoAccumulator {
   std::vector<uint32_t> seeds_;
   std::vector<uint32_t> ys_;
   std::vector<uint64_t> users_;
-  /// Lazy per-weight-id caches; bounded size with FIFO eviction (deque keeps
-  /// eviction O(1)). Guarded by cache_mu_ so parallel estimation tasks share
-  /// one build.
-  mutable std::mutex cache_mu_;
-  mutable std::unordered_map<uint64_t,
-                             std::shared_ptr<const WeightedHistogram>>
-      hist_cache_;
-  mutable std::deque<uint64_t> hist_order_;
+  mutable WeightSetCache<WeightedHistogram> hist_cache_;
 };
 
 }  // namespace ldp

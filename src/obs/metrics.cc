@@ -192,6 +192,7 @@ MetricsRegistry& GlobalMetrics() {
              "estimate_cache.insertions", "estimate_cache.evictions",
              "estimate_cache.epoch_drops", "fo_cache.hits", "fo_cache.builds",
              "fo_cache.stale_rebuilds", "fo_cache.evictions",
+             "fo_cache.folded_reports",
              "plan.rewrites", "plan.estimate_calls", "plan.batch_queries",
              "plan.batch_dedup_hits", "plan_cache.hits", "plan_cache.misses",
              "plan_cache.insertions", "plan_cache.evictions",

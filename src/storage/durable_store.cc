@@ -104,8 +104,11 @@ Status DurableStore::WriteSnapshotNow(uint64_t accepted, uint64_t duplicate,
   const Status written =
       WriteSnapshotFile(*fs_, options_.dir, header, retained_);
   last_snapshot_status_ = written;
-  if (!written.ok()) return written;
+  // A failed attempt restarts the count like a written one: retrying on
+  // every later ingest call would rewrite the whole retained sequence each
+  // time, and the WAL still covers every frame until the next attempt.
   frames_since_snapshot_ = 0;
+  if (!written.ok()) return written;
 
   // Retention: the previous snapshot (and the WAL suffix past it) stays
   // until the *next* snapshot supersedes it, so a single corrupt file never

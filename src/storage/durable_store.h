@@ -23,8 +23,9 @@ struct StorageOptions {
   WalSyncPolicy sync = WalSyncPolicy::kBatch;
   uint64_t sync_every_appends = 16;
   uint64_t segment_bytes = 4u << 20;
-  /// Snapshot after this many WAL-appended frames; 0 disables automatic
-  /// snapshots (the WAL alone still makes the server crash-recoverable).
+  /// Snapshot after this many WAL-appended frames, counted from the last
+  /// attempt (a failed one too); 0 disables automatic snapshots (the WAL
+  /// alone still makes the server crash-recoverable).
   uint64_t snapshot_every_frames = 0;
 };
 
@@ -81,13 +82,15 @@ class DurableStore {
   void RetainAccepted(uint64_t user, std::string_view payload);
 
   /// True when `snapshot_every_frames` frames accumulated since the last
-  /// snapshot (or open). The server checks after applying an ingest call.
+  /// snapshot attempt, failed or not (or since open). The server checks
+  /// after applying an ingest call.
   bool ShouldSnapshot() const;
 
   /// Writes a snapshot of the retained sequence + `stats`, then rotates the
   /// WAL and applies the retention policy. Failure is non-fatal (the WAL
   /// still covers everything): the caller keeps serving, the error is
-  /// remembered in last_snapshot_status() and storage.snapshot_failures.
+  /// remembered in last_snapshot_status() and storage.snapshot_failures,
+  /// and the next automatic attempt waits another `snapshot_every_frames`.
   Status WriteSnapshotNow(uint64_t accepted, uint64_t duplicate,
                           uint64_t corrupt, uint64_t rejected);
 

@@ -5,12 +5,13 @@
 // reads — so the test holds a std::shared_mutex the way a real serving layer
 // would: ingest rounds under the unique lock, bursts of *concurrent*
 // EstimateBox calls under the shared lock. The concurrent readers are the
-// interesting part: they hit the mechanisms' lazily built accumulator
-// histogram caches (guarded internally by their own mutex) at the same time,
-// and each ingest round invalidates those caches via the built-reports
-// generation check. The test proves no torn or stale snapshot is ever
-// served: every estimate observed by a racing reader is bit-identical to the
-// estimate a fresh serial server produces for the same ingested prefix.
+// interesting part: with pooled OLH seeds they hit the accumulators' lazily
+// built histogram caches (guarded internally by their own mutex) at the same
+// time, and after each ingest round they find those histograms stale and
+// extend them by the appended reports. The test proves no torn or stale
+// snapshot is ever served: every estimate observed by a racing reader is
+// bit-identical to the estimate a fresh serial server produces for the same
+// ingested prefix.
 
 #include <atomic>
 #include <cstdint>
@@ -23,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/protocol.h"
+#include "obs/metrics.h"
 
 namespace ldp {
 namespace {
@@ -55,10 +57,11 @@ struct RaceSetup {
   std::map<uint64_t, std::vector<double>> expected;
 };
 
-RaceSetup MakeSetup() {
+RaceSetup MakeSetup(uint32_t hash_pool_size) {
   RaceSetup setup;
   MechanismParams params;
   params.epsilon = 2.0;
+  params.hash_pool_size = hash_pool_size;
   setup.spec =
       CollectionSpec::FromSchema(RaceSchema(), MechanismKind::kHio, params);
   const LdpClient client = LdpClient::Create(setup.spec).ValueOrDie();
@@ -101,8 +104,9 @@ RaceSetup MakeSetup() {
   return setup;
 }
 
-TEST(IngestEstimateRaceTest, ConcurrentReadersAlwaysSeeAConsistentPrefix) {
-  const RaceSetup setup = MakeSetup();
+/// Races ingest rounds against two readers on a fresh server for `setup`'s
+/// spec; every estimate a reader sees must equal the serial reference.
+void RunRace(const RaceSetup& setup) {
   const WeightVector weights = WeightVector::Ones(kUsers);
   const std::span<const CollectionServer::ReportFrame> frames(setup.frames);
 
@@ -177,6 +181,23 @@ TEST(IngestEstimateRaceTest, ConcurrentReadersAlwaysSeeAConsistentPrefix) {
   }
   EXPECT_EQ(server.ingest_stats().accepted, kUsers);
   EXPECT_EQ(server.ingest_stats().quarantined(), 0u);
+}
+
+TEST(IngestEstimateRaceTest, ConcurrentReadersAlwaysSeeAConsistentPrefix) {
+  RunRace(MakeSetup(/*hash_pool_size=*/0));  // raw report scans, no histograms
+}
+
+TEST(IngestEstimateRaceTest, ConcurrentReadersExtendPooledHistograms) {
+  // A pool of 8 puts each of HIO's 8 groups (~31 reports each per round)
+  // past the 2 * pool histogram threshold from the first round on, so the
+  // readers build histograms and, after every later round, extend the stale
+  // ones while racing each other.
+  const RaceSetup setup = MakeSetup(/*hash_pool_size=*/8);
+  GlobalMetrics().set_enabled(true);
+  Counter* stale = GlobalMetrics().counter("fo_cache.stale_rebuilds");
+  const uint64_t stale0 = stale->value();
+  RunRace(setup);
+  EXPECT_GT(stale->value(), stale0);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -236,6 +237,76 @@ TEST(StorageRecoveryTest, BatchIngestRecoversIdentically) {
   EXPECT_GT(
       GlobalMetrics().counter("storage.recovery_replayed_frames")->value(),
       0u);
+}
+
+// A snapshot that does not fit on the disk fails, and the next automatic
+// attempt waits a full interval: retrying on every later ingest call would
+// re-serialize the whole retained sequence each time. The server reopens a
+// directory whose WAL already holds 192 frames, so every snapshot carries
+// them and outgrows the space left, while the disk budget is exactly the WAL
+// of the whole run (measured by a run without snapshots): every WAL append
+// fits, every snapshot fails, and its partial .tmp file is removed.
+TEST(StorageRecoveryTest, FailedSnapshotWaitsAFullInterval) {
+  constexpr uint64_t kRestored = 192;
+  constexpr uint64_t kFrames = 128;  // ingested after the reopen
+  constexpr uint64_t kBatch = 4;
+  constexpr uint64_t kEvery = 64;
+  const Workload w = MakeWorkload(kRestored + kFrames);
+  std::vector<CollectionServer::ReportFrame> frames;
+  for (uint64_t i = 0; i < kRestored + kFrames; ++i) {
+    frames.push_back(CollectionServer::ReportFrame{w.frames[i], w.users[i]});
+  }
+  const std::span<const CollectionServer::ReportFrame> all(frames);
+  // Ingests the first kRestored frames, reopens with `snapshot_every`, and
+  // returns the reopened server after `before_batch` runs ahead of each of
+  // its batches.
+  const auto run = [&](FaultFs* fs, uint64_t snapshot_every,
+                       const std::function<void(uint64_t)>& before_batch) {
+    {
+      CollectionServer server =
+          CollectionServer::CreateDurable(w.spec, MakeStorage(fs, 0))
+              .ValueOrDie();
+      for (uint64_t i = 0; i < kRestored; i += kBatch) {
+        EXPECT_TRUE(server.IngestBatch(all.subspan(i, kBatch)).ok());
+      }
+    }
+    CollectionServer server =
+        CollectionServer::CreateDurable(w.spec, MakeStorage(fs, snapshot_every))
+            .ValueOrDie();
+    for (uint64_t i = 0; i < kFrames; i += kBatch) {
+      before_batch(i);
+      EXPECT_TRUE(server.IngestBatch(all.subspan(kRestored + i, kBatch)).ok())
+          << "frame " << i;
+    }
+    return server;
+  };
+
+  uint64_t wal_bytes = 0;
+  {
+    FaultFs fs;
+    (void)run(&fs, 0, [](uint64_t) {});
+    const std::vector<std::string> names = fs.ListDir(kDir).ValueOrDie();
+    for (const std::string& name : names) {
+      wal_bytes +=
+          fs.ReadFileToString(JoinPath(kDir, name)).ValueOrDie().size();
+    }
+  }
+
+  FaultFs::Options options;
+  options.disk_budget_bytes = wal_bytes;
+  FaultFs fs(options);
+  Counter* failures = GlobalMetrics().counter("storage.snapshot_failures");
+  Counter* writes = GlobalMetrics().counter("storage.snapshot_writes");
+  const uint64_t failures0 = failures->value();
+  const uint64_t writes0 = writes->value();
+  const CollectionServer server = run(&fs, kEvery, [&](uint64_t i) {
+    // Before frame i, only the intervals that ended by frame i may have
+    // had their one attempt.
+    EXPECT_LE(failures->value() - failures0, i / kEvery) << "frame " << i;
+  });
+  EXPECT_EQ(writes->value() - writes0, 0u);
+  EXPECT_EQ(failures->value() - failures0, kFrames / kEvery);
+  EXPECT_FALSE(server.last_snapshot_status().ok());
 }
 
 TEST(StorageRecoveryTest, WalWithOnlyATornFinalRecordRecoversEmpty) {

@@ -155,7 +155,10 @@ int main(int argc, char** argv) {
 
   // Drained deliveries go to the server in batches: IngestBatch decodes and
   // validates frames in parallel, commits accept/reject decisions serially
-  // in arrival order, then accumulates accepted reports on worker shards.
+  // in arrival order, then adds the accepted reports to the mechanism. A
+  // batch of at most kExecChunkRows (16384) accepted reports, like these
+  // drains of about 4096, is added directly; only larger ones are spread
+  // over worker shards.
   const auto ingest_batch = [&server](
                                 const std::vector<FaultyChannel::Delivery>&
                                     batch) {

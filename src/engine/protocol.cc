@@ -326,7 +326,11 @@ Result<CollectionServer> CollectionServer::CreateDurable(
   // restored from the header (the quarantined frames themselves were
   // compacted away, but their counts survive).
   if (snapshot.loaded) {
-    for (const SnapshotEntry& entry : snapshot.data.entries) {
+    // The store adopted the snapshot's entry section as its retained
+    // sequence; restore from it before WAL replay appends to it.
+    const std::string_view section = store->retained_section();
+    SnapshotEntry entry;
+    for (size_t pos = 0; NextSnapshotEntry(section, &pos, &entry);) {
       auto report = LdpReport::Deserialize(entry.payload);
       if (!report.ok()) {
         // The snapshot passed its checksum, so this is a writer bug, not
@@ -420,44 +424,52 @@ Status CollectionServer::IngestBatch(std::span<const ReportFrame> frames) {
   const uint64_t n = frames.size();
   if (n == 0) return Status::OK();
 
-  if (store_ != nullptr) {
-    // Write-ahead: the whole batch becomes one WAL record before any frame
-    // mutates the server, so recovery is batch-aligned — either the entire
-    // batch replays or none of it does.
-    std::vector<WalFrameRef> refs;
-    refs.reserve(n);
-    for (const ReportFrame& frame : frames) {
-      refs.push_back(WalFrameRef{frame.user, frame.bytes});
-    }
-    LDP_RETURN_NOT_OK(store_->AppendFrames(refs));
-  }
-
-  // Phase A — parallel decode: unframe, deserialize and structurally
-  // validate every frame. Each slot is written by exactly one worker.
+  // Phase A — one parallel pass. On a durable server task 0 appends the
+  // whole batch as one WAL record; the other tasks unframe, deserialize and
+  // structurally validate one contiguous chunk of frames each, writing only
+  // their own slots. Decoding mutates no server state, so it may run beside
+  // the append: nothing below starts until the append has returned OK, so
+  // the log stays write-ahead and recovery batch-aligned — either the
+  // entire batch replays or none of it does.
   enum : uint8_t { kDecoded = 0, kCorrupt = 1, kMisfit = 2 };
   std::vector<LdpReport> reports(n);
   std::vector<uint8_t> fate(n, kDecoded);
-  constexpr uint64_t kDecodeChunk = 1024;
-  exec_->ParallelChunks(
-      n, kDecodeChunk, [&](uint64_t, uint64_t begin, uint64_t end) {
-        for (uint64_t i = begin; i < end; ++i) {
-          const auto payload = UnframeReport(frames[i].bytes);
-          if (!payload.ok()) {
-            fate[i] = kCorrupt;
-            continue;
-          }
-          auto report = LdpReport::Deserialize(payload.value());
-          if (!report.ok()) {
-            fate[i] = kCorrupt;
-            continue;
-          }
-          if (!mechanism_->ValidateReport(report.value()).ok()) {
-            fate[i] = kMisfit;
-            continue;
-          }
-          reports[i] = std::move(report).value();
-        }
-      });
+  const uint64_t threads = static_cast<uint64_t>(exec_->num_threads());
+  const uint64_t chunk = (n + threads - 1) / threads;
+  const uint64_t wal_tasks = store_ != nullptr ? 1 : 0;
+  Status appended = Status::OK();
+  exec_->ParallelFor(wal_tasks + (n + chunk - 1) / chunk, [&](uint64_t task) {
+    if (task < wal_tasks) {
+      std::vector<WalFrameRef> refs;
+      refs.reserve(n);
+      for (const ReportFrame& frame : frames) {
+        refs.push_back(WalFrameRef{frame.user, frame.bytes});
+      }
+      appended = store_->AppendFrames(refs);
+      return;
+    }
+    const uint64_t begin = (task - wal_tasks) * chunk;
+    const uint64_t end = std::min(n, begin + chunk);
+    for (uint64_t i = begin; i < end; ++i) {
+      const auto payload = UnframeReport(frames[i].bytes);
+      if (!payload.ok()) {
+        fate[i] = kCorrupt;
+        continue;
+      }
+      auto report = LdpReport::Deserialize(payload.value());
+      if (!report.ok()) {
+        fate[i] = kCorrupt;
+        continue;
+      }
+      if (!mechanism_->ValidateReport(report.value()).ok()) {
+        fate[i] = kMisfit;
+        continue;
+      }
+      reports[i] = std::move(report).value();
+    }
+  });
+  // An append failure (ENOSPC, I/O error) leaves the whole batch un-applied.
+  LDP_RETURN_NOT_OK(appended);
 
   // Phase B — serial commit, in frame order: exactly the fate sequence the
   // one-at-a-time Ingest loop produces (corrupt before duplicate before
@@ -492,17 +504,28 @@ Status CollectionServer::IngestBatch(std::span<const ReportFrame> frames) {
     }
     accepted.push_back(i);
   }
-  if (accepted.empty()) {
+
+  // Phase C — the accepted reports enter the mechanism in frame order, with
+  // one shard per kExecChunkRows of them and at most one per worker (the
+  // count AnalyticsEngine::Create uses). So a batch of at most kExecChunkRows
+  // accepted reports is added straight into mechanism_. Each shard costs a
+  // mechanism build and a merge; timed on 2 and 4 workers, sharding first
+  // repaid that at about 4K accepted reports for SC, 8K for pooled
+  // HIO+HDG+MG and 24K-32K for HIO, and far below that it was up to 8x
+  // slower (DESIGN.md §8). kExecChunkRows sits inside that band. Larger
+  // batches are added by workers over contiguous ranges into private
+  // shards, and merging them in worker order reproduces the exact
+  // frame-order sequence.
+  const uint64_t m = accepted.size();
+  const uint64_t num_workers = std::min<uint64_t>(
+      threads, (m + kExecChunkRows - 1) / kExecChunkRows);
+  if (num_workers <= 1) {
+    for (const uint64_t i : accepted) {
+      LDP_RETURN_NOT_OK(mechanism_->AddReport(reports[i], frames[i].user));
+    }
     MaybeSnapshot();
     return Status::OK();
   }
-
-  // Phase C — parallel shard ingestion: workers add contiguous ranges of the
-  // accepted reports into private shard mechanisms; merging the shards in
-  // worker order reproduces the exact frame-order report sequence.
-  const uint64_t m = accepted.size();
-  const uint64_t num_workers = std::max<uint64_t>(
-      1, std::min<uint64_t>(exec_->num_threads(), m));
   std::vector<std::unique_ptr<Mechanism>> shards(num_workers);
   for (auto& shard : shards) {
     LDP_ASSIGN_OR_RETURN(shard, mechanism_->NewShard());

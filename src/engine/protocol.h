@@ -174,16 +174,24 @@ class CollectionServer {
   };
 
   /// Ingests a batch of frames with the staged shard-parallel pipeline:
-  /// (A) unframe + deserialize + structural validation, in parallel;
-  /// (B) per-frame fate decisions (corrupt / duplicate / rejected /
-  ///     accepted) serially in frame order — the exact semantics of calling
-  ///     Ingest on each frame in order, including intra-batch dedup;
-  /// (C) accepted reports ingested into per-worker shard mechanisms over
-  ///     contiguous ranges, merged back in worker order.
+  /// (A) one parallel pass: on a durable server one task appends the batch
+  ///     as one WAL record while the others unframe, deserialize and
+  ///     structurally validate a contiguous chunk of frames each
+  ///     (ceil(frames / num_threads) per chunk); decoding mutates nothing;
+  /// (B) once the append returned OK, per-frame fate decisions (corrupt /
+  ///     duplicate / rejected / accepted) serially in frame order — the
+  ///     exact semantics of calling Ingest on each frame in order, including
+  ///     intra-batch dedup;
+  /// (C) accepted reports added straight into the mechanism when there are
+  ///     at most kExecChunkRows of them, otherwise into one shard mechanism
+  ///     per kExecChunkRows (at most one per worker) over contiguous ranges,
+  ///     merged back in worker order. The threshold lies inside the measured
+  ///     band where shards start to pay for themselves (DESIGN.md §8).
   /// Afterwards the server state (stats, dedup set, accumulated reports) is
   /// bitwise what the serial Ingest loop would have produced, for any thread
   /// count. Per-frame failures are recorded in ingest_stats(), not returned;
-  /// the Status is non-OK only for internal pipeline failures.
+  /// the Status is non-OK for a failed WAL append (kIoError and the like,
+  /// with the server left untouched) and for internal pipeline failures.
   Status IngestBatch(std::span<const ReportFrame> frames);
 
   uint64_t num_reports() const { return mechanism_->num_reports(); }

@@ -1,7 +1,9 @@
 #ifndef LDPMDA_STORAGE_CODING_H_
 #define LDPMDA_STORAGE_CODING_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -11,12 +13,32 @@ namespace storage {
 /// Little-endian fixed-width integer coding shared by the WAL record and
 /// snapshot file formats (matching the report wire frame's conventions).
 
+/// Writes `v` little-endian into the 4 (8) bytes at `dst`: encoders reserve
+/// a record's length and checksum fields and patch them in last.
+inline void EncodeU32(char* dst, uint32_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
+  std::memcpy(dst, &v, sizeof(v));
+}
+
+inline void EncodeU64(char* dst, uint64_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(dst, &v, sizeof(v));
+}
+
 inline void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+  char bytes[sizeof(v)];
+  EncodeU32(bytes, v);
+  out->append(bytes, sizeof(v));
 }
 
 inline void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+  char bytes[sizeof(v)];
+  EncodeU64(bytes, v);
+  out->append(bytes, sizeof(v));
 }
 
 /// Callers guarantee at least 4 (8) readable bytes at `in`.

@@ -1,6 +1,7 @@
 #include "storage/durable_store.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics.h"
 
@@ -24,7 +25,7 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
   }
   Fs* fs = options.fs != nullptr ? options.fs : &PosixFs();
   auto store = std::unique_ptr<DurableStore>(new DurableStore(options, fs));
-  store->spec_ = std::string(spec_serialized);
+  store->retained_.spec = std::string(spec_serialized);
 
   LDP_ASSIGN_OR_RETURN(
       SnapshotLoad snapshot,
@@ -47,14 +48,17 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
     });
     store->last_snapshot_seq_ = snapshot.data.wal_seq;
     // Snapshot restore counts as frames toward the next automatic snapshot
-    // only via future ingest; the retained sequence starts as its entries.
-    store->retained_ = snapshot.data.entries;
+    // only via future ingest; the retained sequence starts as its entries,
+    // adopted rather than copied.
+    store->retained_.entries = std::move(snapshot.data.entries);
+    store->retained_.entry_count = snapshot.data.entry_count;
+    snapshot.data.entries.clear();
   }
 
   RecoveryInfo info;
   info.snapshot_loaded = snapshot.loaded;
   info.snapshot_wal_seq = snapshot.loaded ? snapshot.data.wal_seq : 0;
-  info.snapshot_entries = snapshot.loaded ? snapshot.data.entries.size() : 0;
+  info.snapshot_entries = snapshot.loaded ? snapshot.data.entry_count : 0;
   info.snapshots_quarantined = snapshot.quarantined;
   info.replayed_records = scan.records.size();
   for (const WalRecord& record : scan.records) {
@@ -82,10 +86,6 @@ Status DurableStore::AppendFrames(std::span<const WalFrameRef> frames) {
   return Status::OK();
 }
 
-void DurableStore::RetainAccepted(uint64_t user, std::string_view payload) {
-  retained_.push_back(SnapshotEntry{user, std::string(payload)});
-}
-
 bool DurableStore::ShouldSnapshot() const {
   return options_.snapshot_every_frames != 0 &&
          frames_since_snapshot_ >= options_.snapshot_every_frames;
@@ -93,16 +93,13 @@ bool DurableStore::ShouldSnapshot() const {
 
 Status DurableStore::WriteSnapshotNow(uint64_t accepted, uint64_t duplicate,
                                       uint64_t corrupt, uint64_t rejected) {
-  SnapshotData header;
-  header.wal_seq = wal_->next_seq() - 1;
-  header.accepted = accepted;
-  header.duplicate = duplicate;
-  header.corrupt = corrupt;
-  header.rejected = rejected;
-  header.spec = spec_;
+  retained_.wal_seq = wal_->next_seq() - 1;
+  retained_.accepted = accepted;
+  retained_.duplicate = duplicate;
+  retained_.corrupt = corrupt;
+  retained_.rejected = rejected;
 
-  const Status written =
-      WriteSnapshotFile(*fs_, options_.dir, header, retained_);
+  const Status written = WriteSnapshotFile(*fs_, options_.dir, retained_);
   last_snapshot_status_ = written;
   // A failed attempt restarts the count like a written one: retrying on
   // every later ingest call would rewrite the whole retained sequence each
@@ -115,7 +112,7 @@ Status DurableStore::WriteSnapshotNow(uint64_t accepted, uint64_t duplicate,
   // loses data. Failures below are cosmetic — extra files, never lost ones.
   const uint64_t floor = last_snapshot_seq_;
   prev_snapshot_seq_ = floor;
-  last_snapshot_seq_ = header.wal_seq;
+  last_snapshot_seq_ = retained_.wal_seq;
   const Status rotated = wal_->StartNewSegment();
   if (rotated.ok()) {
     (void)wal_->DeleteSegmentsThrough(floor);

@@ -6,7 +6,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "storage/snapshot.h"
 #include "storage/wal.h"
@@ -56,6 +55,9 @@ struct RecoveryInfo {
 /// of the ingest stream. Accepted reports are additionally retained in
 /// memory (user + payload, acceptance order) so a snapshot can serialize the
 /// canonical accumulator state without reaching into mechanism internals.
+/// They are retained as the snapshot's own entry section — one byte string
+/// in the on-disk encoding — so retaining a report is an append, a snapshot
+/// writes the section as it is, and Open adopts a loaded snapshot's section.
 ///
 /// Retention: writing snapshot S_new rotates the WAL and deletes segments
 /// covered by the *previous* snapshot S_prev, and snapshot files older than
@@ -66,10 +68,13 @@ class DurableStore {
  public:
   /// Opens (creating if needed) `options.dir`, loads the newest valid
   /// snapshot, scans the WAL, and returns the store positioned after the
-  /// recovered prefix. `snapshot_out` receives the snapshot to restore
-  /// (entries moved into it; empty when none), `replay_out` the WAL records
-  /// with seq past the snapshot, `info_out` the recovery diagnosis (timing
-  /// filled in by the caller once replay is applied).
+  /// recovered prefix. The store adopts the loaded snapshot's entry section
+  /// as its retained sequence (read it through retained_section() to
+  /// restore the accepted reports); `snapshot_out` receives the rest of the
+  /// snapshot (its `entries` empty, `loaded` false when none),
+  /// `replay_out` the WAL records with seq past the snapshot, `info_out` the
+  /// recovery diagnosis (timing filled in by the caller once replay is
+  /// applied).
   static Result<std::unique_ptr<DurableStore>> Open(
       const StorageOptions& options, std::string_view spec_serialized,
       SnapshotLoad* snapshot_out, WalScan* replay_out, RecoveryInfo* info_out);
@@ -78,8 +83,11 @@ class DurableStore {
   Status AppendFrames(std::span<const WalFrameRef> frames);
 
   /// Records one accepted report for future snapshots (both live ingest and
-  /// recovery replay call this, keeping the retained sequence canonical).
-  void RetainAccepted(uint64_t user, std::string_view payload);
+  /// recovery replay call this, keeping the retained sequence canonical):
+  /// appends it to the retained entry section.
+  void RetainAccepted(uint64_t user, std::string_view payload) {
+    AppendSnapshotEntry(&retained_, user, payload);
+  }
 
   /// True when `snapshot_every_frames` frames accumulated since the last
   /// snapshot attempt, failed or not (or since open). The server checks
@@ -101,7 +109,11 @@ class DurableStore {
   const RecoveryInfo& recovery_info() const { return recovery_info_; }
   /// Set by the owner once replay is applied (Open cannot time the apply).
   void set_recovery_ms(uint64_t ms) { recovery_info_.recovery_ms = ms; }
-  uint64_t retained_entries() const { return retained_.size(); }
+  uint64_t retained_entries() const { return retained_.entry_count; }
+  /// The retained accepted sequence in snapshot entry encoding, in
+  /// acceptance order (walk it with NextSnapshotEntry). Views are
+  /// invalidated by the next RetainAccepted.
+  std::string_view retained_section() const { return retained_.entries; }
   Wal& wal() { return *wal_; }
 
  private:
@@ -110,11 +122,11 @@ class DurableStore {
 
   StorageOptions options_;
   Fs* fs_;
-  /// CollectionSpec::Serialize() of the owning campaign (snapshot header).
-  std::string spec_;
   std::unique_ptr<Wal> wal_;
-  /// Accepted (user, payload) in acceptance order — the snapshot body.
-  std::vector<SnapshotEntry> retained_;
+  /// The next snapshot: the campaign's spec and the accepted (user, payload)
+  /// sequence as its entry section. WriteSnapshotNow fills in the other
+  /// header fields.
+  SnapshotData retained_;
   uint64_t frames_since_snapshot_ = 0;
   /// wal_seq of the newest durable snapshot (0 = none yet).
   uint64_t last_snapshot_seq_ = 0;

@@ -1,6 +1,7 @@
 #include "storage/snapshot.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/hash.h"
 #include "obs/metrics.h"
@@ -10,6 +11,7 @@ namespace ldp {
 
 namespace {
 
+using storage::EncodeU64;
 using storage::GetU32;
 using storage::GetU64;
 using storage::HexToSeq;
@@ -19,6 +21,9 @@ using storage::SeqToHex;
 
 constexpr std::string_view kSnapshotMagic = "LDPS";
 constexpr size_t kSnapshotHeaderBytes = 16;  // magic, version, pad, checksum
+/// The body's fixed-width fields: wal_seq, the four stats, spec_len and
+/// entry_count.
+constexpr size_t kBodyFixedBytes = 5 * 8 + 4 + 8;
 
 struct SnapshotCounters {
   Counter* writes;
@@ -43,50 +48,51 @@ bool ParseSnapshotName(std::string_view name, uint64_t* wal_seq) {
   return HexToSeq(name.substr(kPrefix.size(), 16), wal_seq);
 }
 
-std::string EncodeSnapshot(const SnapshotData& data,
-                           std::span<const SnapshotEntry> entries) {
-  std::string body;
-  PutU64(&body, data.wal_seq);
-  PutU64(&body, data.accepted);
-  PutU64(&body, data.duplicate);
-  PutU64(&body, data.corrupt);
-  PutU64(&body, data.rejected);
-  PutU32(&body, static_cast<uint32_t>(data.spec.size()));
-  body.append(data.spec);
-  PutU64(&body, entries.size());
-  for (const SnapshotEntry& entry : entries) {
-    PutU64(&body, entry.user);
-    PutU32(&body, static_cast<uint32_t>(entry.payload.size()));
-    body.append(entry.payload);
-  }
+std::string EncodeSnapshot(const SnapshotData& data) {
   std::string file;
-  file.reserve(kSnapshotHeaderBytes + body.size());
+  file.reserve(kSnapshotHeaderBytes + kBodyFixedBytes + data.spec.size() +
+               data.entries.size());
   file.append(kSnapshotMagic);
   file.push_back(static_cast<char>(kSnapshotVersion));
   file.append(3, '\0');
-  PutU64(&file, Checksum64(body));
-  file.append(body);
+  file.append(8, '\0');  // checksum, patched in once the body is encoded
+  PutU64(&file, data.wal_seq);
+  PutU64(&file, data.accepted);
+  PutU64(&file, data.duplicate);
+  PutU64(&file, data.corrupt);
+  PutU64(&file, data.rejected);
+  PutU32(&file, static_cast<uint32_t>(data.spec.size()));
+  file.append(data.spec);
+  PutU64(&file, data.entry_count);
+  file.append(data.entries);
+  EncodeU64(file.data() + 8,
+            Checksum64(std::string_view(file).substr(kSnapshotHeaderBytes)));
   return file;
 }
 
-Result<SnapshotData> DecodeSnapshot(std::string_view bytes) {
-  if (bytes.size() < kSnapshotHeaderBytes ||
-      bytes.substr(0, kSnapshotMagic.size()) != kSnapshotMagic) {
+/// Validates a snapshot file and decodes it; the returned entry section is
+/// `bytes` itself with the header and prefix erased in place.
+Result<SnapshotData> DecodeSnapshot(std::string bytes) {
+  const std::string_view file = bytes;
+  if (file.size() < kSnapshotHeaderBytes ||
+      file.substr(0, kSnapshotMagic.size()) != kSnapshotMagic) {
     return Status::ParseError("snapshot magic missing or file truncated");
   }
-  if (static_cast<uint8_t>(bytes[4]) != kSnapshotVersion) {
+  if (static_cast<uint8_t>(file[4]) != kSnapshotVersion) {
     return Status::ParseError(
         "unsupported snapshot version " +
-        std::to_string(static_cast<uint8_t>(bytes[4])));
+        std::to_string(static_cast<uint8_t>(file[4])));
   }
-  const uint64_t checksum = GetU64(bytes.substr(8, 8));
-  const std::string_view body = bytes.substr(kSnapshotHeaderBytes);
+  const uint64_t checksum = GetU64(file.substr(8, 8));
+  const std::string_view body = file.substr(kSnapshotHeaderBytes);
   if (Checksum64(body) != checksum) {
     return Status::ParseError("snapshot checksum mismatch");
   }
   // Checksummed body: structural errors below mean a writer bug or a
   // checksum collision, but stay typed rather than trusting offsets.
-  if (body.size() < 52) return Status::ParseError("snapshot body truncated");
+  if (body.size() < kBodyFixedBytes) {
+    return Status::ParseError("snapshot body truncated");
+  }
   SnapshotData data;
   data.wal_seq = GetU64(body.substr(0, 8));
   data.accepted = GetU64(body.substr(8, 8));
@@ -100,45 +106,57 @@ Result<SnapshotData> DecodeSnapshot(std::string_view bytes) {
   }
   data.spec.assign(body.substr(pos, spec_len));
   pos += spec_len;
-  const uint64_t entry_count = GetU64(body.substr(pos, 8));
+  data.entry_count = GetU64(body.substr(pos, 8));
   pos += 8;
-  data.entries.reserve(entry_count);
-  for (uint64_t i = 0; i < entry_count; ++i) {
-    if (body.size() < pos + 12) {
+  const std::string_view section = body.substr(pos);
+  size_t entry_pos = 0;
+  SnapshotEntry entry;
+  for (uint64_t i = 0; i < data.entry_count; ++i) {
+    if (!NextSnapshotEntry(section, &entry_pos, &entry)) {
       return Status::ParseError("snapshot entry " + std::to_string(i) +
                                 " truncated");
     }
-    SnapshotEntry entry;
-    entry.user = GetU64(body.substr(pos, 8));
-    const uint32_t len = GetU32(body.substr(pos + 8, 4));
-    pos += 12;
-    if (body.size() < pos + len) {
-      return Status::ParseError("snapshot entry " + std::to_string(i) +
-                                " payload truncated");
-    }
-    entry.payload.assign(body.substr(pos, len));
-    pos += len;
-    data.entries.push_back(std::move(entry));
   }
-  if (pos != body.size()) {
+  if (entry_pos != section.size()) {
     return Status::ParseError("snapshot carries trailing bytes");
   }
+  const size_t section_offset = kSnapshotHeaderBytes + pos;
+  data.entries = std::move(bytes);
+  data.entries.erase(0, section_offset);
   return data;
 }
 
 }  // namespace
+
+void AppendSnapshotEntry(SnapshotData* data, uint64_t user,
+                         std::string_view payload) {
+  PutU64(&data->entries, user);
+  PutU32(&data->entries, static_cast<uint32_t>(payload.size()));
+  data->entries.append(payload);
+  ++data->entry_count;
+}
+
+bool NextSnapshotEntry(std::string_view entries, size_t* pos,
+                       SnapshotEntry* entry) {
+  const std::string_view rest = entries.substr(*pos);
+  if (rest.size() < 12) return false;
+  const uint32_t len = GetU32(rest.substr(8, 4));
+  if (rest.size() - 12 < len) return false;
+  entry->user = GetU64(rest.substr(0, 8));
+  entry->payload = rest.substr(12, len);
+  *pos += 12 + len;
+  return true;
+}
 
 std::string SnapshotFileName(uint64_t wal_seq) {
   return "snap-" + SeqToHex(wal_seq) + ".ldps";
 }
 
 Status WriteSnapshotFile(Fs& fs, const std::string& dir,
-                         const SnapshotData& header,
-                         std::span<const SnapshotEntry> entries) {
-  const std::string final_path =
-      JoinPath(dir, SnapshotFileName(header.wal_seq));
+                         const SnapshotData& data) {
+  const std::string final_path = JoinPath(dir, SnapshotFileName(data.wal_seq));
   const std::string tmp_path = final_path + ".tmp";
-  const std::string bytes = EncodeSnapshot(header, entries);
+  const std::string bytes = EncodeSnapshot(data);
 
   const Status written = [&]() -> Status {
     LDP_ASSIGN_OR_RETURN(auto file, fs.OpenAppend(tmp_path));
@@ -178,8 +196,8 @@ Result<SnapshotLoad> LoadLatestSnapshot(Fs& fs, const std::string& dir,
   // and the next older generation is tried — degradation, never an abort.
   for (auto it = snapshots.rbegin(); it != snapshots.rend(); ++it) {
     const std::string path = JoinPath(dir, it->second);
-    LDP_ASSIGN_OR_RETURN(const std::string bytes, fs.ReadFileToString(path));
-    auto decoded = DecodeSnapshot(bytes);
+    LDP_ASSIGN_OR_RETURN(std::string bytes, fs.ReadFileToString(path));
+    auto decoded = DecodeSnapshot(std::move(bytes));
     if (!decoded.ok()) {
       ++load.quarantined;
       SnapshotMetrics().quarantined->Add(1);

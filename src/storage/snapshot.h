@@ -2,9 +2,8 @@
 #define LDPMDA_STORAGE_SNAPSHOT_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "storage/fs.h"
 
@@ -15,9 +14,10 @@ namespace ldp {
 /// mechanism is a deterministic function of this sequence (the combiner
 /// contract PR 2 proved), so replaying it rebuilds bit-identical estimates —
 /// the snapshot *is* the canonical serialization of the ReportStore.
+/// `payload` views the entry section it was read from.
 struct SnapshotEntry {
   uint64_t user = 0;
-  std::string payload;
+  std::string_view payload;
 };
 
 /// The durable server state a snapshot captures.
@@ -34,8 +34,24 @@ struct SnapshotData {
   /// CollectionSpec::Serialize() of the owning campaign; recovery refuses a
   /// snapshot written under a different spec.
   std::string spec;
-  std::vector<SnapshotEntry> entries;
+  /// The accepted reports as the file's entry section, byte for byte: per
+  /// entry u64 user, u32 payload_len, payload (see the format below). Grown
+  /// by AppendSnapshotEntry, read back by NextSnapshotEntry, and written to
+  /// and loaded from a file without re-encoding any entry.
+  std::string entries;
+  uint64_t entry_count = 0;  ///< entries in `entries`
 };
+
+/// Appends one accepted report to `data`'s entry section.
+void AppendSnapshotEntry(SnapshotData* data, uint64_t user,
+                         std::string_view payload);
+
+/// Reads the entry at byte `*pos` of an entry section into `*entry` (a view
+/// into `entries`) and advances `*pos` past it. Returns false, leaving both
+/// unchanged, when the bytes left hold no whole entry — at the end of a
+/// section that AppendSnapshotEntry built or a load validated.
+bool NextSnapshotEntry(std::string_view entries, size_t* pos,
+                       SnapshotEntry* entry);
 
 /// File format `snap-<wal_seq:016x>.ldps` (little-endian):
 ///
@@ -45,7 +61,8 @@ struct SnapshotData {
 ///   [8, 16)  u64 Checksum64 of everything after this field
 ///   [16, ..) u64 wal_seq; u64 accepted/duplicate/corrupt/rejected;
 ///            u32 spec_len, spec bytes; u64 entry_count,
-///            then per entry u64 user, u32 payload_len, payload
+///            then the entry section: per entry u64 user, u32 payload_len,
+///            payload
 ///
 /// Written to a `.tmp` name, synced, then atomically renamed, so a crash
 /// mid-snapshot leaves the previous snapshot set intact.
@@ -53,11 +70,10 @@ inline constexpr uint8_t kSnapshotVersion = 1;
 
 std::string SnapshotFileName(uint64_t wal_seq);
 
-/// Writes `header` (its `entries` member is ignored) plus `entries` — passed
-/// separately so the caller's retained sequence need not be copied.
+/// Writes `data` as the snapshot file for `data.wal_seq`; its entry section
+/// is copied into the file as it is.
 Status WriteSnapshotFile(Fs& fs, const std::string& dir,
-                         const SnapshotData& header,
-                         std::span<const SnapshotEntry> entries);
+                         const SnapshotData& data);
 
 /// Outcome of hunting for the newest usable snapshot in `dir`.
 struct SnapshotLoad {

@@ -10,6 +10,8 @@ namespace ldp {
 
 namespace {
 
+using storage::EncodeU32;
+using storage::EncodeU64;
 using storage::GetU32;
 using storage::GetU64;
 using storage::HexToSeq;
@@ -301,19 +303,24 @@ Status Wal::Append(std::span<const WalFrameRef> frames) {
     LDP_RETURN_NOT_OK(OpenSegmentForAppend());
   }
 
-  std::string body;
-  PutU64(&body, next_seq_);
-  PutU32(&body, static_cast<uint32_t>(frames.size()));
-  for (const WalFrameRef& frame : frames) {
-    PutU64(&body, frame.user);
-    PutU32(&body, static_cast<uint32_t>(frame.bytes.size()));
-    body.append(frame.bytes);
-  }
+  // One buffer: the record header is reserved, the body encoded after it,
+  // then the body's length and checksum are patched into the header.
+  size_t body_bytes = 12;  // u64 seq, u32 frame_count
+  for (const WalFrameRef& frame : frames) body_bytes += 12 + frame.bytes.size();
   std::string record;
-  record.reserve(kRecordHeaderBytes + body.size());
-  PutU32(&record, static_cast<uint32_t>(body.size()));
-  PutU64(&record, Checksum64(body));
-  record.append(body);
+  record.reserve(kRecordHeaderBytes + body_bytes);
+  record.resize(kRecordHeaderBytes);
+  PutU64(&record, next_seq_);
+  PutU32(&record, static_cast<uint32_t>(frames.size()));
+  for (const WalFrameRef& frame : frames) {
+    PutU64(&record, frame.user);
+    PutU32(&record, static_cast<uint32_t>(frame.bytes.size()));
+    record.append(frame.bytes);
+  }
+  const std::string_view body =
+      std::string_view(record).substr(kRecordHeaderBytes);
+  EncodeU32(record.data(), static_cast<uint32_t>(body.size()));
+  EncodeU64(record.data() + 4, Checksum64(body));
 
   const Status appended = file_->Append(record);
   if (!appended.ok()) {

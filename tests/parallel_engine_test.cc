@@ -3,7 +3,8 @@
 // uses per-chunk RNG substreams, shards merge in order, and estimation
 // reduces in fixed chunk order), and CollectionServer::IngestBatch is
 // equivalent to a serial Ingest loop — same stats, same estimates — even
-// with corrupt, duplicate, and misfit frames in the batch.
+// with corrupt, duplicate, and misfit frames in the batch, on both sides of
+// its one-shard-per-kExecChunkRows rule.
 
 #include <cstdint>
 #include <memory>
@@ -17,6 +18,7 @@
 #include "data/generator.h"
 #include "engine/engine.h"
 #include "engine/protocol.h"
+#include "exec/execution_context.h"
 
 namespace ldp {
 namespace {
@@ -201,6 +203,112 @@ TEST(IngestBatchTest, SplitBatchesMatchOneBatch) {
   ASSERT_TRUE(split.IngestBatch(frames.subspan(0, cut)).ok());
   ASSERT_TRUE(split.IngestBatch(frames.subspan(cut)).ok());
   ExpectSameOutcome(split, one);
+}
+
+// Phase C adds at most kExecChunkRows accepted reports straight into the
+// mechanism and spreads more over one shard per kExecChunkRows. Batches on
+// both sides of that rule, on the pooled HIO+HDG+MG spec of the collection
+// benchmark, must leave exactly the state serial Ingest leaves.
+TEST(IngestBatchTest, ShardPathMatchesSerialIngestAcrossTheChunkBoundary) {
+  Schema schema;
+  ASSERT_TRUE(schema.AddOrdinal("age", 64).ok());
+  ASSERT_TRUE(schema.AddOrdinal("income", 64).ok());
+  ASSERT_TRUE(schema.AddCategorical("marital_status", 6).ok());
+  ASSERT_TRUE(schema.AddCategorical("sex", 2).ok());
+  const uint64_t kAccepted[] = {kExecChunkRows - 1, kExecChunkRows,
+                                kExecChunkRows + 1, 3 * kExecChunkRows + 5};
+  uint64_t users = 0;
+  for (const uint64_t accepted : kAccepted) users += accepted;
+  MechanismParams params;
+  params.epsilon = 2.0;
+  params.hash_pool_size = 1024;
+  params.population_hint = users;
+  const std::vector<MechanismKind> kinds = {
+      MechanismKind::kHio, MechanismKind::kHdg, MechanismKind::kMg};
+  const CollectionSpec spec = CollectionSpec::FromSchema(schema, kinds, params);
+  const LdpClient client = LdpClient::Create(spec).ValueOrDie();
+  LdpReport misfit;  // well-formed, but no mechanism takes two entries
+  misfit.entries.resize(2);
+
+  // Per batch, (frame, user) in ingest order: every accepted user once,
+  // salted with intra- and cross-batch duplicates, bit-flipped frames and
+  // misfit reports under user ids no accepted frame uses.
+  std::vector<std::string> storage;
+  std::vector<std::vector<std::pair<size_t, uint64_t>>> plans;
+  Rng rng(31);
+  Rng data_rng(32);
+  uint64_t user = 0;
+  uint64_t fault_user = users;
+  for (const uint64_t accepted : kAccepted) {
+    std::vector<std::pair<size_t, uint64_t>>& plan = plans.emplace_back();
+    if (user > 0) plan.push_back({0, 0});  // user 0 reported already
+    for (uint64_t a = 0; a < accepted; ++a, ++user) {
+      const std::vector<uint32_t> values = {
+          static_cast<uint32_t>(data_rng.UniformInt(64)),
+          static_cast<uint32_t>(data_rng.UniformInt(64)),
+          static_cast<uint32_t>(data_rng.UniformInt(6)),
+          static_cast<uint32_t>(data_rng.UniformInt(2))};
+      storage.push_back(client.EncodeUser(values, rng).ValueOrDie());
+      plan.push_back({storage.size() - 1, user});
+      if (a % 1009 == 5) plan.push_back({storage.size() - 1, user});
+      if (a % 1013 == 7) {
+        std::string bad = storage.back();
+        bad[bad.size() / 2] ^= 0x20;
+        storage.push_back(std::move(bad));
+        plan.push_back({storage.size() - 1, fault_user++});
+      }
+      if (a % 1019 == 11) {
+        storage.push_back(FrameReport(misfit.Serialize()));
+        plan.push_back({storage.size() - 1, fault_user++});
+      }
+    }
+  }
+
+  const std::vector<int> thread_counts = {1, 2, 4, 8};
+  CollectionServer serial = CollectionServer::Create(spec).ValueOrDie();
+  std::vector<CollectionServer> batched;
+  for (const int threads : thread_counts) {
+    batched.push_back(CollectionServer::Create(spec, threads).ValueOrDie());
+  }
+  // Fractional weights make the estimate bits depend on the order reports
+  // were added in, not only on which reports were added.
+  std::vector<double> measure(users);
+  for (uint64_t u = 0; u < users; ++u) measure[u] = 1.0 + 0.1 * (u % 7);
+  const WeightVector weights(std::move(measure));
+  const Interval all64{0, 63}, all6{0, 5}, all2{0, 1};
+  const std::vector<std::vector<Interval>> boxes = {
+      {{20, 40}, all64, all6, all2}, {{10, 50}, {5, 20}, all6, all2},
+      {all64, all64, {2, 2}, {1, 1}}};
+  uint64_t accepted_through = 0;
+  for (size_t b = 0; b < plans.size(); ++b) {
+    std::vector<CollectionServer::ReportFrame> frames;
+    for (const auto& [index, u] : plans[b]) {
+      frames.push_back(CollectionServer::ReportFrame{storage[index], u});
+      (void)serial.Ingest(storage[index], u);  // faulty frames return errors
+    }
+    accepted_through += kAccepted[b];
+    ASSERT_EQ(serial.ingest_stats().accepted, accepted_through);
+    for (size_t t = 0; t < batched.size(); ++t) {
+      SCOPED_TRACE("batch " + std::to_string(b) + ", threads " +
+                   std::to_string(thread_counts[t]));
+      CollectionServer& server = batched[t];
+      ASSERT_TRUE(server.IngestBatch(frames).ok());
+      EXPECT_EQ(server.ingest_stats().accepted, serial.ingest_stats().accepted);
+      EXPECT_EQ(server.ingest_stats().duplicate,
+                serial.ingest_stats().duplicate);
+      EXPECT_EQ(server.ingest_stats().corrupt, serial.ingest_stats().corrupt);
+      EXPECT_EQ(server.ingest_stats().rejected,
+                serial.ingest_stats().rejected);
+      EXPECT_EQ(server.num_reports(), serial.num_reports());
+      for (const auto& box : boxes) {
+        EXPECT_EQ(server.EstimateBox(box, weights).ValueOrDie(),
+                  serial.EstimateBox(box, weights).ValueOrDie());
+      }
+    }
+  }
+  EXPECT_GT(serial.ingest_stats().duplicate, 0u);
+  EXPECT_GT(serial.ingest_stats().corrupt, 0u);
+  EXPECT_GT(serial.ingest_stats().rejected, 0u);
 }
 
 TEST(IngestBatchTest, EmptyBatchIsANoOp) {

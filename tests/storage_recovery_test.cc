@@ -309,6 +309,117 @@ TEST(StorageRecoveryTest, FailedSnapshotWaitsAFullInterval) {
   EXPECT_FALSE(server.last_snapshot_status().ok());
 }
 
+// A batch whose WAL append fails (the disk fills mid-record) must leave the
+// live server exactly as it was: the decode that runs beside the append
+// writes only the call's own per-frame slots, and nothing is committed
+// before the append returns OK.
+TEST(StorageRecoveryTest, FailedWalAppendLeavesTheLiveServerUntouched) {
+  constexpr uint64_t kBatch = 20;
+  const Workload w = MakeWorkload(3 * kBatch);
+  std::vector<CollectionServer::ReportFrame> frames;
+  for (uint64_t i = 0; i < 3 * kBatch; ++i) {
+    frames.push_back(CollectionServer::ReportFrame{w.frames[i], w.users[i]});
+  }
+  const std::span<const CollectionServer::ReportFrame> all(frames);
+
+  // The disk holds exactly the WAL of the first two batches (measured on an
+  // unbounded disk), so the third batch's append is a short write.
+  uint64_t budget = 0;
+  {
+    FaultFs fs;
+    CollectionServer server =
+        CollectionServer::CreateDurable(w.spec, MakeStorage(&fs, 0))
+            .ValueOrDie();
+    ASSERT_TRUE(server.IngestBatch(all.subspan(0, kBatch)).ok());
+    ASSERT_TRUE(server.IngestBatch(all.subspan(kBatch, kBatch)).ok());
+    const std::vector<std::string> names = fs.ListDir(kDir).ValueOrDie();
+    for (const std::string& name : names) {
+      budget += fs.ReadFileToString(JoinPath(kDir, name)).ValueOrDie().size();
+    }
+  }
+
+  for (const int num_threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(num_threads));
+    FaultFs::Options options;
+    options.disk_budget_bytes = budget;
+    FaultFs fs(options);
+    CollectionServer server =
+        CollectionServer::CreateDurable(w.spec, MakeStorage(&fs, 0),
+                                        num_threads)
+            .ValueOrDie();
+    ASSERT_TRUE(server.IngestBatch(all.subspan(0, kBatch)).ok());
+    ASSERT_TRUE(server.IngestBatch(all.subspan(kBatch, kBatch)).ok());
+    const Observed before = Observe(server);
+    std::vector<bool> had_report;
+    for (const uint64_t user : w.users) {
+      had_report.push_back(server.has_report(user));
+    }
+    ASSERT_FALSE(had_report[2 * kBatch]);  // the failed batch brings new users
+
+    const Status failed = server.IngestBatch(all.subspan(2 * kBatch, kBatch));
+    EXPECT_EQ(failed.code(), StatusCode::kIoError) << failed.ToString();
+    ExpectIdentical(Observe(server), before);
+    for (size_t i = 0; i < w.users.size(); ++i) {
+      EXPECT_EQ(server.has_report(w.users[i]), had_report[i]) << "frame " << i;
+    }
+  }
+}
+
+// The reopened server restores from the snapshot section its store adopted,
+// and replay and later ingest append to that section, so its next snapshot
+// is byte for byte the one a server that never restarted writes at the same
+// WAL position.
+TEST(StorageRecoveryTest, ReopenedServerWritesTheSameNextSnapshot) {
+  constexpr uint64_t kBatch = 10;
+  const Workload w = MakeWorkload(6 * kBatch);
+  std::vector<CollectionServer::ReportFrame> frames;
+  for (uint64_t i = 0; i < 6 * kBatch; ++i) {
+    frames.push_back(CollectionServer::ReportFrame{w.frames[i], w.users[i]});
+  }
+  const std::span<const CollectionServer::ReportFrame> all(frames);
+  const auto ingest = [&](CollectionServer& server, uint64_t first_batch,
+                          uint64_t end_batch) {
+    for (uint64_t b = first_batch; b < end_batch; ++b) {
+      ASSERT_TRUE(server.IngestBatch(all.subspan(b * kBatch, kBatch)).ok());
+    }
+  };
+
+  // Never restarted: a snapshot every 2 batches, the third at WAL seq 6.
+  FaultFs steady_fs;
+  {
+    CollectionServer server =
+        CollectionServer::CreateDurable(w.spec,
+                                        MakeStorage(&steady_fs, 2 * kBatch))
+            .ValueOrDie();
+    ingest(server, 0, 6);
+  }
+  // Restarted after 3 batches: it reopens from the snapshot at seq 2 plus
+  // one replayed record, with a 3-batch interval so that its next snapshot
+  // is due at seq 6 too.
+  FaultFs restarted_fs;
+  {
+    CollectionServer server =
+        CollectionServer::CreateDurable(w.spec,
+                                        MakeStorage(&restarted_fs, 2 * kBatch))
+            .ValueOrDie();
+    ingest(server, 0, 3);
+  }
+  {
+    CollectionServer server =
+        CollectionServer::CreateDurable(w.spec,
+                                        MakeStorage(&restarted_fs, 3 * kBatch))
+            .ValueOrDie();
+    ASSERT_TRUE(server.recovery_info()->snapshot_loaded);
+    EXPECT_EQ(server.recovery_info()->snapshot_wal_seq, 2u);
+    EXPECT_EQ(server.recovery_info()->replayed_records, 1u);
+    ingest(server, 3, 6);
+  }
+
+  const std::string name = JoinPath(kDir, SnapshotFileName(6));
+  const std::string steady = steady_fs.ReadFileToString(name).ValueOrDie();
+  EXPECT_EQ(restarted_fs.ReadFileToString(name).ValueOrDie(), steady);
+}
+
 TEST(StorageRecoveryTest, WalWithOnlyATornFinalRecordRecoversEmpty) {
   const Workload w = MakeWorkload(2);
   FaultFs fs;

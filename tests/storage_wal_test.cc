@@ -1,14 +1,18 @@
 // WAL unit tests over the fault-injecting in-memory filesystem: append/scan
-// roundtrips, torn-tail and corrupt-record detection, segment rotation,
-// healed append retries after injected failures, ENOSPC, and retention
-// deletes. Every degradation must be a typed Status plus the longest
-// checksummed-valid prefix — never an abort, never silent loss.
+// roundtrips, the record bytes and their Checksum64 pinned, torn-tail and
+// corrupt-record detection, segment rotation, healed append retries after
+// injected failures, ENOSPC, and retention deletes. Every degradation must
+// be a typed Status plus the longest checksummed-valid prefix — never an
+// abort, never silent loss.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "storage/fault_fs.h"
 #include "storage/wal.h"
 
@@ -26,6 +30,59 @@ WalOptions AlwaysSync() {
 Status AppendOne(Wal* wal, uint64_t user, const std::string& bytes) {
   const WalFrameRef ref{user, bytes};
   return wal->Append(std::span<const WalFrameRef>(&ref, 1));
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    hex.push_back(kDigits[static_cast<unsigned char>(c) >> 4]);
+    hex.push_back(kDigits[static_cast<unsigned char>(c) & 0xf]);
+  }
+  return hex;
+}
+
+// Checksum64 guards WAL records, snapshots and report frames, and keys plan
+// fingerprints. These outputs were recorded from the byte-at-a-time
+// implementation: every length 0-17 (each partial-word tail, with bytes
+// >= 0x80), a few whole words and a long input.
+TEST(Checksum64Test, OutputsArePinned) {
+  const std::pair<size_t, uint64_t> kGoldens[] = {
+      {0, 0x429f02c248a3aad2ULL},    {1, 0x06d39ee532290f87ULL},
+      {2, 0x66247857ec4edbb6ULL},    {3, 0xddababd7b52e5d80ULL},
+      {4, 0x563351aaedb14de1ULL},    {5, 0xda221458db79c619ULL},
+      {6, 0xab3fa9cb03dc10f5ULL},    {7, 0xdc983018f74bcfb3ULL},
+      {8, 0x12df5d255369a9efULL},    {9, 0xdd817ade69d4e0a0ULL},
+      {10, 0xc6048af2bc512427ULL},   {11, 0x04cd93348ea5e525ULL},
+      {12, 0xbe5c2c2ff06004feULL},   {13, 0x8985f40fb913c301ULL},
+      {14, 0xf616cd5c8f78e846ULL},   {15, 0xf1d06e98932c630dULL},
+      {16, 0xf08cf8f28505e4dbULL},   {17, 0x079853f25dd31eeaULL},
+      {64, 0xe2868361c7d07acdULL},   {4096, 0xeacbfeacffb1e426ULL},
+  };
+  for (const auto& [len, expected] : kGoldens) {
+    std::string bytes(len, '\0');
+    for (size_t i = 0; i < len; ++i) bytes[i] = static_cast<char>(i * 37 + 11);
+    EXPECT_EQ(Checksum64(bytes), expected) << "length " << len;
+  }
+}
+
+// The exact segment bytes of one 3-frame record (an empty frame, bytes
+// >= 0x80 and a user id using all 8 bytes among them), recorded before the
+// record was encoded into one buffer: the format must not drift.
+TEST(WalTest, RecordBytesArePinned) {
+  FaultFs fs;
+  auto wal = Wal::Open(&fs, kDir, AlwaysSync(), nullptr).ValueOrDie();
+  const std::string third("\x00\xffLDPR\x80", 7);
+  const WalFrameRef frames[] = {
+      {1, "abc"}, {2, ""}, {0xfedcba9876543210ULL, third}};
+  ASSERT_TRUE(wal->Append(frames).ok());
+  const std::vector<std::string> names = fs.ListDir(kDir).ValueOrDie();
+  ASSERT_EQ(names.size(), 1u);
+  EXPECT_EQ(names[0], "wal-0000000000000001.log");
+  EXPECT_EQ(Hex(fs.ReadFileToString(JoinPath(kDir, names[0])).ValueOrDie()),
+            "4c4450570100000001000000000000003a0000009d7f52707f3e4e010100"
+            "0000000000000300000001000000000000000300000061626302000000000000"
+            "00000000001032547698badcfe0700000000ff4c44505280");
 }
 
 TEST(WalTest, EmptyDirectoryOpensAtSeqOne) {

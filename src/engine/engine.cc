@@ -11,6 +11,13 @@ namespace ldp {
 
 namespace {
 
+/// Byte budget of the node-estimate cache (EngineOptions::
+/// enable_estimate_cache).
+constexpr size_t kEstimateCacheBytes = 32ull << 20;
+/// Plans the plan cache keeps (EngineOptions::enable_plan_cache): plans are
+/// small, and this bounds the distinct query shapes kept hot.
+constexpr size_t kPlanCacheEntries = 256;
+
 /// The executed plan's measured actuals, from its locally profiled run.
 PlanObservation ObservationOf(const QueryProfile& local) {
   PlanObservation obs;
@@ -54,8 +61,8 @@ Result<std::unique_ptr<AnalyticsEngine>> AnalyticsEngine::Create(
         CreateMechanism(kinds[0], table.schema(), options.params));
   }
   engine->mechanism_->set_execution_context(engine->exec_.get());
-  if (options.enable_estimate_cache && options.estimate_cache_bytes > 0) {
-    engine->mechanism_->EnableEstimateCache(options.estimate_cache_bytes);
+  if (options.enable_estimate_cache) {
+    engine->mechanism_->EnableEstimateCache(kEstimateCacheBytes);
   }
   PlannerOptions planner_options;
   planner_options.enable_consistency = options.planner_consistency;
@@ -65,9 +72,8 @@ Result<std::unique_ptr<AnalyticsEngine>> AnalyticsEngine::Create(
   if (options.enable_feedback) {
     engine->plan_stats_ = std::make_unique<PlanStatsStore>();
   }
-  if (options.enable_plan_cache && options.plan_cache_entries > 0) {
-    engine->plan_cache_ =
-        std::make_unique<PlanCache>(options.plan_cache_entries);
+  if (options.enable_plan_cache) {
+    engine->plan_cache_ = std::make_unique<PlanCache>(kPlanCacheEntries);
   }
   engine->executor_ = std::make_unique<PlanExecutor>(
       table, *engine->mechanism_, *engine->exec_);

@@ -40,26 +40,21 @@ struct EngineOptions {
   /// value: encoding uses fixed per-chunk RNG substreams and estimation uses
   /// fixed-chunk ordered reductions, so only wall-clock time changes.
   int num_threads = 1;
-  /// Cross-query node-estimate cache (see EstimateCache): repeated or
-  /// overlapping queries reuse per-node estimates instead of re-scanning
+  /// Cross-query node-estimate cache (see EstimateCache; 32 MiB): repeated
+  /// or overlapping queries reuse per-node estimates instead of re-scanning
   /// reports. Purely a performance knob — estimates are bit-identical with
   /// the cache on or off — so it defaults to on.
   bool enable_estimate_cache = true;
-  /// Byte budget for the node-estimate cache.
-  size_t estimate_cache_bytes = 32ull << 20;  // 32 MiB
   /// Process-wide observability (GlobalMetrics counters/histograms). Purely
   /// diagnostic: metrics never feed back into estimation, so results are
   /// bit-identical with metrics on or off. Off leaves the hot paths with a
   /// single relaxed atomic-bool test per would-be increment.
   bool enable_metrics = true;
-  /// Physical-plan cache (see PlanCache): a repeated query skips
+  /// Physical-plan cache (see PlanCache; 256 plans): a repeated query skips
   /// validate + rewrite + plan, a repeated SQL string additionally skips the
   /// parse. Plans are immutable and execution replays them exactly, so
   /// results are bit-identical with the cache on or off.
   bool enable_plan_cache = true;
-  /// Entry budget for the plan cache (plans are small; this bounds the
-  /// number of distinct query shapes kept hot).
-  size_t plan_cache_entries = 256;
   /// Opt-in consistency-corrected strategy (least-squares consistent HIO
   /// tree) for qualifying deployments — see PlannerOptions. Changes answers
   /// (that is its point), hence off by default.

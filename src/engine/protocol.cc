@@ -4,6 +4,7 @@
 #include <chrono>
 #include <sstream>
 
+#include "common/coding.h"
 #include "common/hash.h"
 #include "common/string_util.h"
 #include "mech/multi.h"
@@ -40,30 +41,6 @@ LatencyHistogram* RecoveryMsHistogram() {
 
 constexpr std::string_view kHeader = "ldpmda-collection-spec v1";
 constexpr std::string_view kFrameMagic = "LDPR";
-
-void PutU32Le(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64Le(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-uint32_t ReadU32Le(std::string_view in) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(in[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t ReadU64Le(std::string_view in) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(in[i])) << (8 * i);
-  }
-  return v;
-}
 
 /// The mechanism instance a spec describes: the MultiMechanism composite
 /// when the spec lists several kinds, the single kind otherwise. Shared by
@@ -251,8 +228,8 @@ std::string FrameReport(std::string_view payload) {
   frame.reserve(kReportFrameHeaderBytes + payload.size());
   frame.append(kFrameMagic);
   frame.push_back(static_cast<char>(kReportFrameVersion));
-  PutU32Le(&frame, static_cast<uint32_t>(payload.size()));
-  PutU64Le(&frame, Checksum64(payload));
+  PutU32(&frame, static_cast<uint32_t>(payload.size()));
+  PutU64(&frame, Checksum64(payload));
   frame.append(payload);
   return frame;
 }
@@ -270,8 +247,8 @@ Result<std::string_view> UnframeReport(std::string_view frame) {
     return Status::ParseError("unsupported report frame version " +
                               std::to_string(version));
   }
-  const uint32_t payload_len = ReadU32Le(frame.substr(5, 4));
-  const uint64_t checksum = ReadU64Le(frame.substr(9, 8));
+  const uint32_t payload_len = GetU32(frame.substr(5, 4));
+  const uint64_t checksum = GetU64(frame.substr(9, 8));
   const std::string_view payload = frame.substr(kReportFrameHeaderBytes);
   if (payload.size() != payload_len) {
     return Status::ParseError(

@@ -177,6 +177,12 @@ class FrequencyOracle {
   /// Encodes a private value into an LDP report (runs on the client).
   virtual FoReport Encode(uint64_t value, Rng& rng) const = 0;
 
+  /// Range check of a received report's payload: everything an accumulator's
+  /// Add and estimate kernels assume of it (they index histograms and bit
+  /// rows by its fields unchecked). OutOfRange when the payload could not
+  /// have come from Encode; a report must pass it before reaching Add.
+  virtual Status ValidateReport(const FoReport& report) const = 0;
+
   virtual std::unique_ptr<FoAccumulator> MakeAccumulator() const = 0;
 
   virtual FoKind kind() const = 0;

@@ -37,6 +37,13 @@ FoReport GrrProtocol::Encode(uint64_t value, Rng& rng) const {
   return report;
 }
 
+Status GrrProtocol::ValidateReport(const FoReport& report) const {
+  if (report.value >= domain_size_) {
+    return Status::OutOfRange("GRR report value outside the domain");
+  }
+  return Status::OK();
+}
+
 std::unique_ptr<FoAccumulator> GrrProtocol::MakeAccumulator() const {
   return std::make_unique<GrrAccumulator>(*this);
 }

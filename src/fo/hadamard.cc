@@ -33,6 +33,13 @@ FoReport HadamardProtocol::Encode(uint64_t value, Rng& rng) const {
   return report;
 }
 
+Status HadamardProtocol::ValidateReport(const FoReport& report) const {
+  if (report.seed >= transform_size_ || report.value > 1) {
+    return Status::OutOfRange("HR report row or sign out of range");
+  }
+  return Status::OK();
+}
+
 std::unique_ptr<FoAccumulator> HadamardProtocol::MakeAccumulator() const {
   return std::make_unique<HadamardAccumulator>(*this);
 }

@@ -23,13 +23,22 @@ namespace ldp {
 /// The weighted estimator (Prop. 4) follows by linearity:
 ///   f̄^M_S(v) = scale * (sum_t w_t * 1{H_t(v)=y_t}  -  (sum_t w_t) / g),
 /// which equals the paper's group-by-measure definition (eq. 8) exactly.
-class OlhProtocol : public FrequencyOracle {
+class OlhProtocol final : public FrequencyOracle {
  public:
   /// `hash_pool_size` restricts seeds to [0, pool) so the server can fold
   /// reports into per-seed histograms (see SeededHashFamily); 0 = unbounded.
   OlhProtocol(double epsilon, uint64_t domain_size, uint32_t hash_pool_size);
 
   FoReport Encode(uint64_t value, Rng& rng) const override;
+  Status ValidateReport(const FoReport& report) const override {
+    if (report.value >= g_) {
+      return Status::OutOfRange("OLH report bucket outside [0, g)");
+    }
+    if (family_.pool_size() != 0 && report.seed >= family_.pool_size()) {
+      return Status::OutOfRange("OLH report seed outside the hash pool");
+    }
+    return Status::OK();
+  }
   std::unique_ptr<FoAccumulator> MakeAccumulator() const override;
 
   FoKind kind() const override { return FoKind::kOlh; }

@@ -26,6 +26,13 @@ FoReport OueProtocol::Encode(uint64_t value, Rng& rng) const {
   return report;
 }
 
+Status OueProtocol::ValidateReport(const FoReport& report) const {
+  if (report.bits.size() != ReportSizeWords()) {
+    return Status::OutOfRange("OUE report has the wrong number of bit words");
+  }
+  return Status::OK();
+}
+
 std::unique_ptr<FoAccumulator> OueProtocol::MakeAccumulator() const {
   return std::make_unique<OueAccumulator>(*this);
 }

@@ -21,6 +21,7 @@ class OueProtocol : public FrequencyOracle {
   OueProtocol(double epsilon, uint64_t domain_size);
 
   FoReport Encode(uint64_t value, Rng& rng) const override;
+  Status ValidateReport(const FoReport& report) const override;
   std::unique_ptr<FoAccumulator> MakeAccumulator() const override;
 
   FoKind kind() const override { return FoKind::kOue; }

@@ -47,79 +47,46 @@ double ConjunctiveFactor(double eps_per_report) {
 MechanismAdvice AdviseMechanism(const Schema& schema,
                                 const MechanismParams& params,
                                 const WorkloadProfile& workload) {
+  // Candidate order MG, SC, HIO keeps Section 5.4's tie-breaks: MG wins
+  // ties, then SC; an infeasible SC (non-OLH oracle) is never named.
+  static constexpr MechanismKind kCandidates[] = {
+      MechanismKind::kMg, MechanismKind::kSc, MechanismKind::kHio};
+  const std::vector<MechanismScore> scores =
+      ScoreMechanisms(schema, params, workload, kCandidates);
   MechanismAdvice advice;
-  const auto& dims = schema.sensitive_dims();
-  LDP_CHECK(!dims.empty());
-  const int d = static_cast<int>(dims.size());
+  advice.recommended = ChooseMechanism(scores);
+  advice.mg_variance = scores[0].variance;
+  advice.sc_variance = scores[1].variance;
+  advice.hio_variance = scores[2].variance;
+
+  const int d = static_cast<int>(schema.sensitive_dims().size());
   const int dq = std::clamp(workload.query_dims, 1, d);
-  const double eps = params.epsilon;
-  const double e = std::exp(eps);
-
-  // Per-dimension hierarchy shapes; sort descending so the widest (most
-  // pieces) d_q dimensions bound the query decomposition.
-  const double vol = std::clamp(workload.query_volume, 1e-12, 1.0);
-  const double per_dim_fraction = std::pow(vol, 1.0 / dq);
-  std::vector<double> pieces;
-  std::vector<int> heights;
-  double cross_product = 1.0;
-  int total_levels_sum = 0;   // SC: sum of heights
-  double level_tuples = 1.0;  // HIO: product of (h_i + 1)
-  for (const int attr_index : dims) {
-    const Attribute& attr = schema.attribute(attr_index);
-    pieces.push_back(TypicalPieces(attr, params.fanout, per_dim_fraction));
-    heights.push_back(HierarchyHeight(attr, params.fanout));
-    cross_product *= static_cast<double>(attr.domain_size);
-    total_levels_sum += heights.back();
-    level_tuples *= heights.back() + 1.0;
-  }
-  std::sort(pieces.rbegin(), pieces.rend());
-
-  double query_pieces = 1.0;  // Π over the dq widest dims
-  for (int i = 0; i < dq; ++i) query_pieces *= pieces[i];
-
-  // All proxies are variances per unit M2_T, using the exact leading noise
-  // terms (the theorem statements' closed-form bounds are loose by ~e^eps at
-  // large eps, which would skew the comparison against exact formulas).
-  const double fo_noise = 4.0 * e / ((e - 1.0) * (e - 1.0));  // Lemma 3 seed
-
-  // MG (eq. 10/11): one full-budget FO estimate per covered cell, plus the
-  // data term sum_cells M2(v) ~ vol * M2.
-  const double covered_cells = vol * cross_product;
-  advice.mg_variance = covered_cells * fo_noise + vol;
-
-  // HIO (Prop. 5 with k = level_tuples): per sub-query 4 k M2 e^eps/... noise
-  // plus (2k-1) sum M2(v) ~ (2k-1) vol M2 of sampling error.
-  advice.hio_variance = query_pieces * level_tuples * fo_noise +
-                        (2.0 * level_tuples - 1.0) * vol;
-
-  // SC (Prop. 10): per sub-query, the product over queried dimensions of the
-  // conjunctive factors' second moments at eps' = eps / sum(h_i).
-  const double eps_per_report = eps / static_cast<double>(total_levels_sum);
-  advice.sc_variance =
-      query_pieces * std::pow(ConjunctiveFactor(eps_per_report), dq) + vol;
-
   std::ostringstream why;
-  if (advice.mg_variance <= advice.hio_variance &&
-      advice.mg_variance <= advice.sc_variance) {
-    advice.recommended = MechanismKind::kMg;
-    why << "vol(q) = " << workload.query_volume << " covers only ~"
-        << covered_cells
-        << " marginal cells, below the Section 5.4 crossover (eq. 33/34): "
-           "the marginal baseline's linear-in-cells error beats the "
-           "hierarchical decompositions here.";
-  } else if (advice.sc_variance <= advice.hio_variance) {
-    advice.recommended = MechanismKind::kSc;
-    why << "d_q = " << dq << " is small relative to d = " << d
-        << " (eq. 35): SC's per-dimension reports avoid HIO's "
-        << level_tuples
-        << "-way level sampling, and the conjunctive-estimator penalty "
-           "only pays for the queried dimensions.";
-  } else {
-    advice.recommended = MechanismKind::kHio;
-    why << "HIO's polylogarithmic decomposition with full-budget sampled "
-           "levels (Theorem 9) dominates: MG would sum ~"
-        << covered_cells << " noisy cells and SC would pay eps/"
-        << total_levels_sum << " per report across " << d << " dimensions.";
+  switch (advice.recommended) {
+    case MechanismKind::kMg:
+      why << "vol(q) = " << workload.query_volume
+          << " is below the Section 5.4 crossover (eq. 33/34): the marginal "
+             "baseline's linear-in-cells error (proxy "
+          << advice.mg_variance << ") beats the hierarchical decompositions "
+          << "(HIO " << advice.hio_variance << ").";
+      break;
+    case MechanismKind::kSc:
+      why << "d_q = " << dq << " is small relative to d = " << d
+          << " (eq. 35): SC's per-dimension reports (proxy "
+          << advice.sc_variance << ") avoid HIO's level sampling (proxy "
+          << advice.hio_variance
+          << "), and the conjunctive-estimator penalty only pays for the "
+             "queried dimensions.";
+      break;
+    default:
+      why << "HIO's polylogarithmic decomposition with full-budget sampled "
+             "levels (Theorem 9) dominates: proxy "
+          << advice.hio_variance << " against MG " << advice.mg_variance
+          << " and SC " << advice.sc_variance
+          << (scores[1].feasible ? "" : " (SC infeasible: " +
+                                            scores[1].note + ")")
+          << ".";
+      break;
   }
   advice.rationale = why.str();
   return advice;
@@ -136,9 +103,7 @@ std::vector<MechanismScore> ScoreMechanisms(
   const double eps = params.epsilon;
   const double e = std::exp(eps);
 
-  // The same workload-shape quantities AdviseMechanism derives, computed
-  // with identical expressions so single-candidate scores reproduce the
-  // advice proxies bit for bit.
+  // Workload-shape quantities shared by the per-mechanism proxies.
   const double vol = std::clamp(workload.query_volume, 1e-12, 1.0);
   const double per_dim_fraction = std::pow(vol, 1.0 / dq);
   std::vector<double> pieces;

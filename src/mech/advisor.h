@@ -34,7 +34,9 @@ struct MechanismAdvice {
 /// very small query volumes (eq. 33/34), SC beats HIO when d_q is small
 /// relative to the total number of sensitive dimensions (eq. 35), and HIO is
 /// the default otherwise. HI is never recommended (Theorem 7/9 dominate
-/// Theorem 6/8 throughout).
+/// Theorem 6/8 throughout). The verdict is ChooseMechanism over the
+/// ScoreMechanisms proxies of {MG, SC, HIO}, so SC is never advised with a
+/// non-OLH oracle.
 MechanismAdvice AdviseMechanism(const Schema& schema,
                                 const MechanismParams& params,
                                 const WorkloadProfile& workload);
@@ -50,10 +52,10 @@ struct MechanismScore {
   std::string note;
 };
 
-/// Scores every candidate mechanism for the given workload shape with the
-/// same exact-leading-noise-term proxies AdviseMechanism uses, extended to
-/// HI, QuadTree, Haar, HDG and CALM. Scores come back in candidate order.
-/// The MG/HIO/SC proxies are numerically identical to MechanismAdvice's.
+/// Scores every candidate mechanism for the given workload shape with
+/// exact-leading-noise-term variance proxies (MG, HIO and SC per Section
+/// 5.4, extended to HI, QuadTree, Haar, HDG and CALM). Scores come back in
+/// candidate order.
 std::vector<MechanismScore> ScoreMechanisms(
     const Schema& schema, const MechanismParams& params,
     const WorkloadProfile& workload,

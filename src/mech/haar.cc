@@ -9,29 +9,17 @@ namespace ldp {
 
 HaarMechanism::HaarMechanism(const Schema& schema,
                              const MechanismParams& params)
-    : Mechanism(schema, params) {
-  domain_ = schema.attribute(schema.sensitive_dims()[0]).domain_size;
+    : StoreMechanism(schema, params, ReportShape::kOneEntry) {
+  const uint64_t domain =
+      schema.attribute(schema.sensitive_dims()[0]).domain_size;
   height_ = 0;
-  while ((1ull << height_) < domain_) ++height_;
+  while ((1ull << height_) < domain) ++height_;
   if (height_ == 0) height_ = 1;
-}
-
-Status HaarMechanism::Init() {
-  for (int j = 0; j <= height_; ++j) {
-    LDP_ASSIGN_OR_RETURN(
-        auto oracle,
-        FrequencyOracle::Create(params_.fo_kind, params_.epsilon, 1ull << j,
-                                params_.hash_pool_size));
-    store_.AddGroup(std::move(oracle));
-  }
-  return Status::OK();
 }
 
 Result<std::unique_ptr<HaarMechanism>> HaarMechanism::Create(
     const Schema& schema, const MechanismParams& params) {
-  if (params.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  LDP_RETURN_NOT_OK(ValidateMechanismConfig(schema, params));
   const auto& dims = schema.sensitive_dims();
   if (dims.size() != 1 ||
       schema.attribute(dims[0]).kind != AttributeKind::kSensitiveOrdinal) {
@@ -39,7 +27,9 @@ Result<std::unique_ptr<HaarMechanism>> HaarMechanism::Create(
         "the Haar mechanism needs exactly one ordinal sensitive dimension");
   }
   std::unique_ptr<HaarMechanism> mech(new HaarMechanism(schema, params));
-  LDP_RETURN_NOT_OK(mech->Init());
+  for (int j = 0; j <= mech->height_; ++j) {
+    LDP_RETURN_NOT_OK(mech->AddGroup(params.epsilon, 1ull << j));
+  }
   return mech;
 }
 
@@ -51,35 +41,6 @@ LdpReport HaarMechanism::EncodeUser(std::span<const uint32_t> values,
   LdpReport report;
   report.entries.push_back({level, store_.Encode(level, block, rng)});
   return report;
-}
-
-Status HaarMechanism::ValidateReport(const LdpReport& report) const {
-  if (report.entries.size() != 1) {
-    return Status::InvalidArgument("Haar report must have exactly one entry");
-  }
-  if (report.entries[0].group > static_cast<uint32_t>(height_)) {
-    return Status::OutOfRange("bad level in Haar report");
-  }
-  return Status::OK();
-}
-
-Status HaarMechanism::AddReport(const LdpReport& report, uint64_t user) {
-  LDP_RETURN_NOT_OK(ValidateReport(report));
-  const auto& entry = report.entries[0];
-  store_.Add(entry.group, entry.fo, user);
-  ++num_reports_;
-  return Status::OK();
-}
-
-Status HaarMechanism::Merge(Mechanism&& shard) {
-  auto* other = dynamic_cast<HaarMechanism*>(&shard);
-  if (other == nullptr) {
-    return Status::InvalidArgument("cannot merge a non-Haar shard");
-  }
-  LDP_RETURN_NOT_OK(store_.MergeFrom(std::move(other->store_)));
-  num_reports_ += other->num_reports_;
-  other->num_reports_ = 0;
-  return Status::OK();
 }
 
 std::vector<HaarMechanism::HaarTerm> HaarMechanism::DecomposeRange(
@@ -117,21 +78,10 @@ std::vector<HaarMechanism::HaarTerm> HaarMechanism::DecomposeRange(
   return terms;
 }
 
-double HaarMechanism::BlockEstimate(int level, uint64_t block,
-                                    const WeightVector& weights) const {
-  const double scale = static_cast<double>(height_ + 1);  // 1/(sampling rate)
-  return scale * store_.accumulator(level).EstimateWeighted(block, weights);
-}
-
 Result<double> HaarMechanism::EstimateBox(std::span<const Interval> ranges,
                                           const WeightVector& weights) const {
   LDP_RETURN_NOT_OK(EnsureReports());
-  if (ranges.size() != 1) {
-    return Status::InvalidArgument("the Haar mechanism is one-dimensional");
-  }
-  if (ranges[0].lo > ranges[0].hi || ranges[0].hi >= domain_) {
-    return Status::OutOfRange("bad range");
-  }
+  LDP_RETURN_NOT_OK(ValidateBox(ranges));
   const auto terms = DecomposeRange(ranges[0]);
   // terms[0] is the scaling term against F_{0,0}; the rest pair a detail
   // coefficient with F_{j+1,2k} - F_{j+1,2k+1}. All block estimates batch
@@ -147,8 +97,7 @@ Result<double> HaarMechanism::EstimateBox(std::span<const Interval> ranges,
     nodes.push_back({level, terms[i].left_child + 1});
   }
   std::vector<double> estimates(nodes.size(), 0.0);
-  EstimateNodesBatched(store_, nodes, weights, num_reports_, estimate_cache(),
-                       exec(), estimates);
+  EstimateNodes(nodes, weights, estimates);
   const double scale = static_cast<double>(height_ + 1);  // 1/(sampling rate)
   double total = terms[0].coefficient * (scale * estimates[0]);
   for (size_t i = 1; i < terms.size(); ++i) {
@@ -160,12 +109,7 @@ Result<double> HaarMechanism::EstimateBox(std::span<const Interval> ranges,
 
 Result<double> HaarMechanism::VarianceBound(std::span<const Interval> ranges,
                                             const WeightVector& weights) const {
-  if (ranges.size() != 1) {
-    return Status::InvalidArgument("the Haar mechanism is one-dimensional");
-  }
-  if (ranges[0].lo > ranges[0].hi || ranges[0].hi >= domain_) {
-    return Status::OutOfRange("bad range");
-  }
+  LDP_RETURN_NOT_OK(ValidateBox(ranges));
   const auto terms = DecomposeRange(ranges[0]);
   const double e = std::exp(params_.epsilon);
   const double m2 = weights.sum_squares();

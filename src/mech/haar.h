@@ -4,7 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include "mech/mechanism.h"
+#include "mech/store_mechanism.h"
 
 namespace ldp {
 
@@ -29,22 +29,16 @@ namespace ldp {
 /// non-zero detail coefficients per level. The differing coefficient weights
 /// <x, psi>/|block| are the utility question the paper raises; the wavelet
 /// ablation bench measures it against HIO empirically.
-class HaarMechanism : public Mechanism {
+class HaarMechanism : public StoreMechanism {
  public:
   /// Requires exactly one sensitive dimension and it must be ordinal.
   static Result<std::unique_ptr<HaarMechanism>> Create(
       const Schema& schema, const MechanismParams& params);
 
   MechanismKind kind() const override { return MechanismKind::kHaar; }
-  uint64_t NumReportGroups() const override {
-    return static_cast<uint64_t>(store_.num_groups());
-  }
 
   LdpReport EncodeUser(std::span<const uint32_t> values,
                        Rng& rng) const override;
-  Status AddReport(const LdpReport& report, uint64_t user) override;
-  Status ValidateReport(const LdpReport& report) const override;
-  Status Merge(Mechanism&& shard) override;
   Result<double> EstimateBox(std::span<const Interval> ranges,
                              const WeightVector& weights) const override;
   Result<double> VarianceBound(std::span<const Interval> ranges,
@@ -66,15 +60,8 @@ class HaarMechanism : public Mechanism {
 
  private:
   HaarMechanism(const Schema& schema, const MechanismParams& params);
-  Status Init();
 
-  /// Estimated level-j block sum (scaled by the inverse sampling rate).
-  double BlockEstimate(int level, uint64_t block,
-                       const WeightVector& weights) const;
-
-  uint64_t domain_ = 0;  // real domain size m
-  int height_ = 0;
-  ReportStore store_;  // one group per level, full-eps oracles
+  int height_ = 0;  // one group per level, full-eps oracles
 };
 
 }  // namespace ldp

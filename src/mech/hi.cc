@@ -3,18 +3,16 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "exec/execution_context.h"
 
 namespace ldp {
 
 HiMechanism::HiMechanism(const Schema& schema, const MechanismParams& params)
-    : Mechanism(schema, params) {
+    : StoreMechanism(schema, params, ReportShape::kEntryPerGroup) {
   grid_ = std::make_unique<LevelGrid>(BuildHierarchies(schema, params.fanout));
   num_dims_ = grid_->num_dims();
 }
 
-Status HiMechanism::Init(const Schema& schema) {
-  (void)schema;
+Status HiMechanism::Init() {
   const uint64_t tuples = grid_->num_level_tuples();
   if (tuples > (1ull << 20)) {
     return Status::ResourceExhausted(
@@ -25,26 +23,17 @@ Status HiMechanism::Init(const Schema& schema) {
   levels_of_tuple_.resize(tuples);
   for (uint64_t flat = 0; flat < tuples; ++flat) {
     grid_->LevelsOf(flat, &levels_of_tuple_[flat]);
-    LDP_ASSIGN_OR_RETURN(
-        auto oracle,
-        FrequencyOracle::Create(params_.fo_kind, per_level_epsilon_,
-                                grid_->NumCells(levels_of_tuple_[flat]),
-                                params_.hash_pool_size));
-    store_.AddGroup(std::move(oracle));
+    LDP_RETURN_NOT_OK(AddGroup(per_level_epsilon_,
+                               grid_->NumCells(levels_of_tuple_[flat])));
   }
   return Status::OK();
 }
 
 Result<std::unique_ptr<HiMechanism>> HiMechanism::Create(
     const Schema& schema, const MechanismParams& params) {
-  if (params.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
-  if (schema.sensitive_dims().empty()) {
-    return Status::InvalidArgument("schema has no sensitive dimensions");
-  }
+  LDP_RETURN_NOT_OK(ValidateMechanismConfig(schema, params));
   std::unique_ptr<HiMechanism> mech(new HiMechanism(schema, params));
-  LDP_RETURN_NOT_OK(mech->Init(schema));
+  LDP_RETURN_NOT_OK(mech->Init());
   return mech;
 }
 
@@ -58,38 +47,6 @@ LdpReport HiMechanism::EncodeUser(std::span<const uint32_t> values,
     report.entries.push_back({flat, store_.Encode(flat, cell, rng)});
   }
   return report;
-}
-
-Status HiMechanism::ValidateReport(const LdpReport& report) const {
-  if (report.entries.size() != levels_of_tuple_.size()) {
-    return Status::InvalidArgument("HI report must cover every d-dim level");
-  }
-  for (const auto& entry : report.entries) {
-    if (entry.group >= levels_of_tuple_.size()) {
-      return Status::OutOfRange("bad group id in HI report");
-    }
-  }
-  return Status::OK();
-}
-
-Status HiMechanism::AddReport(const LdpReport& report, uint64_t user) {
-  LDP_RETURN_NOT_OK(ValidateReport(report));
-  for (const auto& entry : report.entries) {
-    store_.Add(entry.group, entry.fo, user);
-  }
-  ++num_reports_;
-  return Status::OK();
-}
-
-Status HiMechanism::Merge(Mechanism&& shard) {
-  auto* other = dynamic_cast<HiMechanism*>(&shard);
-  if (other == nullptr) {
-    return Status::InvalidArgument("cannot merge a non-HI shard");
-  }
-  LDP_RETURN_NOT_OK(store_.MergeFrom(std::move(other->store_)));
-  num_reports_ += other->num_reports_;
-  other->num_reports_ = 0;
-  return Status::OK();
 }
 
 Result<double> HiMechanism::VarianceBound(std::span<const Interval> ranges,
@@ -119,8 +76,7 @@ Result<double> HiMechanism::EstimateBox(std::span<const Interval> ranges,
     nodes[i] = {sub_queries[i].level_flat, sub_queries[i].cell};
   }
   std::vector<double> estimates(nodes.size(), 0.0);
-  EstimateNodesBatched(store_, nodes, weights, num_reports_, estimate_cache(),
-                       exec(), estimates);
+  EstimateNodes(nodes, weights, estimates);
   double total = 0.0;
   for (const double e : estimates) total += e;
   return total;

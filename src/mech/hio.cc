@@ -3,13 +3,12 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "exec/execution_context.h"
 
 namespace ldp {
 
 HioMechanism::HioMechanism(const Schema& schema,
                            const MechanismParams& params)
-    : Mechanism(schema, params) {
+    : StoreMechanism(schema, params, ReportShape::kOneEntry) {
   grid_ = std::make_unique<LevelGrid>(BuildHierarchies(schema, params.fanout));
   num_dims_ = grid_->num_dims();
 }
@@ -22,24 +21,15 @@ Status HioMechanism::Init() {
   levels_of_tuple_.resize(tuples);
   for (uint64_t flat = 0; flat < tuples; ++flat) {
     grid_->LevelsOf(flat, &levels_of_tuple_[flat]);
-    LDP_ASSIGN_OR_RETURN(
-        auto oracle,
-        FrequencyOracle::Create(params_.fo_kind, params_.epsilon,
-                                grid_->NumCells(levels_of_tuple_[flat]),
-                                params_.hash_pool_size));
-    store_.AddGroup(std::move(oracle));
+    LDP_RETURN_NOT_OK(AddGroup(params_.epsilon,
+                               grid_->NumCells(levels_of_tuple_[flat])));
   }
   return Status::OK();
 }
 
 Result<std::unique_ptr<HioMechanism>> HioMechanism::Create(
     const Schema& schema, const MechanismParams& params) {
-  if (params.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
-  if (schema.sensitive_dims().empty()) {
-    return Status::InvalidArgument("schema has no sensitive dimensions");
-  }
+  LDP_RETURN_NOT_OK(ValidateMechanismConfig(schema, params));
   std::unique_ptr<HioMechanism> mech(new HioMechanism(schema, params));
   LDP_RETURN_NOT_OK(mech->Init());
   return mech;
@@ -55,35 +45,6 @@ LdpReport HioMechanism::EncodeUser(std::span<const uint32_t> values,
   LdpReport report;
   report.entries.push_back({flat, store_.Encode(flat, cell, rng)});
   return report;
-}
-
-Status HioMechanism::ValidateReport(const LdpReport& report) const {
-  if (report.entries.size() != 1) {
-    return Status::InvalidArgument("HIO report must have exactly one entry");
-  }
-  if (report.entries[0].group >= levels_of_tuple_.size()) {
-    return Status::OutOfRange("bad group id in HIO report");
-  }
-  return Status::OK();
-}
-
-Status HioMechanism::AddReport(const LdpReport& report, uint64_t user) {
-  LDP_RETURN_NOT_OK(ValidateReport(report));
-  const auto& entry = report.entries[0];
-  store_.Add(entry.group, entry.fo, user);
-  ++num_reports_;
-  return Status::OK();
-}
-
-Status HioMechanism::Merge(Mechanism&& shard) {
-  auto* other = dynamic_cast<HioMechanism*>(&shard);
-  if (other == nullptr) {
-    return Status::InvalidArgument("cannot merge a non-HIO shard");
-  }
-  LDP_RETURN_NOT_OK(store_.MergeFrom(std::move(other->store_)));
-  num_reports_ += other->num_reports_;
-  other->num_reports_ = 0;
-  return Status::OK();
 }
 
 double HioMechanism::EstimateCell(uint64_t level_flat, uint64_t cell,
@@ -106,8 +67,7 @@ void HioMechanism::EstimateCells(uint64_t level_flat,
   // The cache stores the raw (unscaled) group estimates, so entries are
   // shared with EstimateBox; the sampling scale is applied per call — the
   // same multiply EstimateCell performs, hence bit-identical results.
-  EstimateNodesBatched(store_, nodes, weights, num_reports_, estimate_cache(),
-                       exec(), out);
+  EstimateNodes(nodes, weights, out);
   const double scale = static_cast<double>(grid_->num_level_tuples());
   for (double& o : out) o *= scale;
 }
@@ -141,8 +101,7 @@ Result<double> HioMechanism::EstimateBox(std::span<const Interval> ranges,
     nodes[i] = {sub_queries[i].level_flat, sub_queries[i].cell};
   }
   std::vector<double> estimates(nodes.size(), 0.0);
-  EstimateNodesBatched(store_, nodes, weights, num_reports_, estimate_cache(),
-                       exec(), estimates);
+  EstimateNodes(nodes, weights, estimates);
   const double scale = static_cast<double>(grid_->num_level_tuples());
   double total = 0.0;
   for (const double e : estimates) total += scale * e;

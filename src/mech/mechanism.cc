@@ -1,5 +1,6 @@
 #include "mech/mechanism.h"
 
+#include "common/coding.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "exec/execution_context.h"
@@ -78,38 +79,6 @@ uint64_t LdpReport::SizeWords() const {
   return words;
 }
 
-namespace {
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-bool GetU32(std::string_view* in, uint32_t* v) {
-  if (in->size() < 4) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= static_cast<uint32_t>(static_cast<unsigned char>((*in)[i])) << (8 * i);
-  }
-  in->remove_prefix(4);
-  return true;
-}
-
-bool GetU64(std::string_view* in, uint64_t* v) {
-  if (in->size() < 8) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    *v |= static_cast<uint64_t>(static_cast<unsigned char>((*in)[i])) << (8 * i);
-  }
-  in->remove_prefix(8);
-  return true;
-}
-
-}  // namespace
-
 std::string LdpReport::Serialize() const {
   std::string out;
   PutU32(&out, static_cast<uint32_t>(entries.size()));
@@ -125,28 +94,33 @@ std::string LdpReport::Serialize() const {
 
 Result<LdpReport> LdpReport::Deserialize(std::string_view bytes) {
   LdpReport report;
-  uint32_t count = 0;
-  if (!GetU32(&bytes, &count)) {
+  if (bytes.size() < 4) {
     return Status::ParseError("truncated LDP report header");
   }
+  const uint32_t count = GetU32(bytes);
+  bytes.remove_prefix(4);
   if (count > (1u << 24)) {
     return Status::ParseError("implausible LDP report entry count");
   }
   report.entries.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    Entry entry;
-    uint32_t bit_words = 0;
-    if (!GetU32(&bytes, &entry.group) || !GetU32(&bytes, &entry.fo.seed) ||
-        !GetU32(&bytes, &entry.fo.value) || !GetU32(&bytes, &bit_words)) {
+    if (bytes.size() < 16) {
       return Status::ParseError("truncated LDP report entry");
     }
+    Entry entry;
+    entry.group = GetU32(bytes);
+    entry.fo.seed = GetU32(bytes.substr(4));
+    entry.fo.value = GetU32(bytes.substr(8));
+    const uint32_t bit_words = GetU32(bytes.substr(12));
+    bytes.remove_prefix(16);
     if (static_cast<uint64_t>(bit_words) * 8 > bytes.size()) {
       return Status::ParseError("truncated LDP report bit payload");
     }
     entry.fo.bits.resize(bit_words);
     for (uint32_t w = 0; w < bit_words; ++w) {
-      (void)GetU64(&bytes, &entry.fo.bits[w]);
+      entry.fo.bits[w] = GetU64(bytes.substr(8 * w));
     }
+    bytes.remove_prefix(8 * static_cast<size_t>(bit_words));
     report.entries.push_back(std::move(entry));
   }
   if (!bytes.empty()) {
@@ -180,6 +154,17 @@ std::vector<std::unique_ptr<DimHierarchy>> BuildHierarchies(
     }
   }
   return out;
+}
+
+Status ValidateMechanismConfig(const Schema& schema,
+                               const MechanismParams& params) {
+  if (params.epsilon <= 0.0) {
+    return Status::InvalidArgument("epsilon must be positive");
+  }
+  if (schema.sensitive_dims().empty()) {
+    return Status::InvalidArgument("schema has no sensitive dimensions");
+  }
+  return Status::OK();
 }
 
 Status ValidateSensitiveValues(const Schema& schema,

@@ -228,6 +228,11 @@ std::vector<std::unique_ptr<DimHierarchy>> BuildHierarchies(
 Status ValidateSensitiveValues(const Schema& schema,
                                std::span<const uint32_t> values);
 
+/// What every mechanism's Create requires: a positive epsilon and at least
+/// one sensitive dimension (InvalidArgument otherwise).
+Status ValidateMechanismConfig(const Schema& schema,
+                               const MechanismParams& params);
+
 }  // namespace ldp
 
 #endif  // LDPMDA_MECH_MECHANISM_H_

@@ -17,30 +17,16 @@ constexpr uint64_t kMaxCachedBoxCells = 1ull << 16;
 }  // namespace
 
 MgMechanism::MgMechanism(const Schema& schema, const MechanismParams& params)
-    : Mechanism(schema, params) {
+    : StoreMechanism(schema, params, ReportShape::kOneEntry) {
   for (const int attr : schema.sensitive_dims()) {
     domains_.push_back(schema.attribute(attr).domain_size);
     total_cells_ *= schema.attribute(attr).domain_size;
   }
 }
 
-Status MgMechanism::Init() {
-  LDP_ASSIGN_OR_RETURN(
-      auto oracle,
-      FrequencyOracle::Create(params_.fo_kind, params_.epsilon, total_cells_,
-                              params_.hash_pool_size));
-  store_.AddGroup(std::move(oracle));
-  return Status::OK();
-}
-
 Result<std::unique_ptr<MgMechanism>> MgMechanism::Create(
     const Schema& schema, const MechanismParams& params) {
-  if (params.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
-  if (schema.sensitive_dims().empty()) {
-    return Status::InvalidArgument("schema has no sensitive dimensions");
-  }
+  LDP_RETURN_NOT_OK(ValidateMechanismConfig(schema, params));
   uint64_t cells = 1;
   for (const int attr : schema.sensitive_dims()) {
     const uint64_t m = schema.attribute(attr).domain_size;
@@ -50,7 +36,7 @@ Result<std::unique_ptr<MgMechanism>> MgMechanism::Create(
     cells *= m;
   }
   std::unique_ptr<MgMechanism> mech(new MgMechanism(schema, params));
-  LDP_RETURN_NOT_OK(mech->Init());
+  LDP_RETURN_NOT_OK(mech->AddGroup(params.epsilon, cells));
   return mech;
 }
 
@@ -67,43 +53,12 @@ LdpReport MgMechanism::EncodeUser(std::span<const uint32_t> values,
   return report;
 }
 
-Status MgMechanism::ValidateReport(const LdpReport& report) const {
-  if (report.entries.size() != 1 || report.entries[0].group != 0) {
-    return Status::InvalidArgument("MG report must have exactly one entry");
-  }
-  return Status::OK();
-}
-
-Status MgMechanism::AddReport(const LdpReport& report, uint64_t user) {
-  LDP_RETURN_NOT_OK(ValidateReport(report));
-  store_.Add(0, report.entries[0].fo, user);
-  ++num_reports_;
-  return Status::OK();
-}
-
-Status MgMechanism::Merge(Mechanism&& shard) {
-  auto* other = dynamic_cast<MgMechanism*>(&shard);
-  if (other == nullptr) {
-    return Status::InvalidArgument("cannot merge a non-MG shard");
-  }
-  LDP_RETURN_NOT_OK(store_.MergeFrom(std::move(other->store_)));
-  num_reports_ += other->num_reports_;
-  other->num_reports_ = 0;
-  return Status::OK();
-}
-
 Result<double> MgMechanism::VarianceBound(std::span<const Interval> ranges,
                                           const WeightVector& weights) const {
-  if (ranges.size() != domains_.size()) {
-    return Status::InvalidArgument("VarianceBound needs one range per dim");
-  }
+  LDP_RETURN_NOT_OK(ValidateBox(ranges));
   double box_cells = 1.0;
-  for (size_t i = 0; i < domains_.size(); ++i) {
-    if (ranges[i].lo > ranges[i].hi || ranges[i].hi >= domains_[i]) {
-      return Status::OutOfRange("bad range for dimension " +
-                                std::to_string(i));
-    }
-    box_cells *= static_cast<double>(ranges[i].length());
+  for (const Interval& range : ranges) {
+    box_cells *= static_cast<double>(range.length());
   }
   // Eq. (11): covered cells x the Prop. 4 noise term, plus <= M2 of data
   // terms.
@@ -115,16 +70,10 @@ Result<double> MgMechanism::VarianceBound(std::span<const Interval> ranges,
 Result<double> MgMechanism::EstimateBox(std::span<const Interval> ranges,
                                         const WeightVector& weights) const {
   LDP_RETURN_NOT_OK(EnsureReports());
-  if (ranges.size() != domains_.size()) {
-    return Status::InvalidArgument("EstimateBox needs one range per dim");
-  }
+  LDP_RETURN_NOT_OK(ValidateBox(ranges));
   uint64_t box_cells = 1;
-  for (size_t i = 0; i < domains_.size(); ++i) {
-    if (ranges[i].lo > ranges[i].hi || ranges[i].hi >= domains_[i]) {
-      return Status::OutOfRange("bad range for dimension " +
-                                std::to_string(i));
-    }
-    box_cells *= ranges[i].length();
+  for (const Interval& range : ranges) {
+    box_cells *= range.length();
     if (box_cells > kMaxBoxCells) {
       return Status::ResourceExhausted("MG box covers too many cells");
     }

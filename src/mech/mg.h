@@ -4,7 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include "mech/mechanism.h"
+#include "mech/store_mechanism.h"
 
 namespace ldp {
 
@@ -18,21 +18,15 @@ namespace ldp {
 /// every cell covered by the box (eq. 10). The error is proportional to the
 /// number of covered cells (eq. 11), i.e. O(m^d) in the worst case — the
 /// behaviour HI/HIO are designed to beat.
-class MgMechanism : public Mechanism {
+class MgMechanism : public StoreMechanism {
  public:
   static Result<std::unique_ptr<MgMechanism>> Create(
       const Schema& schema, const MechanismParams& params);
 
   MechanismKind kind() const override { return MechanismKind::kMg; }
-  uint64_t NumReportGroups() const override {
-    return static_cast<uint64_t>(store_.num_groups());
-  }
 
   LdpReport EncodeUser(std::span<const uint32_t> values,
                        Rng& rng) const override;
-  Status AddReport(const LdpReport& report, uint64_t user) override;
-  Status ValidateReport(const LdpReport& report) const override;
-  Status Merge(Mechanism&& shard) override;
   Result<double> EstimateBox(std::span<const Interval> ranges,
                              const WeightVector& weights) const override;
   Result<double> VarianceBound(std::span<const Interval> ranges,
@@ -42,11 +36,9 @@ class MgMechanism : public Mechanism {
 
  private:
   MgMechanism(const Schema& schema, const MechanismParams& params);
-  Status Init();
 
   std::vector<uint64_t> domains_;
-  uint64_t total_cells_ = 1;
-  ReportStore store_;  // one group: the full cross-product marginal
+  uint64_t total_cells_ = 1;  // one group: the full cross-product marginal
 };
 
 }  // namespace ldp

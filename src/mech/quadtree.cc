@@ -1,11 +1,9 @@
 #include "mech/quadtree.h"
 
 #include <algorithm>
-
 #include <cmath>
 
 #include "common/logging.h"
-#include "exec/execution_context.h"
 
 namespace ldp {
 
@@ -15,33 +13,19 @@ constexpr uint64_t kMaxSubQueries = 1ull << 22;
 
 QuadTreeMechanism::QuadTreeMechanism(const Schema& schema,
                                      const MechanismParams& params)
-    : Mechanism(schema, params) {
-  for (const int attr : schema.sensitive_dims()) {
-    domains_.push_back(schema.attribute(attr).domain_size);
-  }
-  const uint64_t max_domain = std::max(domains_[0], domains_[1]);
+    : StoreMechanism(schema, params, ReportShape::kOneEntry) {
+  const auto& dims = schema.sensitive_dims();
+  const uint64_t max_domain =
+      std::max(schema.attribute(dims[0]).domain_size,
+               schema.attribute(dims[1]).domain_size);
   height_ = 0;
   while ((1ull << height_) < max_domain) ++height_;
   if (height_ == 0) height_ = 1;
 }
 
-Status QuadTreeMechanism::Init() {
-  for (int j = 0; j <= height_; ++j) {
-    LDP_ASSIGN_OR_RETURN(
-        auto oracle,
-        FrequencyOracle::Create(params_.fo_kind, params_.epsilon,
-                                (1ull << j) * (1ull << j),
-                                params_.hash_pool_size));
-    store_.AddGroup(std::move(oracle));
-  }
-  return Status::OK();
-}
-
 Result<std::unique_ptr<QuadTreeMechanism>> QuadTreeMechanism::Create(
     const Schema& schema, const MechanismParams& params) {
-  if (params.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  LDP_RETURN_NOT_OK(ValidateMechanismConfig(schema, params));
   const auto& dims = schema.sensitive_dims();
   if (dims.size() != 2) {
     return Status::InvalidArgument(
@@ -55,7 +39,10 @@ Result<std::unique_ptr<QuadTreeMechanism>> QuadTreeMechanism::Create(
   }
   std::unique_ptr<QuadTreeMechanism> mech(
       new QuadTreeMechanism(schema, params));
-  LDP_RETURN_NOT_OK(mech->Init());
+  for (int j = 0; j <= mech->height_; ++j) {
+    LDP_RETURN_NOT_OK(
+        mech->AddGroup(params.epsilon, (1ull << j) * (1ull << j)));
+  }
   return mech;
 }
 
@@ -70,36 +57,6 @@ LdpReport QuadTreeMechanism::EncodeUser(std::span<const uint32_t> values,
   LdpReport report;
   report.entries.push_back({level, store_.Encode(level, cell, rng)});
   return report;
-}
-
-Status QuadTreeMechanism::ValidateReport(const LdpReport& report) const {
-  if (report.entries.size() != 1) {
-    return Status::InvalidArgument(
-        "QuadTree report must have exactly one entry");
-  }
-  if (report.entries[0].group > static_cast<uint32_t>(height_)) {
-    return Status::OutOfRange("bad level in QuadTree report");
-  }
-  return Status::OK();
-}
-
-Status QuadTreeMechanism::AddReport(const LdpReport& report, uint64_t user) {
-  LDP_RETURN_NOT_OK(ValidateReport(report));
-  const auto& entry = report.entries[0];
-  store_.Add(entry.group, entry.fo, user);
-  ++num_reports_;
-  return Status::OK();
-}
-
-Status QuadTreeMechanism::Merge(Mechanism&& shard) {
-  auto* other = dynamic_cast<QuadTreeMechanism*>(&shard);
-  if (other == nullptr) {
-    return Status::InvalidArgument("cannot merge a non-QuadTree shard");
-  }
-  LDP_RETURN_NOT_OK(store_.MergeFrom(std::move(other->store_)));
-  num_reports_ += other->num_reports_;
-  other->num_reports_ = 0;
-  return Status::OK();
 }
 
 void QuadTreeMechanism::Decompose(
@@ -123,15 +80,7 @@ void QuadTreeMechanism::Decompose(
 
 Result<std::vector<std::pair<int, uint64_t>>> QuadTreeMechanism::DecomposeBox(
     std::span<const Interval> ranges) const {
-  if (ranges.size() != 2) {
-    return Status::InvalidArgument("EstimateBox needs two ranges");
-  }
-  for (int i = 0; i < 2; ++i) {
-    if (ranges[i].lo > ranges[i].hi || ranges[i].hi >= domains_[i]) {
-      return Status::OutOfRange("bad range for dimension " +
-                                std::to_string(i));
-    }
-  }
+  LDP_RETURN_NOT_OK(ValidateBox(ranges));
   std::vector<std::pair<int, uint64_t>> nodes;
   Decompose(0, 0, 0, ranges[0], ranges[1], &nodes);
   if (nodes.size() > kMaxSubQueries) {
@@ -167,8 +116,7 @@ Result<double> QuadTreeMechanism::EstimateBox(
     refs[i] = {static_cast<uint64_t>(nodes[i].first), nodes[i].second};
   }
   std::vector<double> estimates(refs.size(), 0.0);
-  EstimateNodesBatched(store_, refs, weights, num_reports_, estimate_cache(),
-                       exec(), estimates);
+  EstimateNodes(refs, weights, estimates);
   double total = 0.0;
   for (const double e : estimates) total += scale * e;
   return total;

@@ -4,7 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include "mech/mechanism.h"
+#include "mech/store_mechanism.h"
 
 namespace ldp {
 
@@ -21,22 +21,16 @@ namespace ldp {
 /// refine together, an unaligned box needs O(2^h) nodes along its boundary —
 /// linear in the domain size, versus HIO's polylogarithmic count. The
 /// accompanying ablation bench demonstrates exactly this gap.
-class QuadTreeMechanism : public Mechanism {
+class QuadTreeMechanism : public StoreMechanism {
  public:
   /// Requires exactly two sensitive dimensions, both ordinal.
   static Result<std::unique_ptr<QuadTreeMechanism>> Create(
       const Schema& schema, const MechanismParams& params);
 
   MechanismKind kind() const override { return MechanismKind::kQuadTree; }
-  uint64_t NumReportGroups() const override {
-    return static_cast<uint64_t>(store_.num_groups());
-  }
 
   LdpReport EncodeUser(std::span<const uint32_t> values,
                        Rng& rng) const override;
-  Status AddReport(const LdpReport& report, uint64_t user) override;
-  Status ValidateReport(const LdpReport& report) const override;
-  Status Merge(Mechanism&& shard) override;
   Result<double> EstimateBox(std::span<const Interval> ranges,
                              const WeightVector& weights) const override;
   Result<double> VarianceBound(std::span<const Interval> ranges,
@@ -54,15 +48,12 @@ class QuadTreeMechanism : public Mechanism {
 
  private:
   QuadTreeMechanism(const Schema& schema, const MechanismParams& params);
-  Status Init();
 
   void Decompose(int level, uint64_t x, uint64_t y, const Interval& rx,
                  const Interval& ry,
                  std::vector<std::pair<int, uint64_t>>* out) const;
 
-  std::vector<uint64_t> domains_;  // real domain sizes (m1, m2)
-  int height_ = 0;
-  ReportStore store_;  // one group per level, full-eps oracles
+  int height_ = 0;  // one group per level, full-eps oracles
 };
 
 }  // namespace ldp

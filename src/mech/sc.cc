@@ -98,12 +98,7 @@ Status ScMechanism::Init() {
 
 Result<std::unique_ptr<ScMechanism>> ScMechanism::Create(
     const Schema& schema, const MechanismParams& params) {
-  if (params.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
-  if (schema.sensitive_dims().empty()) {
-    return Status::InvalidArgument("schema has no sensitive dimensions");
-  }
+  LDP_RETURN_NOT_OK(ValidateMechanismConfig(schema, params));
   if (params.fo_kind != FoKind::kOlh) {
     return Status::InvalidArgument(
         "SC's conjunctive estimator requires the OLH frequency oracle");
@@ -134,10 +129,17 @@ Status ScMechanism::ValidateReport(const LdpReport& report) const {
   if (report.entries.size() != protocols_.size()) {
     return Status::InvalidArgument("SC report must cover every (dim, level)");
   }
-  for (const auto& entry : report.entries) {
+  // Each group's report vector must stay aligned with users_ by position.
+  for (size_t i = 0; i < report.entries.size(); ++i) {
+    const auto& entry = report.entries[i];
     if (entry.group >= protocols_.size()) {
       return Status::OutOfRange("bad group id in SC report");
     }
+    if (entry.group != i) {
+      return Status::InvalidArgument(
+          "SC report entries must name every (dim, level) once, in order");
+    }
+    LDP_RETURN_NOT_OK(protocols_[entry.group]->ValidateReport(entry.fo));
   }
   return Status::OK();
 }

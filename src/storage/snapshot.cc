@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/coding.h"
 #include "common/hash.h"
 #include "obs/metrics.h"
 #include "storage/coding.h"
@@ -11,12 +12,7 @@ namespace ldp {
 
 namespace {
 
-using storage::EncodeU64;
-using storage::GetU32;
-using storage::GetU64;
 using storage::HexToSeq;
-using storage::PutU32;
-using storage::PutU64;
 using storage::SeqToHex;
 
 constexpr std::string_view kSnapshotMagic = "LDPS";

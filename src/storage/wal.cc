@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/coding.h"
 #include "common/hash.h"
 #include "obs/metrics.h"
 #include "storage/coding.h"
@@ -10,13 +11,7 @@ namespace ldp {
 
 namespace {
 
-using storage::EncodeU32;
-using storage::EncodeU64;
-using storage::GetU32;
-using storage::GetU64;
 using storage::HexToSeq;
-using storage::PutU32;
-using storage::PutU64;
 using storage::SeqToHex;
 
 constexpr std::string_view kSegmentMagic = "LDPW";

@@ -51,6 +51,30 @@ TEST(AdvisorTest, HighDimLowQueryDimPrefersSc) {
   EXPECT_LT(advice.sc_variance, advice.hio_variance);
 }
 
+TEST(AdvisorTest, NonOlhOracleNeverGetsSc) {
+  // The same SC-favouring shape, but SC's conjunctive estimator needs OLH:
+  // with any other oracle the advice falls to the best feasible mechanism,
+  // and its proxies are still the ones ScoreMechanisms reports.
+  for (const FoKind fo : {FoKind::kGrr, FoKind::kOue, FoKind::kHr,
+                          FoKind::kAdaptive}) {
+    MechanismParams params = Params(5.0);
+    params.fo_kind = fo;
+    const WorkloadProfile workload{/*query_dims=*/1, /*query_volume=*/0.1};
+    const MechanismAdvice advice =
+        AdviseMechanism(ManyDims(8, 54), params, workload);
+    EXPECT_EQ(advice.recommended, MechanismKind::kHio) << FoKindName(fo);
+    EXPECT_LT(advice.sc_variance, advice.hio_variance);  // still scored
+    const MechanismKind kinds[] = {MechanismKind::kMg, MechanismKind::kSc,
+                                   MechanismKind::kHio};
+    const auto scores =
+        ScoreMechanisms(ManyDims(8, 54), params, workload, kinds);
+    EXPECT_FALSE(scores[1].feasible);
+    EXPECT_EQ(advice.mg_variance, scores[0].variance);
+    EXPECT_EQ(advice.sc_variance, scores[1].variance);
+    EXPECT_EQ(advice.hio_variance, scores[2].variance);
+  }
+}
+
 TEST(AdvisorTest, LowDimWideQueryPrefersHio) {
   // Figures 6/7: two wide ordinal dimensions queried together — HIO beats
   // both MG (too many covered cells) and SC (conjunctive penalty).

@@ -1,0 +1,192 @@
+// The contract every mechanism kind meets at its boundary, checked once for
+// all 8 kinds: Create's preconditions, the name aliases, report-shape
+// rejection without side effects, Merge's refusal of foreign shards, and
+// the typed errors of EstimateBox / VarianceBound on malformed boxes.
+
+#include <cctype>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "mech/factory.h"
+#include "mech/multi.h"
+
+namespace ldp {
+namespace {
+
+/// A schema each kind accepts: Haar needs one ordinal dim, QuadTree two;
+/// the others get two ordinal dims and a categorical one.
+Schema SchemaFor(MechanismKind kind) {
+  Schema schema;
+  EXPECT_TRUE(schema.AddOrdinal("x", 16).ok());
+  if (kind != MechanismKind::kHaar) {
+    EXPECT_TRUE(schema.AddOrdinal("y", 8).ok());
+  }
+  if (kind != MechanismKind::kHaar && kind != MechanismKind::kQuadTree) {
+    EXPECT_TRUE(schema.AddCategorical("c", 4).ok());
+  }
+  EXPECT_TRUE(schema.AddMeasure("w").ok());
+  return schema;
+}
+
+MechanismParams Params(double eps = 1.0) {
+  MechanismParams params;
+  params.epsilon = eps;
+  return params;
+}
+
+std::vector<Interval> FullBox(const Schema& schema) {
+  std::vector<Interval> box;
+  for (const int attr : schema.sensitive_dims()) {
+    box.push_back({0, schema.attribute(attr).domain_size - 1});
+  }
+  return box;
+}
+
+/// A mechanism of `kind` holding one honest report (user 0).
+std::unique_ptr<Mechanism> WithOneReport(MechanismKind kind) {
+  const Schema schema = SchemaFor(kind);
+  auto mech = CreateMechanism(kind, schema, Params()).ValueOrDie();
+  Rng rng(3);
+  const std::vector<uint32_t> values(schema.sensitive_dims().size(), 1);
+  EXPECT_TRUE(mech->AddReport(mech->EncodeUser(values, rng), 0).ok());
+  return mech;
+}
+
+class MechanismContractTest : public ::testing::TestWithParam<MechanismKind> {
+};
+
+TEST_P(MechanismContractTest, NamesAndAliasesRoundTrip) {
+  const MechanismKind kind = GetParam();
+  const std::string name = MechanismKindName(kind);
+  EXPECT_EQ(MechanismKindFromString(name).ValueOrDie(), kind);
+  std::string lower;
+  for (const char c : name) {
+    lower.push_back(static_cast<char>(std::tolower(c)));
+  }
+  EXPECT_EQ(MechanismKindFromString(lower).ValueOrDie(), kind);
+  auto mech = CreateMechanism(kind, SchemaFor(kind), Params());
+  ASSERT_TRUE(mech.ok()) << mech.status().ToString();
+  EXPECT_EQ(mech.value()->kind(), kind);
+}
+
+TEST(MechanismContractAliasTest, AliasesNameTheirKinds) {
+  EXPECT_EQ(MechanismKindFromString("qt").ValueOrDie(),
+            MechanismKind::kQuadTree);
+  EXPECT_EQ(MechanismKindFromString("wavelet").ValueOrDie(),
+            MechanismKind::kHaar);
+  EXPECT_EQ(MechanismKindFromString("nope").status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_P(MechanismContractTest, CreateRejectsBadBudgetAndNoSensitiveDims) {
+  const MechanismKind kind = GetParam();
+  for (const double eps : {0.0, -1.0}) {
+    const auto mech = CreateMechanism(kind, SchemaFor(kind), Params(eps));
+    EXPECT_EQ(mech.status().code(), StatusCode::kInvalidArgument) << eps;
+  }
+  Schema no_sensitive;
+  ASSERT_TRUE(no_sensitive.AddMeasure("w").ok());
+  EXPECT_EQ(CreateMechanism(kind, no_sensitive, Params()).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_P(MechanismContractTest, MalformedReportsChangeNothing) {
+  const MechanismKind kind = GetParam();
+  auto mech = WithOneReport(kind);
+  Rng rng(4);
+  const std::vector<uint32_t> values(
+      SchemaFor(kind).sensitive_dims().size(), 2);
+  const LdpReport honest = mech->EncodeUser(values, rng);
+
+  LdpReport empty;
+  LdpReport extra = honest;
+  extra.entries.push_back(honest.entries[0]);
+  LdpReport bad_group = honest;
+  bad_group.entries[0].group = static_cast<uint32_t>(mech->NumReportGroups());
+  const auto expect_rejected = [&](const LdpReport& report, StatusCode code) {
+    const Status status = mech->AddReport(report, 1);
+    EXPECT_EQ(status.code(), code) << status.ToString();
+  };
+  EXPECT_EQ(mech->ValidateReport(empty).code(), StatusCode::kInvalidArgument);
+  expect_rejected(empty, StatusCode::kInvalidArgument);
+  expect_rejected(extra, StatusCode::kInvalidArgument);
+  expect_rejected(bad_group, StatusCode::kOutOfRange);
+  if (honest.entries.size() > 1) {
+    // HI and SC report on every group: each must appear once, in order.
+    LdpReport repeated = honest;
+    repeated.entries.back().group = honest.entries[0].group;
+    expect_rejected(repeated, StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(mech->num_reports(), 1u);
+  EXPECT_TRUE(mech->AddReport(honest, 1).ok());
+  EXPECT_EQ(mech->num_reports(), 2u);
+}
+
+TEST_P(MechanismContractTest, MergeRejectsForeignAndMultiShards) {
+  const MechanismKind kind = GetParam();
+  const Schema schema = SchemaFor(kind);
+  auto mech = WithOneReport(kind);
+  const MechanismKind foreign =
+      kind == MechanismKind::kMg ? MechanismKind::kHio : MechanismKind::kMg;
+  auto other = CreateMechanism(foreign, schema, Params()).ValueOrDie();
+  EXPECT_EQ(mech->Merge(std::move(*other)).code(),
+            StatusCode::kInvalidArgument);
+  // A composite over the same kind reports that kind, but is not a shard.
+  const MechanismKind same[] = {kind};
+  auto multi = MultiMechanism::Create(schema, Params(), same).ValueOrDie();
+  ASSERT_EQ(multi->kind(), kind);
+  EXPECT_EQ(mech->Merge(std::move(*multi)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(mech->num_reports(), 1u);
+  auto shard = mech->NewShard().ValueOrDie();
+  EXPECT_TRUE(mech->Merge(std::move(*shard)).ok());
+}
+
+TEST_P(MechanismContractTest, MalformedBoxesAreTypedErrors) {
+  const MechanismKind kind = GetParam();
+  const Schema schema = SchemaFor(kind);
+  auto mech = WithOneReport(kind);
+  const WeightVector w = WeightVector::Ones(1);
+  const std::vector<Interval> full = FullBox(schema);
+
+  std::vector<Interval> too_many = full;
+  too_many.push_back({0, 0});
+  const std::vector<Interval> too_few(full.begin(), full.end() - 1);
+  for (const auto& box : {too_many, too_few}) {
+    EXPECT_EQ(mech->EstimateBox(box, w).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(mech->VarianceBound(box, w).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  for (size_t i = 0; i < full.size(); ++i) {
+    std::vector<Interval> past_domain = full;
+    past_domain[i].hi += 1;
+    std::vector<Interval> inverted = full;
+    inverted[i] = {2, 1};
+    for (const auto& box : {past_domain, inverted}) {
+      EXPECT_EQ(mech->EstimateBox(box, w).status().code(),
+                StatusCode::kOutOfRange)
+          << "dim " << i;
+      EXPECT_EQ(mech->VarianceBound(box, w).status().code(),
+                StatusCode::kOutOfRange)
+          << "dim " << i;
+    }
+  }
+  EXPECT_TRUE(mech->EstimateBox(full, w).ok());
+  EXPECT_TRUE(mech->VarianceBound(full, w).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, MechanismContractTest,
+    ::testing::Values(MechanismKind::kHi, MechanismKind::kHio,
+                      MechanismKind::kSc, MechanismKind::kMg,
+                      MechanismKind::kQuadTree, MechanismKind::kHaar,
+                      MechanismKind::kHdg, MechanismKind::kCalm),
+    [](const ::testing::TestParamInfo<MechanismKind>& info) {
+      return MechanismKindName(info.param);
+    });
+
+}  // namespace
+}  // namespace ldp

@@ -55,13 +55,6 @@ TEST(HdgTest, GranularitiesScaleWithBudgetAndPopulation) {
   EXPECT_LE(g1_many, g1);
 }
 
-TEST(HdgTest, CreateValidates) {
-  EXPECT_FALSE(HdgMechanism::Create(TwoDimSchema(), Params(0.0)).ok());
-  Schema no_sensitive;
-  ASSERT_TRUE(no_sensitive.AddMeasure("w").ok());
-  EXPECT_FALSE(HdgMechanism::Create(no_sensitive, Params(1.0)).ok());
-}
-
 TEST(HdgTest, LayoutBuildsOneDimAndPairGrids) {
   auto two = HdgMechanism::Create(TwoDimSchema(), Params(2.0)).ValueOrDie();
   EXPECT_EQ(two->num_grids(), 3);  // 2 one-dim + C(2,2) = 1 pair
@@ -88,19 +81,6 @@ TEST(HdgTest, EncodePicksUniformGrid) {
   for (size_t g = 0; g < counts.size(); ++g) {
     EXPECT_NEAR(counts[g], expected, expected * 0.25) << "grid " << g;
   }
-}
-
-TEST(HdgTest, ValidateRejectsMalformedReports) {
-  auto mech = HdgMechanism::Create(TwoDimSchema(), Params(1.0)).ValueOrDie();
-  LdpReport bad_group;
-  bad_group.entries.push_back({99, {}});
-  EXPECT_FALSE(mech->AddReport(bad_group, 0).ok());
-  LdpReport empty;
-  EXPECT_FALSE(mech->AddReport(empty, 0).ok());
-  Rng rng(2);
-  LdpReport two_entries = mech->EncodeUser(std::vector<uint32_t>{1, 2}, rng);
-  two_entries.entries.push_back(two_entries.entries[0]);
-  EXPECT_FALSE(mech->ValidateReport(two_entries).ok());
 }
 
 TEST(HdgTest, ShardMergeMatchesDirectIngestBitwise) {
@@ -234,19 +214,6 @@ TEST(HdgTest, WideQueriesUseTheProductFallback) {
   EXPECT_LE(est, static_cast<double>(n));  // clamped per-factor selectivities
   const double bound = mech->VarianceBound(ranges, w).ValueOrDie();
   EXPECT_GT(bound, 0.0);
-}
-
-TEST(HdgTest, EstimateBoxValidatesRanges) {
-  auto mech = HdgMechanism::Create(TwoDimSchema(), Params(1.0)).ValueOrDie();
-  Rng rng(11);
-  ASSERT_TRUE(
-      mech->AddReport(mech->EncodeUser(std::vector<uint32_t>{0, 0}, rng), 0)
-          .ok());
-  const WeightVector w = WeightVector::Ones(1);
-  const std::vector<Interval> one = {{0, 15}};
-  EXPECT_FALSE(mech->EstimateBox(one, w).ok());
-  const std::vector<Interval> oob = {{0, 16}, {0, 15}};
-  EXPECT_FALSE(mech->EstimateBox(oob, w).ok());
 }
 
 TEST(HdgTest, FactoryBuildsIt) {

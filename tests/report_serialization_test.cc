@@ -39,6 +39,33 @@ TEST(ReportSerializationTest, SizeMatchesFormat) {
   EXPECT_EQ(report.Serialize().size(), 4u + 3 * 16 + 2 * 8);
 }
 
+// The framed wire bytes of a two-entry report with OUE bit words, pinned:
+// the frame header, the payload's little-endian layout and its checksum.
+TEST(ReportSerializationTest, FramedBytesArePinned) {
+  LdpReport report;
+  report.entries.push_back({3, {0x01020304, 5, {}}});
+  FoReport oue;
+  oue.seed = 0xdeadbeef;
+  oue.value = 1;
+  oue.bits = {0x0123456789abcdefULL, 0x8000000000000001ULL};
+  report.entries.push_back({0x00010203, oue});
+  const std::string frame = FrameReport(report.Serialize());
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : frame) {
+    hex.push_back(kHex[static_cast<unsigned char>(c) >> 4]);
+    hex.push_back(kHex[static_cast<unsigned char>(c) & 0xf]);
+  }
+  EXPECT_EQ(hex,
+            // Header: "LDPR", version 1, payload length 52, checksum.
+            "4c44505201" "34000000" "239accf70ff5be5f"
+            // Entry count 2; entry 0: group 3, seed, value 5, no bit words.
+            "02000000" "03000000" "04030201" "05000000" "00000000"
+            // Entry 1: group, seed, value 1, two bit words.
+            "03020100" "efbeadde" "01000000" "02000000"
+            "efcdab8967452301" "0100000000000080");
+}
+
 TEST(ReportSerializationTest, RejectsTruncation) {
   const std::string bytes = SampleReport().Serialize();
   for (const size_t cut : {0ul, 3ul, 5ul, bytes.size() - 1}) {

@@ -1,6 +1,7 @@
 // Thread-scaling micro-benchmark for the shard-parallel execution core
-// (src/exec/): simulated collection (encode + ingest), staged batch ingest,
-// and box-estimation throughput vs worker-thread count on a ~1M-row table.
+// (src/exec/): simulated collection (encode + ingest), staged batch ingest
+// (HIO, and the HIO+HDG+MG collect spec), and box-estimation throughput vs
+// worker-thread count on a ~1M-row table.
 // Box estimation additionally sweeps the SIMD kernel level (src/fo/simd/),
 // so the scalar-vs-vector curve is visible at every thread count.
 //
@@ -81,28 +82,44 @@ struct WirePayload {
 };
 
 /// One framed, checksummed report per row, encoded once and replayed into a
-/// fresh CollectionServer each iteration.
-const WirePayload& Payload() {
-  static const WirePayload* payload = [] {
-    auto* p = new WirePayload();
-    const Table& table = BenchTable();
-    MechanismParams params;
-    params.epsilon = kEps;
+/// fresh CollectionServer each iteration. `collect` picks the perfbench
+/// collect spec (HIO+HDG+MG over one population, OLH pool 1024) instead of
+/// HIO alone.
+WirePayload* MakePayload(bool collect) {
+  auto* p = new WirePayload();
+  const Table& table = BenchTable();
+  MechanismParams params;
+  params.epsilon = kEps;
+  if (collect) {
+    params.hash_pool_size = 1024;
+    params.population_hint = kRows;
+    const MechanismKind kinds[] = {MechanismKind::kHio, MechanismKind::kHdg,
+                                   MechanismKind::kMg};
+    p->spec = CollectionSpec::FromSchema(table.schema(), kinds, params);
+  } else {
     p->spec = CollectionSpec::FromSchema(table.schema(), MechanismKind::kHio,
                                          params);
-    const LdpClient client = LdpClient::Create(p->spec).ValueOrDie();
-    const auto& dims = table.schema().sensitive_dims();
-    std::vector<uint32_t> values(dims.size());
-    Rng rng(7);
-    p->frames.reserve(table.num_rows());
-    for (uint64_t u = 0; u < table.num_rows(); ++u) {
-      for (size_t i = 0; i < dims.size(); ++i) {
-        values[i] = table.DimValue(dims[i], u);
-      }
-      p->frames.push_back(client.EncodeUser(values, rng).ValueOrDie());
+  }
+  const LdpClient client = LdpClient::Create(p->spec).ValueOrDie();
+  const auto& dims = table.schema().sensitive_dims();
+  std::vector<uint32_t> values(dims.size());
+  Rng rng(7);
+  p->frames.reserve(table.num_rows());
+  for (uint64_t u = 0; u < table.num_rows(); ++u) {
+    for (size_t i = 0; i < dims.size(); ++i) {
+      values[i] = table.DimValue(dims[i], u);
     }
-    return p;
-  }();
+    p->frames.push_back(client.EncodeUser(values, rng).ValueOrDie());
+  }
+  return p;
+}
+
+const WirePayload& Payload(bool collect) {
+  if (collect) {
+    static const WirePayload* payload = MakePayload(true);
+    return *payload;
+  }
+  static const WirePayload* payload = MakePayload(false);
   return *payload;
 }
 
@@ -111,9 +128,11 @@ const WirePayload& Payload() {
 /// kExecChunkRows of them, into per-worker shards merged in order. The second
 /// arg is the frames per IngestBatch call: every frame in one call (the
 /// shard path), or 1024-frame calls like a collection server's (the direct
-/// path).
+/// path). The third picks the spec: 0 = HIO, 1 = the perfbench collect spec
+/// (a MultiMechanism, whose reports route to one of three subs).
 void BM_IngestBatch(benchmark::State& state) {
-  const WirePayload& wire = Payload();
+  const bool collect = state.range(2) != 0;
+  const WirePayload& wire = Payload(collect);
   const int num_threads = static_cast<int>(state.range(0));
   const size_t batch = static_cast<size_t>(state.range(1));
   std::vector<CollectionServer::ReportFrame> frames(wire.frames.size());
@@ -140,10 +159,11 @@ void BM_IngestBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(frames.size()));
+  state.SetLabel(collect ? "collect" : "hio");
   state.counters["threads"] = static_cast<double>(num_threads);
 }
 BENCHMARK(BM_IngestBatch)
-    ->ArgsProduct({{1, 2, 4, 8}, {static_cast<int64_t>(kRows), 1024}})
+    ->ArgsProduct({{1, 2, 4, 8}, {static_cast<int64_t>(kRows), 1024}, {0, 1}})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -28,6 +28,28 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t value) {
 /// corruption a lossy transport introduces, not a deliberate forgery.
 uint64_t Checksum64(std::string_view bytes);
 
+/// Checksum64 of a byte string fed in pieces, for bytes that are never held
+/// in one buffer (a snapshot streamed chunk by chunk): constructed with the
+/// total length, Update'd with consecutive pieces of any sizes (a piece may
+/// end inside an 8-byte word), then Finish equals Checksum64 of their
+/// concatenation. Checksum64 itself is this stream over one piece.
+class Checksum64Stream {
+ public:
+  explicit Checksum64Stream(uint64_t total_bytes);
+
+  void Update(std::string_view piece);
+  /// The checksum; every one of the `total_bytes` must have been fed.
+  uint64_t Finish() const;
+
+ private:
+  uint64_t h_;
+  uint64_t remaining_;  ///< bytes not yet fed
+  /// The current partial word, little-endian, and how many bytes it holds
+  /// (0-7).
+  uint64_t pending_ = 0;
+  size_t pending_bytes_ = 0;
+};
+
 /// A pooled family of (approximately) pairwise-independent hash functions
 /// `H_s : uint64 -> [0, g)` indexed by a 32-bit seed `s`.
 ///

@@ -304,23 +304,24 @@ Result<CollectionServer> CollectionServer::CreateDurable(
   // compacted away, but their counts survive).
   if (snapshot.loaded) {
     // The store adopted the snapshot's entry section as its retained
-    // sequence; restore from it before WAL replay appends to it.
-    const std::string_view section = store->retained_section();
+    // sequence; restore from it (one chunk) before WAL replay appends to it.
     SnapshotEntry entry;
-    for (size_t pos = 0; NextSnapshotEntry(section, &pos, &entry);) {
-      auto report = LdpReport::Deserialize(entry.payload);
-      if (!report.ok()) {
-        // The snapshot passed its checksum, so this is a writer bug, not
-        // disk corruption; refuse rather than recover a wrong state.
-        return Status::Internal("snapshot entry for user " +
-                                std::to_string(entry.user) +
-                                " undecodable despite valid checksum: " +
-                                report.status().message());
+    for (const std::string& chunk : store->retained_section()) {
+      for (size_t pos = 0; NextSnapshotEntry(chunk, &pos, &entry);) {
+        auto report = LdpReport::Deserialize(entry.payload);
+        if (!report.ok()) {
+          // The snapshot passed its checksum, so this is a writer bug, not
+          // disk corruption; refuse rather than recover a wrong state.
+          return Status::Internal("snapshot entry for user " +
+                                  std::to_string(entry.user) +
+                                  " undecodable despite valid checksum: " +
+                                  report.status().message());
+        }
+        LDP_RETURN_NOT_OK(server.mechanism_->AddReport(report.value(),
+                                                       entry.user));
+        server.users_.insert(entry.user);
+        server.max_user_ = std::max(server.max_user_, entry.user);
       }
-      LDP_RETURN_NOT_OK(server.mechanism_->AddReport(report.value(),
-                                                     entry.user));
-      server.users_.insert(entry.user);
-      server.max_user_ = std::max(server.max_user_, entry.user);
     }
     server.stats_.accepted = snapshot.data.accepted;
     server.stats_.duplicate = snapshot.data.duplicate;
@@ -453,34 +454,40 @@ Status CollectionServer::IngestBatch(std::span<const ReportFrame> frames) {
   // rejected), including dedup against earlier frames of this same batch.
   std::vector<uint64_t> accepted;
   accepted.reserve(n);
+  IngestStats batch;
   for (uint64_t i = 0; i < n; ++i) {
+    const uint64_t user = frames[i].user;
     if (fate[i] == kCorrupt) {
-      ++stats_.corrupt;
-      IngestMetrics().corrupt->Add(1);
-      continue;
+      ++batch.corrupt;
+    } else if (fate[i] == kMisfit) {
+      // A rejected user stays un-seen, so a correct retry can still land.
+      if (users_.contains(user)) {
+        ++batch.duplicate;
+      } else {
+        ++batch.rejected;
+      }
+    } else if (!users_.insert(user)) {
+      ++batch.duplicate;
+    } else {
+      max_user_ = std::max(max_user_, user);
+      ++batch.accepted;
+      if (store_ != nullptr) {
+        // fate != kCorrupt, so UnframeReport succeeded in phase A: the
+        // payload is exactly the frame bytes past the header.
+        store_->RetainAccepted(user,
+                               frames[i].bytes.substr(kReportFrameHeaderBytes));
+      }
+      accepted.push_back(i);
     }
-    if (users_.contains(frames[i].user)) {
-      ++stats_.duplicate;
-      IngestMetrics().duplicate->Add(1);
-      continue;
-    }
-    if (fate[i] == kMisfit) {
-      ++stats_.rejected;
-      IngestMetrics().rejected->Add(1);
-      continue;
-    }
-    users_.insert(frames[i].user);
-    max_user_ = std::max(max_user_, frames[i].user);
-    ++stats_.accepted;
-    IngestMetrics().accepted->Add(1);
-    if (store_ != nullptr) {
-      // fate != kCorrupt, so UnframeReport succeeded in phase A: the
-      // payload is exactly the frame bytes past the header.
-      store_->RetainAccepted(frames[i].user,
-                             frames[i].bytes.substr(kReportFrameHeaderBytes));
-    }
-    accepted.push_back(i);
   }
+  stats_.accepted += batch.accepted;
+  stats_.duplicate += batch.duplicate;
+  stats_.corrupt += batch.corrupt;
+  stats_.rejected += batch.rejected;
+  IngestMetrics().accepted->Add(batch.accepted);
+  IngestMetrics().duplicate->Add(batch.duplicate);
+  IngestMetrics().corrupt->Add(batch.corrupt);
+  IngestMetrics().rejected->Add(batch.rejected);
 
   // Phase C — the accepted reports enter the mechanism in frame order, with
   // one shard per kExecChunkRows of them and at most one per worker (the

@@ -5,9 +5,9 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
+#include "engine/user_set.h"
 #include "exec/execution_context.h"
 #include "mech/factory.h"
 #include "storage/durable_store.h"
@@ -272,7 +272,7 @@ class CollectionServer {
   std::shared_ptr<ExecutionContext> exec_;
   std::shared_ptr<Mechanism> mechanism_;
   IngestStats stats_;
-  std::unordered_set<uint64_t> users_;  // accepted users, for dedup
+  UserSet users_;  // accepted users, for dedup
   /// Largest accepted user id (0 while none is accepted): estimation indexes
   /// the caller's weights by user id, so they must reach past it.
   uint64_t max_user_ = 0;

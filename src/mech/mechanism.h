@@ -125,13 +125,17 @@ class Mechanism {
   /// --- Server side (estimation processor P̄) ---
   /// Ingests the report of user `user` (a dense row id; weights are indexed
   /// by it at estimation time).
-  virtual Status AddReport(const LdpReport& report, uint64_t user) = 0;
+  Status AddReport(const LdpReport& report, uint64_t user) {
+    return AddReportAt(report, 0, user);
+  }
 
   /// Structural check of a report against this mechanism's configuration —
   /// exactly the validation AddReport performs before mutating any state.
   /// Side-effect free and safe to call concurrently, so a staged ingestion
   /// pipeline can validate in parallel before committing serially.
-  virtual Status ValidateReport(const LdpReport& report) const = 0;
+  Status ValidateReport(const LdpReport& report) const {
+    return ValidateReportAt(report, 0);
+  }
 
   /// --- Combiner interface (shard-parallel ingestion) ---
   /// A fresh, empty mechanism with this mechanism's schema and params.
@@ -192,8 +196,24 @@ class Mechanism {
                                        const WeightVector& weights) const = 0;
 
  protected:
+  /// A composite mechanism routes each report to the part owning its group
+  /// ids through the *At forms below.
+  friend class MultiMechanism;
+
   Mechanism(Schema schema, MechanismParams params)
       : params_(params), schema_(std::move(schema)) {}
+
+  /// ValidateReport and AddReport for a report whose group ids are offset by
+  /// `group_base`: entry group g names this mechanism's group g - group_base
+  /// (unsigned, so an id below the base is out of range like one past the
+  /// end). The report is read in place, never rebased into a copy; AddReport
+  /// and ValidateReport pass 0, MultiMechanism its sub's offset.
+  virtual Status ValidateReportAt(const LdpReport& report,
+                                  uint32_t group_base) const = 0;
+  /// Validates once, then updates the accumulators; a rejected report leaves
+  /// the mechanism untouched.
+  virtual Status AddReportAt(const LdpReport& report, uint32_t group_base,
+                             uint64_t user) = 0;
 
   /// Typed guard for estimation entry points: with zero accepted reports the
   /// estimators would return a meaningless 0 (or NaN after renormalization),

@@ -50,7 +50,10 @@ void MultiMechanism::EnableEstimateCache(size_t max_bytes) {
   estimate_cache_.reset();
 }
 
-int MultiMechanism::SubOf(uint32_t group) const {
+int MultiMechanism::SubOf(const LdpReport& report,
+                          uint32_t group_base) const {
+  if (report.entries.empty()) return -1;
+  const uint32_t group = report.entries[0].group - group_base;
   for (int i = 0; i < static_cast<int>(subs_.size()); ++i) {
     if (group >= group_offset_[i] && group < group_offset_[i + 1]) return i;
   }
@@ -69,34 +72,24 @@ LdpReport MultiMechanism::EncodeUser(std::span<const uint32_t> values,
   return report;
 }
 
-Status MultiMechanism::ValidateReport(const LdpReport& report) const {
-  if (report.entries.empty()) {
-    return Status::InvalidArgument("empty multi-mechanism report");
-  }
-  const int sub = SubOf(report.entries[0].group);
+Status MultiMechanism::ValidateReportAt(const LdpReport& report,
+                                        uint32_t group_base) const {
+  const int sub = SubOf(report, group_base);
   if (sub < 0) {
-    return Status::OutOfRange("bad group id in multi-mechanism report");
+    return report.entries.empty()
+               ? Status::InvalidArgument("empty multi-mechanism report")
+               : Status::OutOfRange("bad group id in multi-mechanism report");
   }
-  LdpReport local = report;
-  for (auto& entry : local.entries) {
-    if (entry.group < group_offset_[sub] ||
-        entry.group >= group_offset_[sub + 1]) {
-      return Status::InvalidArgument(
-          "multi-mechanism report spans sub-mechanisms");
-    }
-    entry.group -= static_cast<uint32_t>(group_offset_[sub]);
-  }
-  return subs_[sub]->ValidateReport(local);
+  return subs_[sub]->ValidateReportAt(
+      report, group_base + static_cast<uint32_t>(group_offset_[sub]));
 }
 
-Status MultiMechanism::AddReport(const LdpReport& report, uint64_t user) {
-  LDP_RETURN_NOT_OK(ValidateReport(report));
-  const int sub = SubOf(report.entries[0].group);
-  LdpReport local = report;
-  for (auto& entry : local.entries) {
-    entry.group -= static_cast<uint32_t>(group_offset_[sub]);
-  }
-  LDP_RETURN_NOT_OK(subs_[sub]->AddReport(local, user));
+Status MultiMechanism::AddReportAt(const LdpReport& report,
+                                   uint32_t group_base, uint64_t user) {
+  const int sub = SubOf(report, group_base);
+  if (sub < 0) return ValidateReportAt(report, group_base);
+  LDP_RETURN_NOT_OK(subs_[sub]->AddReportAt(
+      report, group_base + static_cast<uint32_t>(group_offset_[sub]), user));
   ++num_reports_;
   return Status::OK();
 }

@@ -39,8 +39,6 @@ class MultiMechanism : public Mechanism {
 
   LdpReport EncodeUser(std::span<const uint32_t> values,
                        Rng& rng) const override;
-  Status AddReport(const LdpReport& report, uint64_t user) override;
-  Status ValidateReport(const LdpReport& report) const override;
   Result<std::unique_ptr<Mechanism>> NewShard() const override;
   Status Merge(Mechanism&& shard) override;
 
@@ -74,12 +72,22 @@ class MultiMechanism : public Mechanism {
   const Mechanism& sub(int i) const { return *subs_[i]; }
   std::vector<MechanismKind> kinds() const;
 
+ protected:
+  /// Route the report, read in place, to the sub owning its first entry's
+  /// group id, which validates it once against its own id range (so a
+  /// report spanning two subs is rejected there).
+  Status ValidateReportAt(const LdpReport& report,
+                          uint32_t group_base) const override;
+  Status AddReportAt(const LdpReport& report, uint32_t group_base,
+                     uint64_t user) override;
+
  private:
   MultiMechanism(const Schema& schema, const MechanismParams& params)
       : Mechanism(schema, params) {}
 
-  /// Sub index owning group id `group`, or -1.
-  int SubOf(uint32_t group) const;
+  /// Sub index owning the first entry's group id (offset by `group_base`),
+  /// or -1 when there is no entry or no sub owns it.
+  int SubOf(const LdpReport& report, uint32_t group_base) const;
   /// The cost model's pick for this query shape (index into subs_).
   int SelectSub(std::span<const Interval> ranges) const;
 

@@ -125,30 +125,34 @@ LdpReport ScMechanism::EncodeUser(std::span<const uint32_t> values,
   return report;
 }
 
-Status ScMechanism::ValidateReport(const LdpReport& report) const {
+Status ScMechanism::ValidateReportAt(const LdpReport& report,
+                                     uint32_t group_base) const {
   if (report.entries.size() != protocols_.size()) {
     return Status::InvalidArgument("SC report must cover every (dim, level)");
   }
   // Each group's report vector must stay aligned with users_ by position.
   for (size_t i = 0; i < report.entries.size(); ++i) {
-    const auto& entry = report.entries[i];
-    if (entry.group >= protocols_.size()) {
+    const uint32_t group = report.entries[i].group - group_base;
+    if (group >= protocols_.size()) {
       return Status::OutOfRange("bad group id in SC report");
     }
-    if (entry.group != i) {
+    if (group != i) {
       return Status::InvalidArgument(
           "SC report entries must name every (dim, level) once, in order");
     }
-    LDP_RETURN_NOT_OK(protocols_[entry.group]->ValidateReport(entry.fo));
+    LDP_RETURN_NOT_OK(
+        protocols_[group]->ValidateReport(report.entries[i].fo));
   }
   return Status::OK();
 }
 
-Status ScMechanism::AddReport(const LdpReport& report, uint64_t user) {
-  LDP_RETURN_NOT_OK(ValidateReport(report));
-  for (const auto& entry : report.entries) {
-    seeds_[entry.group].push_back(entry.fo.seed);
-    ys_[entry.group].push_back(entry.fo.value);
+Status ScMechanism::AddReportAt(const LdpReport& report, uint32_t group_base,
+                                uint64_t user) {
+  LDP_RETURN_NOT_OK(ValidateReportAt(report, group_base));
+  // Validation fixed entry i to group i.
+  for (size_t g = 0; g < report.entries.size(); ++g) {
+    seeds_[g].push_back(report.entries[g].fo.seed);
+    ys_[g].push_back(report.entries[g].fo.value);
   }
   users_.push_back(user);
   ++num_reports_;

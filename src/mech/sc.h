@@ -50,8 +50,6 @@ class ScMechanism : public Mechanism {
 
   LdpReport EncodeUser(std::span<const uint32_t> values,
                        Rng& rng) const override;
-  Status AddReport(const LdpReport& report, uint64_t user) override;
-  Status ValidateReport(const LdpReport& report) const override;
   Status Merge(Mechanism&& shard) override;
   /// The one-task EstimateBoxes.
   Result<double> EstimateBox(std::span<const Interval> ranges,
@@ -64,6 +62,12 @@ class ScMechanism : public Mechanism {
   /// Per-report budget eps / sum_i h_i.
   double per_report_epsilon() const { return per_report_epsilon_; }
   int num_groups() const { return static_cast<int>(protocols_.size()); }
+
+ protected:
+  Status ValidateReportAt(const LdpReport& report,
+                          uint32_t group_base) const override;
+  Status AddReportAt(const LdpReport& report, uint32_t group_base,
+                     uint64_t user) override;
 
  private:
   ScMechanism(const Schema& schema, const MechanismParams& params);

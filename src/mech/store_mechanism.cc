@@ -4,7 +4,8 @@
 
 namespace ldp {
 
-Status StoreMechanism::ValidateReport(const LdpReport& report) const {
+Status StoreMechanism::ValidateReportAt(const LdpReport& report,
+                                        uint32_t group_base) const {
   const uint64_t groups = NumReportGroups();
   const bool one_entry = shape_ == ReportShape::kOneEntry;
   if (report.entries.size() != (one_entry ? 1 : groups)) {
@@ -15,24 +16,26 @@ Status StoreMechanism::ValidateReport(const LdpReport& report) const {
   }
   for (size_t i = 0; i < report.entries.size(); ++i) {
     const auto& entry = report.entries[i];
-    if (entry.group >= groups) {
+    const uint32_t group = entry.group - group_base;
+    if (group >= groups) {
       return Status::OutOfRange("bad group id in " +
                                 MechanismKindName(kind()) + " report");
     }
-    if (!one_entry && entry.group != i) {
+    if (!one_entry && group != i) {
       return Status::InvalidArgument(
           MechanismKindName(kind()) +
           " report entries must name every group once, in group order");
     }
-    LDP_RETURN_NOT_OK(store_.oracle(entry.group).ValidateReport(entry.fo));
+    LDP_RETURN_NOT_OK(store_.oracle(group).ValidateReport(entry.fo));
   }
   return Status::OK();
 }
 
-Status StoreMechanism::AddReport(const LdpReport& report, uint64_t user) {
-  LDP_RETURN_NOT_OK(ValidateReport(report));
+Status StoreMechanism::AddReportAt(const LdpReport& report,
+                                   uint32_t group_base, uint64_t user) {
+  LDP_RETURN_NOT_OK(ValidateReportAt(report, group_base));
   for (const auto& entry : report.entries) {
-    store_.Add(entry.group, entry.fo, user);
+    store_.Add(entry.group - group_base, entry.fo, user);
   }
   ++num_reports_;
   return Status::OK();

@@ -18,15 +18,18 @@ class StoreMechanism : public Mechanism {
     return static_cast<uint64_t>(store_.num_groups());
   }
 
-  /// Checks the report's shape (one entry naming a group, or one entry per
-  /// group in group order), every group id, and every entry's payload
-  /// against its group's oracle (FrequencyOracle::ValidateReport).
-  Status ValidateReport(const LdpReport& report) const final;
-  Status AddReport(const LdpReport& report, uint64_t user) final;
   /// Rejects a shard of another kind, including a MultiMechanism.
   Status Merge(Mechanism&& shard) final;
 
  protected:
+  /// Checks the report's shape (one entry naming a group, or one entry per
+  /// group in group order), every group id, and every entry's payload
+  /// against its group's oracle (FrequencyOracle::ValidateReport).
+  Status ValidateReportAt(const LdpReport& report,
+                          uint32_t group_base) const final;
+  Status AddReportAt(const LdpReport& report, uint32_t group_base,
+                     uint64_t user) final;
+
   /// The report shapes a store mechanism accepts.
   enum class ReportShape {
     /// One entry naming one group: the user samples a group (HIO, MG,

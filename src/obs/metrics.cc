@@ -223,6 +223,11 @@ MetricsRegistry& GlobalMetrics() {
     // histograms): recovery replays whole logs, so ns buckets would waste
     // the histogram's range. Bucket edges therefore read as ms here.
     registry->histogram("storage.recovery_ms");
+    // Durability latencies: one sample per successful WAL fsync and per
+    // written snapshot, so their counts equal storage.fsyncs and
+    // storage.snapshot_writes.
+    registry->histogram("storage.fsync_ns");
+    registry->histogram("storage.snapshot_ns");
     return registry;
   }();
   return *global;

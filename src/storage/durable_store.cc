@@ -49,7 +49,7 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
     store->last_snapshot_seq_ = snapshot.data.wal_seq;
     // Snapshot restore counts as frames toward the next automatic snapshot
     // only via future ingest; the retained sequence starts as its entries,
-    // adopted rather than copied.
+    // adopted rather than copied (a loaded section is one chunk).
     store->retained_.entries = std::move(snapshot.data.entries);
     store->retained_.entry_count = snapshot.data.entry_count;
     snapshot.data.entries.clear();

@@ -6,6 +6,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "storage/snapshot.h"
 #include "storage/wal.h"
@@ -55,9 +56,10 @@ struct RecoveryInfo {
 /// of the ingest stream. Accepted reports are additionally retained in
 /// memory (user + payload, acceptance order) so a snapshot can serialize the
 /// canonical accumulator state without reaching into mechanism internals.
-/// They are retained as the snapshot's own entry section — one byte string
-/// in the on-disk encoding — so retaining a report is an append, a snapshot
-/// writes the section as it is, and Open adopts a loaded snapshot's section.
+/// They are retained as the snapshot's own entry section — append-only
+/// chunks in the on-disk encoding — so retaining a report is an append that
+/// never moves earlier bytes, a snapshot streams the chunks as they are, and
+/// Open adopts a loaded snapshot's section as the first chunk.
 ///
 /// Retention: writing snapshot S_new rotates the WAL and deletes segments
 /// covered by the *previous* snapshot S_prev, and snapshot files older than
@@ -111,9 +113,12 @@ class DurableStore {
   void set_recovery_ms(uint64_t ms) { recovery_info_.recovery_ms = ms; }
   uint64_t retained_entries() const { return retained_.entry_count; }
   /// The retained accepted sequence in snapshot entry encoding, in
-  /// acceptance order (walk it with NextSnapshotEntry). Views are
-  /// invalidated by the next RetainAccepted.
-  std::string_view retained_section() const { return retained_.entries; }
+  /// acceptance order: chunks of whole entries (walk each with
+  /// NextSnapshotEntry). RetainAccepted only appends, so views into a chunk
+  /// stay valid.
+  const std::vector<std::string>& retained_section() const {
+    return retained_.entries;
+  }
   Wal& wal() { return *wal_; }
 
  private:

@@ -1,6 +1,7 @@
 #include "storage/snapshot.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "common/coding.h"
@@ -25,12 +26,14 @@ struct SnapshotCounters {
   Counter* writes;
   Counter* failures;
   Counter* quarantined;
+  LatencyHistogram* write_ns;
 };
 const SnapshotCounters& SnapshotMetrics() {
   static const SnapshotCounters counters = {
       GlobalMetrics().counter("storage.snapshot_writes"),
       GlobalMetrics().counter("storage.snapshot_failures"),
       GlobalMetrics().counter("storage.snapshot_quarantined"),
+      GlobalMetrics().histogram("storage.snapshot_ns"),
   };
   return counters;
 }
@@ -44,30 +47,37 @@ bool ParseSnapshotName(std::string_view name, uint64_t* wal_seq) {
   return HexToSeq(name.substr(kPrefix.size(), 16), wal_seq);
 }
 
-std::string EncodeSnapshot(const SnapshotData& data) {
-  std::string file;
-  file.reserve(kSnapshotHeaderBytes + kBodyFixedBytes + data.spec.size() +
-               data.entries.size());
-  file.append(kSnapshotMagic);
-  file.push_back(static_cast<char>(kSnapshotVersion));
-  file.append(3, '\0');
-  file.append(8, '\0');  // checksum, patched in once the body is encoded
-  PutU64(&file, data.wal_seq);
-  PutU64(&file, data.accepted);
-  PutU64(&file, data.duplicate);
-  PutU64(&file, data.corrupt);
-  PutU64(&file, data.rejected);
-  PutU32(&file, static_cast<uint32_t>(data.spec.size()));
-  file.append(data.spec);
-  PutU64(&file, data.entry_count);
-  file.append(data.entries);
-  EncodeU64(file.data() + 8,
-            Checksum64(std::string_view(file).substr(kSnapshotHeaderBytes)));
-  return file;
+/// The file up to its entry section (header, then the body's fixed fields
+/// and spec), its checksum field patched in: the checksum runs piecewise
+/// over the body's part here and then every section chunk.
+std::string EncodeSnapshotHead(const SnapshotData& data) {
+  std::string head;
+  head.reserve(kSnapshotHeaderBytes + kBodyFixedBytes + data.spec.size());
+  head.append(kSnapshotMagic);
+  head.push_back(static_cast<char>(kSnapshotVersion));
+  head.append(3, '\0');
+  head.append(8, '\0');  // checksum, patched in below
+  PutU64(&head, data.wal_seq);
+  PutU64(&head, data.accepted);
+  PutU64(&head, data.duplicate);
+  PutU64(&head, data.corrupt);
+  PutU64(&head, data.rejected);
+  PutU32(&head, static_cast<uint32_t>(data.spec.size()));
+  head.append(data.spec);
+  PutU64(&head, data.entry_count);
+  const std::string_view body_head =
+      std::string_view(head).substr(kSnapshotHeaderBytes);
+  uint64_t body_bytes = body_head.size();
+  for (const std::string& chunk : data.entries) body_bytes += chunk.size();
+  Checksum64Stream checksum(body_bytes);
+  checksum.Update(body_head);
+  for (const std::string& chunk : data.entries) checksum.Update(chunk);
+  EncodeU64(head.data() + 8, checksum.Finish());
+  return head;
 }
 
 /// Validates a snapshot file and decodes it; the returned entry section is
-/// `bytes` itself with the header and prefix erased in place.
+/// one chunk, `bytes` itself with the header and prefix erased in place.
 Result<SnapshotData> DecodeSnapshot(std::string bytes) {
   const std::string_view file = bytes;
   if (file.size() < kSnapshotHeaderBytes ||
@@ -116,9 +126,11 @@ Result<SnapshotData> DecodeSnapshot(std::string bytes) {
   if (entry_pos != section.size()) {
     return Status::ParseError("snapshot carries trailing bytes");
   }
-  const size_t section_offset = kSnapshotHeaderBytes + pos;
-  data.entries = std::move(bytes);
-  data.entries.erase(0, section_offset);
+  if (!section.empty()) {
+    const size_t section_offset = kSnapshotHeaderBytes + pos;
+    data.entries.push_back(std::move(bytes));
+    data.entries.back().erase(0, section_offset);
+  }
   return data;
 }
 
@@ -126,15 +138,21 @@ Result<SnapshotData> DecodeSnapshot(std::string bytes) {
 
 void AppendSnapshotEntry(SnapshotData* data, uint64_t user,
                          std::string_view payload) {
-  PutU64(&data->entries, user);
-  PutU32(&data->entries, static_cast<uint32_t>(payload.size()));
-  data->entries.append(payload);
+  const size_t bytes = 12 + payload.size();
+  if (data->entries.empty() ||
+      data->entries.back().capacity() - data->entries.back().size() < bytes) {
+    data->entries.emplace_back().reserve(std::max(kSnapshotChunkBytes, bytes));
+  }
+  std::string& chunk = data->entries.back();
+  PutU64(&chunk, user);
+  PutU32(&chunk, static_cast<uint32_t>(payload.size()));
+  chunk.append(payload);
   ++data->entry_count;
 }
 
-bool NextSnapshotEntry(std::string_view entries, size_t* pos,
+bool NextSnapshotEntry(std::string_view chunk, size_t* pos,
                        SnapshotEntry* entry) {
-  const std::string_view rest = entries.substr(*pos);
+  const std::string_view rest = chunk.substr(*pos);
   if (rest.size() < 12) return false;
   const uint32_t len = GetU32(rest.substr(8, 4));
   if (rest.size() - 12 < len) return false;
@@ -150,13 +168,17 @@ std::string SnapshotFileName(uint64_t wal_seq) {
 
 Status WriteSnapshotFile(Fs& fs, const std::string& dir,
                          const SnapshotData& data) {
+  const auto start = std::chrono::steady_clock::now();
   const std::string final_path = JoinPath(dir, SnapshotFileName(data.wal_seq));
   const std::string tmp_path = final_path + ".tmp";
-  const std::string bytes = EncodeSnapshot(data);
+  const std::string head = EncodeSnapshotHead(data);
 
   const Status written = [&]() -> Status {
     LDP_ASSIGN_OR_RETURN(auto file, fs.OpenAppend(tmp_path));
-    LDP_RETURN_NOT_OK(file->Append(bytes));
+    LDP_RETURN_NOT_OK(file->Append(head));
+    for (const std::string& chunk : data.entries) {
+      if (!chunk.empty()) LDP_RETURN_NOT_OK(file->Append(chunk));
+    }
     // Snapshots are always synced before the rename publishes them,
     // whatever the WAL's fsync policy: the atomic rename must never expose
     // a file whose bytes could still be lost.
@@ -170,6 +192,10 @@ Status WriteSnapshotFile(Fs& fs, const std::string& dir,
     return written;
   }
   SnapshotMetrics().writes->Add(1);
+  SnapshotMetrics().write_ns->Record(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count()));
   return Status::OK();
 }
 

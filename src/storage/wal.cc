@@ -1,6 +1,7 @@
 #include "storage/wal.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "common/coding.h"
 #include "common/hash.h"
@@ -28,6 +29,7 @@ struct WalCounters {
   Counter* torn_tails;
   Counter* corrupt_drops;
   Counter* segments_deleted;
+  LatencyHistogram* fsync_ns;
 };
 const WalCounters& WalMetrics() {
   static const WalCounters counters = {
@@ -37,6 +39,7 @@ const WalCounters& WalMetrics() {
       GlobalMetrics().counter("storage.wal_torn_tails"),
       GlobalMetrics().counter("storage.wal_corrupt_drops"),
       GlobalMetrics().counter("storage.wal_segments_deleted"),
+      GlobalMetrics().histogram("storage.fsync_ns"),
   };
   return counters;
 }
@@ -346,12 +349,17 @@ Status Wal::Append(std::span<const WalFrameRef> frames) {
 Status Wal::SyncNow() {
   appends_since_sync_ = 0;
   if (file_ == nullptr) return Status::OK();
+  const auto start = std::chrono::steady_clock::now();
   const Status synced = file_->Sync();
   if (!synced.ok()) {
     rotate_needed_ = true;
     return synced;
   }
   WalMetrics().fsyncs->Add(1);
+  WalMetrics().fsync_ns->Record(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count()));
   return Status::OK();
 }
 

@@ -88,7 +88,8 @@ class Wal {
   Status Append(std::span<const WalFrameRef> frames);
 
   /// Forces an fsync of the current segment now (used at graceful close and
-  /// by kBatch on rotation).
+  /// by kBatch on rotation). A successful one is counted in storage.fsyncs
+  /// and timed in the storage.fsync_ns histogram.
   Status SyncNow();
 
   /// Closes the current segment and starts a new one at next_seq — called

@@ -1,10 +1,15 @@
 // The contract every mechanism kind meets at its boundary, checked once for
 // all 8 kinds: Create's preconditions, the name aliases, report-shape
 // rejection without side effects, Merge's refusal of foreign shards, and
-// the typed errors of EstimateBox / VarianceBound on malformed boxes.
+// the typed errors of EstimateBox / VarianceBound on malformed boxes. A
+// MultiMechanism meets the report part too: it reads reports in place
+// (the caller's report is unchanged) and rejects empty, out-of-range and
+// sub-spanning reports without touching any sub.
 
 #include <cctype>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -177,6 +182,130 @@ TEST_P(MechanismContractTest, MalformedBoxesAreTypedErrors) {
   EXPECT_TRUE(mech->EstimateBox(full, w).ok());
   EXPECT_TRUE(mech->VarianceBound(full, w).ok());
 }
+
+/// A MultiMechanism over `kinds` on the 3-dim schema, holding one honest
+/// report (user 0).
+std::unique_ptr<MultiMechanism> MultiWithOneReport(
+    std::span<const MechanismKind> kinds) {
+  const Schema schema = SchemaFor(MechanismKind::kHi);
+  auto multi = MultiMechanism::Create(schema, Params(), kinds).ValueOrDie();
+  Rng rng(3);
+  const std::vector<uint32_t> values(schema.sensitive_dims().size(), 1);
+  EXPECT_TRUE(multi->AddReport(multi->EncodeUser(values, rng), 0).ok());
+  return multi;
+}
+
+/// The index of the sub owning `report`'s first entry.
+int OwnerOf(const MultiMechanism& multi, const LdpReport& report) {
+  uint64_t end = 0;
+  for (int i = 0; i < multi.num_sub_mechanisms(); ++i) {
+    end += multi.sub(i).NumReportGroups();
+    if (report.entries[0].group < end) return i;
+  }
+  return -1;
+}
+
+/// One honest report owned by each sub, encoded with `rng`.
+std::vector<LdpReport> OneReportPerSub(const MultiMechanism& multi, Rng& rng) {
+  const std::vector<uint32_t> values(
+      multi.schema().sensitive_dims().size(), 2);
+  std::vector<LdpReport> reports(multi.num_sub_mechanisms());
+  std::vector<bool> found(reports.size(), false);
+  for (size_t left = reports.size(); left > 0;) {
+    LdpReport report = multi.EncodeUser(values, rng);
+    const int sub = OwnerOf(multi, report);
+    if (!found[sub]) {
+      found[sub] = true;
+      reports[sub] = std::move(report);
+      --left;
+    }
+  }
+  return reports;
+}
+
+class MultiContractTest
+    : public ::testing::TestWithParam<std::vector<MechanismKind>> {};
+
+TEST_P(MultiContractTest, ReportsAreReadInPlace) {
+  auto multi = MultiWithOneReport(GetParam());
+  Rng rng(5);
+  const std::vector<uint32_t> values(
+      multi->schema().sensitive_dims().size(), 3);
+  for (uint64_t user = 1; user <= 24; ++user) {
+    const LdpReport report = multi->EncodeUser(values, rng);
+    const LdpReport before = report;
+    EXPECT_TRUE(multi->ValidateReport(report).ok());
+    EXPECT_EQ(report, before);
+    EXPECT_TRUE(multi->AddReport(report, user).ok());
+    EXPECT_EQ(report, before);
+  }
+  // A rejected report is left as it was too.
+  LdpReport bad = multi->EncodeUser(values, rng);
+  bad.entries.back().group = static_cast<uint32_t>(multi->NumReportGroups());
+  const LdpReport before = bad;
+  EXPECT_FALSE(multi->ValidateReport(bad).ok());
+  EXPECT_FALSE(multi->AddReport(bad, 99).ok());
+  EXPECT_EQ(bad, before);
+  EXPECT_EQ(multi->num_reports(), 25u);
+}
+
+TEST_P(MultiContractTest, MalformedReportsChangeNothing) {
+  auto multi = MultiWithOneReport(GetParam());
+  Rng rng(6);
+  const std::vector<LdpReport> honest = OneReportPerSub(*multi, rng);
+
+  LdpReport empty;
+  LdpReport bad_group = honest[0];
+  bad_group.entries[0].group = static_cast<uint32_t>(multi->NumReportGroups());
+  // Entries owned by two subs, the first entry's owner either way round:
+  // another sub's entry appended, or (for subs reporting on every group)
+  // in place of the last entry.
+  std::vector<LdpReport> spanning;
+  for (const auto& [first, second] : {std::pair{0, 1}, std::pair{1, 0}}) {
+    LdpReport appended = honest[first];
+    appended.entries.push_back(honest[second].entries[0]);
+    spanning.push_back(appended);
+    if (honest[first].entries.size() > 1) {
+      LdpReport replaced = honest[first];
+      replaced.entries.back() = honest[second].entries[0];
+      spanning.push_back(replaced);
+    }
+  }
+
+  EXPECT_EQ(multi->ValidateReport(empty).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(multi->AddReport(empty, 1).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(multi->AddReport(bad_group, 1).code(), StatusCode::kOutOfRange);
+  for (const LdpReport& spans : spanning) {
+    EXPECT_FALSE(multi->ValidateReport(spans).ok());
+    EXPECT_FALSE(multi->AddReport(spans, 1).ok());
+  }
+  EXPECT_EQ(multi->num_reports(), 1u);
+  uint64_t sub_reports = 0;
+  for (int i = 0; i < multi->num_sub_mechanisms(); ++i) {
+    sub_reports += multi->sub(i).num_reports();
+  }
+  EXPECT_EQ(sub_reports, 1u);
+  for (uint64_t i = 0; i < honest.size(); ++i) {
+    EXPECT_TRUE(multi->AddReport(honest[i], 1 + i).ok());
+  }
+  EXPECT_EQ(multi->num_reports(), 1 + honest.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Compositions, MultiContractTest,
+    ::testing::Values(
+        // One-entry subs (the perfbench collect and dashboard spec).
+        std::vector<MechanismKind>{MechanismKind::kHio, MechanismKind::kHdg,
+                                   MechanismKind::kMg},
+        // Subs that report on every group.
+        std::vector<MechanismKind>{MechanismKind::kHi, MechanismKind::kSc}),
+    [](const ::testing::TestParamInfo<std::vector<MechanismKind>>& info) {
+      std::string name;
+      for (const MechanismKind kind : info.param) {
+        name += MechanismKindName(kind);
+      }
+      return name;
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, MechanismContractTest,

@@ -128,18 +128,6 @@ TEST(HaarTest, UnbiasedOnRangeQueries) {
   EXPECT_LT(mse, mech->VarianceBound(ranges, w).ValueOrDie() * 1.5);
 }
 
-TEST(HaarTest, ValidatesInputs) {
-  auto mech = HaarMechanism::Create(OneDimSchema(16), Params(1.0)).ValueOrDie();
-  const WeightVector w = WeightVector::Ones(0);
-  const std::vector<Interval> two = {{0, 3}, {0, 3}};
-  EXPECT_FALSE(mech->EstimateBox(two, w).ok());
-  const std::vector<Interval> oob = {{0, 16}};
-  EXPECT_FALSE(mech->EstimateBox(oob, w).ok());
-  LdpReport bad;
-  bad.entries.push_back({99, {}});
-  EXPECT_FALSE(mech->AddReport(bad, 0).ok());
-}
-
 TEST(HaarTest, FactoryBuildsIt) {
   auto mech =
       CreateMechanism(MechanismKind::kHaar, OneDimSchema(16), Params(1.0));

@@ -70,15 +70,6 @@ TEST(HiMechanismTest, AddReportValidates) {
   EXPECT_EQ(mech->num_reports(), 0u);
 }
 
-TEST(HiMechanismTest, EstimateBoxValidatesRanges) {
-  auto mech = HiMechanism::Create(OneDimSchema(16), Params(1.0)).ValueOrDie();
-  const WeightVector w = WeightVector::Ones(0);
-  const std::vector<Interval> too_many = {{0, 3}, {0, 3}};
-  EXPECT_FALSE(mech->EstimateBox(too_many, w).ok());
-  const std::vector<Interval> bad = {{0, 16}};
-  EXPECT_FALSE(mech->EstimateBox(bad, w).ok());
-}
-
 // Unbiasedness of the full pipeline (Theorem 6): over repeated collections,
 // the mean estimate approaches the exact weighted box total and the MSE
 // respects the theorem's bound.

@@ -59,17 +59,6 @@ TEST(MgMechanismTest, AddReportValidates) {
   EXPECT_FALSE(mech->AddReport(two, 0).ok());
 }
 
-TEST(MgMechanismTest, EstimateBoxValidates) {
-  auto mech = MgMechanism::Create(TwoDimSchema(16, 8), Params(1.0)).ValueOrDie();
-  const WeightVector w = WeightVector::Ones(0);
-  const std::vector<Interval> wrong = {{0, 15}};
-  EXPECT_FALSE(mech->EstimateBox(wrong, w).ok());
-  const std::vector<Interval> bad = {{0, 16}, {0, 7}};
-  EXPECT_FALSE(mech->EstimateBox(bad, w).ok());
-  const std::vector<Interval> empty = {{3, 2}, {0, 7}};
-  EXPECT_FALSE(mech->EstimateBox(empty, w).ok());
-}
-
 TEST(MgMechanismTest, BoxCellCapEnforced) {
   Schema schema;
   ASSERT_TRUE(schema.AddOrdinal("d1", 1 << 13).ok());

@@ -8,7 +8,10 @@
 // constrained dimension, two with partially covered cells, and three or
 // four (the greedy product cover). Every check runs at 1 and 4 threads with
 // the estimate cache off and on (the cached pass is read twice, so the
-// second read is served from the cache).
+// second read is served from the cache). MultiMechanism(HIO, HDG, MG) is
+// pinned the same way through EstimateBoxWith / VarianceBoundWith for each
+// of its kinds, with values recorded before Multi routed reports to its
+// subs without rebasing a copy.
 
 #include <bit>
 #include <cstdio>
@@ -20,6 +23,7 @@
 
 #include "exec/execution_context.h"
 #include "mech/factory.h"
+#include "mech/multi.h"
 
 namespace ldp {
 namespace {
@@ -240,6 +244,99 @@ TEST_P(PinnedBitsTest, EstimatesKeepTheirBits) {
       }
     }
     mech->set_execution_context(nullptr);
+  }
+}
+
+/// MultiMechanism(HIO, HDG, MG) over the 4-dim schema, pooled OLH: per kind,
+/// EstimateBoxWith for every box, then VarianceBoundWith for every box.
+std::vector<double> EvaluateMulti(const MultiMechanism& multi,
+                                  const std::vector<std::vector<Interval>>& boxes,
+                                  const WeightVector& w) {
+  std::vector<double> out;
+  for (const MechanismKind kind : multi.kinds()) {
+    for (const auto& box : boxes) {
+      const auto estimate = multi.EstimateBoxWith(kind, box, w);
+      EXPECT_TRUE(estimate.ok()) << estimate.status().ToString();
+      out.push_back(estimate.ok() ? estimate.value() : 0.0);
+    }
+    for (const auto& box : boxes) {
+      const auto bound = multi.VarianceBoundWith(kind, box, w);
+      EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+      out.push_back(bound.ok() ? bound.value() : 0.0);
+    }
+  }
+  return out;
+}
+
+/// The recorded bits of MultiPinnedBitsTest.
+const std::vector<double>& PinnedMulti() {
+  static const auto* pinned = new std::vector<double>{
+      // HIO: estimates, then variance bounds.
+      0x1.df37f510d59edp+10, 0x1.945736c6343ep+11, -0x1.150c59adbb8p+13,
+      0x1.02542a1b1327ap+12, -0x1.150c59adbb7fdp+12, 0x1.24061956422ccp+13,
+      0x1.141cbdb33314fp+14, 0x1.1b10a9e737c3cp+23, 0x1.2d31cf1ad3a5bp+25,
+      0x1.73c535666f879p+28, 0x1.45e00bdad3a5bp+24, 0x1.20dab0bad3a5bp+26,
+      0x1.a4f0eab83d787p+27, 0x1.d5b3ce9145278p+28,
+      // HDG: estimates, then variance bounds.
+      0x1.7e8298a727e69p+10, 0x1.3dec52c2d81ap+10, 0x1.a26a3a4e11a09p+11,
+      0x1.3c26b1ace2438p+8, 0x1.d85aedda6a7ccp+5, 0x1.69d60486f9fcp+5, 0x0p+0,
+      0x1.e74678420b696p+23, 0x1.e74678420b696p+23, 0x1.e74678420b696p+23,
+      0x1.e74678420b696p+23, 0x1.4da80a815cf0ep+24, 0x1.e74678420b696p+24,
+      0x1.4da80a815cf0ep+24,
+      // MG: estimates, then variance bounds.
+      0x1.45d2a81f0e92cp+14, -0x1.15e1561aa68b4p+10, 0x1.d03e35684ef26p+11,
+      0x1.c2ee6e999e583p+11, 0x1.5a1a30fdef946p+8, -0x1.a84ee0fc3d24p+10,
+      -0x1.01e9abe49da1ep+10, 0x1.8011a235b42d2p+29, 0x1.e01a36a221387p+28,
+      0x1.cce668ea0b696p+28, 0x1.71086b0e6f879p+25, 0x1.59bab641888f1p+27,
+      0x1.0ceb7f613152dp+27, 0x1.bbbf8ebc5e2f1p+26
+  };
+  return *pinned;
+}
+
+TEST(MultiPinnedBitsTest, EstimateBoxWithKeepsItsBits) {
+  const Schema schema = SchemaFor(MechanismKind::kHio);
+  const MechanismKind kinds[] = {MechanismKind::kHio, MechanismKind::kHdg,
+                                 MechanismKind::kMg};
+  auto multi =
+      MultiMechanism::Create(schema, ParamsFor(16), kinds).ValueOrDie();
+  const size_t d = schema.sensitive_dims().size();
+  Rng data_rng(17);
+  Rng client_rng(29);
+  std::vector<double> weights(kUsers);
+  for (uint64_t u = 0; u < kUsers; ++u) {
+    std::vector<uint32_t> values(d);
+    for (size_t i = 0; i < d; ++i) {
+      values[i] = static_cast<uint32_t>(data_rng.UniformInt(
+          schema.attribute(schema.sensitive_dims()[i]).domain_size));
+    }
+    weights[u] = 1.0 + 0.5 * static_cast<double>(u % 4);
+    ASSERT_TRUE(
+        multi->AddReport(multi->EncodeUser(values, client_rng), u).ok());
+  }
+  const WeightVector w(weights);
+  const auto boxes = BoxesFor(MechanismKind::kHio);
+
+  const std::vector<double>& expected = PinnedMulti();
+  ASSERT_FALSE(expected.empty())
+      << "no pinned bits; actual:\n" << Format(EvaluateMulti(*multi, boxes, w));
+  for (const int threads : {1, 4}) {
+    const ExecutionContext exec(threads);
+    multi->set_execution_context(&exec);
+    for (const bool cache : {false, true}) {
+      multi->EnableEstimateCache(cache ? 3 << 20 : 0);
+      for (int pass = 0; pass < (cache ? 2 : 1); ++pass) {
+        const std::vector<double> got = EvaluateMulti(*multi, boxes, w);
+        ASSERT_EQ(got.size(), expected.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(got[i]),
+                    std::bit_cast<uint64_t>(expected[i]))
+              << "Multi value " << i << " threads " << threads << " cache "
+              << cache << " pass " << pass << ": got " << Format({got[i]})
+              << ", pinned " << Format({expected[i]});
+        }
+      }
+    }
+    multi->set_execution_context(nullptr);
   }
 }
 

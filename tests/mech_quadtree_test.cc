@@ -78,16 +78,6 @@ TEST(QuadTreeTest, AddReportValidates) {
   EXPECT_FALSE(mech->AddReport(empty, 0).ok());
 }
 
-TEST(QuadTreeTest, EstimateBoxValidates) {
-  auto mech =
-      QuadTreeMechanism::Create(TwoDimSchema(16, 16), Params(1.0)).ValueOrDie();
-  const WeightVector w = WeightVector::Ones(0);
-  const std::vector<Interval> one = {{0, 15}};
-  EXPECT_FALSE(mech->EstimateBox(one, w).ok());
-  const std::vector<Interval> oob = {{0, 16}, {0, 15}};
-  EXPECT_FALSE(mech->EstimateBox(oob, w).ok());
-}
-
 TEST(QuadTreeTest, UnbiasedOnTwoDimBox) {
   const double eps = 2.0;
   const uint64_t n = 4000;

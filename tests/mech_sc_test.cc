@@ -122,15 +122,6 @@ TEST(ScMechanismTest, LowDimQueryUnbiased) {
   EXPECT_NEAR(sum_est / runs, truth, 4.0 * std::sqrt(mse / runs) + 1e-9);
 }
 
-TEST(ScMechanismTest, EstimateBoxValidatesRanges) {
-  auto mech = ScMechanism::Create(FourDimSchema(8), Params(1.0)).ValueOrDie();
-  const WeightVector w = WeightVector::Ones(0);
-  const std::vector<Interval> wrong_arity = {{0, 7}};
-  EXPECT_FALSE(mech->EstimateBox(wrong_arity, w).ok());
-  const std::vector<Interval> out_of_domain = {{0, 8}, {0, 7}, {0, 3}, {0, 2}};
-  EXPECT_FALSE(mech->EstimateBox(out_of_domain, w).ok());
-}
-
 // The conjunctive-estimator factors satisfy E[c(A) | B] = B: over encoding
 // randomness, a user holding the value averages to 1, any other user to 0.
 TEST(ScMechanismTest, ConjunctiveFactorsCalibrated) {

@@ -17,9 +17,11 @@
 
 #include "data/generator.h"
 #include "engine/engine.h"
+#include "engine/protocol.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "plan/weights.h"
+#include "storage/fault_fs.h"
 
 namespace ldp {
 namespace {
@@ -677,6 +679,60 @@ TEST(WeightStoreMetricsTest, HitsPlusBuildsCountGetsAndGaugeTracksResidency) {
     EXPECT_EQ(resident->value(), prior + kCap * vector_bytes);
   }
   EXPECT_EQ(resident->value(), prior);
+}
+
+// Durability latencies are always on: both histograms are in every
+// snapshot, and they take one sample per successful WAL fsync and per
+// written snapshot, so their counts move with storage.fsyncs and
+// storage.snapshot_writes.
+TEST(DurabilityMetricsTest, LatencyCountsEqualFsyncAndSnapshotCounters) {
+  GlobalMetrics().set_enabled(true);
+  const auto registered = GlobalMetrics().TakeSnapshot().histograms;
+  EXPECT_TRUE(registered.contains("storage.fsync_ns"));
+  EXPECT_TRUE(registered.contains("storage.snapshot_ns"));
+
+  LatencyHistogram* fsync_ns = GlobalMetrics().histogram("storage.fsync_ns");
+  LatencyHistogram* snapshot_ns =
+      GlobalMetrics().histogram("storage.snapshot_ns");
+  Counter* fsyncs = GlobalMetrics().counter("storage.fsyncs");
+  Counter* snapshots = GlobalMetrics().counter("storage.snapshot_writes");
+  const uint64_t fsync_samples = fsync_ns->count();
+  const uint64_t snapshot_samples = snapshot_ns->count();
+  const uint64_t fsyncs_before = fsyncs->value();
+  const uint64_t snapshots_before = snapshots->value();
+
+  Schema schema;
+  ASSERT_TRUE(schema.AddOrdinal("age", 16).ok());
+  MechanismParams params;
+  params.epsilon = 2.0;
+  const CollectionSpec spec =
+      CollectionSpec::FromSchema(schema, MechanismKind::kHio, params);
+  const LdpClient client = LdpClient::Create(spec).ValueOrDie();
+  FaultFs fs;
+  StorageOptions storage;
+  storage.dir = "/campaign";
+  storage.fs = &fs;
+  storage.sync = WalSyncPolicy::kAlways;
+  storage.snapshot_every_frames = 8;
+  {
+    CollectionServer server =
+        CollectionServer::CreateDurable(spec, storage).ValueOrDie();
+    Rng rng(5);
+    for (uint64_t user = 0; user < 40; ++user) {
+      const uint32_t value = static_cast<uint32_t>(user % 16);
+      const std::string frame =
+          client.EncodeUser(std::span<const uint32_t>(&value, 1), rng)
+              .ValueOrDie();
+      ASSERT_TRUE(server.Ingest(frame, user).ok());
+    }
+    ASSERT_TRUE(server.Flush().ok());
+  }
+  const uint64_t synced = fsyncs->value() - fsyncs_before;
+  const uint64_t written = snapshots->value() - snapshots_before;
+  EXPECT_GE(synced, 40u);  // one per append under kAlways
+  EXPECT_EQ(written, 5u);
+  EXPECT_EQ(fsync_ns->count() - fsync_samples, synced);
+  EXPECT_EQ(snapshot_ns->count() - snapshot_samples, written);
 }
 
 }  // namespace

@@ -420,6 +420,93 @@ TEST(StorageRecoveryTest, ReopenedServerWritesTheSameNextSnapshot) {
   EXPECT_EQ(restarted_fs.ReadFileToString(name).ValueOrDie(), steady);
 }
 
+// The same, with a retained section of many chunks: HI reports over OUE
+// (~250 bytes each) in batches sized so that the snapshot at WAL seq 6
+// holds more than 4 chunks. The restarted server's section is the adopted
+// snapshot (one chunk) plus the chunks it appended since, so its chunk
+// borders differ from the steady server's; its restored estimates must
+// equal those of a server that never restarted, and its next snapshot the
+// steady server's bytes.
+TEST(StorageRecoveryTest, ManyChunkSectionRecoversAndWritesTheSameSnapshot) {
+  MechanismParams params;
+  params.epsilon = 2.0;
+  params.fo_kind = FoKind::kOue;
+  const CollectionSpec spec =
+      CollectionSpec::FromSchema(TestSchema(), MechanismKind::kHi, params);
+  const LdpClient client = LdpClient::Create(spec).ValueOrDie();
+  Rng rng(43);
+  const auto encode = [&](uint64_t i) {
+    const std::vector<uint32_t> values = {static_cast<uint32_t>(i % 54),
+                                          static_cast<uint32_t>(i % 6)};
+    return client.EncodeUser(values, rng).ValueOrDie();
+  };
+  std::vector<std::string> bytes = {encode(0)};
+  const uint64_t entry_bytes = 12 + bytes[0].size() - kReportFrameHeaderBytes;
+  const uint64_t batch = 4 * kSnapshotChunkBytes / (5 * entry_bytes) + 1;
+  for (uint64_t i = 1; i < 6 * batch; ++i) bytes.push_back(encode(i));
+  std::vector<CollectionServer::ReportFrame> frames;
+  for (uint64_t i = 0; i < bytes.size(); ++i) frames.push_back({bytes[i], i});
+  const std::span<const CollectionServer::ReportFrame> all(frames);
+  const auto ingest = [&](CollectionServer& server, uint64_t first_batch,
+                          uint64_t end_batch) {
+    for (uint64_t b = first_batch; b < end_batch; ++b) {
+      ASSERT_TRUE(server.IngestBatch(all.subspan(b * batch, batch)).ok());
+    }
+  };
+  const WeightVector weights = WeightVector::Ones(bytes.size());
+  const auto estimates = [&](const CollectionServer& server) {
+    std::vector<double> out;
+    for (const auto& box : QueryBoxes()) {
+      out.push_back(server.EstimateBox(box, weights).ValueOrDie());
+    }
+    return out;
+  };
+
+  FaultFs steady_fs;
+  {
+    CollectionServer server =
+        CollectionServer::CreateDurable(spec, MakeStorage(&steady_fs,
+                                                          2 * batch),
+                                        /*num_threads=*/4)
+            .ValueOrDie();
+    ingest(server, 0, 6);
+  }
+  CollectionServer never_restarted =
+      CollectionServer::Create(spec, /*num_threads=*/4).ValueOrDie();
+  ingest(never_restarted, 0, 3);
+  FaultFs restarted_fs;
+  {
+    CollectionServer server =
+        CollectionServer::CreateDurable(spec, MakeStorage(&restarted_fs,
+                                                          2 * batch),
+                                        /*num_threads=*/4)
+            .ValueOrDie();
+    ingest(server, 0, 3);
+  }
+  {
+    CollectionServer server =
+        CollectionServer::CreateDurable(spec, MakeStorage(&restarted_fs,
+                                                          3 * batch),
+                                        /*num_threads=*/4)
+            .ValueOrDie();
+    ASSERT_TRUE(server.recovery_info()->snapshot_loaded);
+    EXPECT_EQ(server.recovery_info()->snapshot_wal_seq, 2u);
+    EXPECT_EQ(server.recovery_info()->replayed_records, 1u);
+    EXPECT_EQ(server.num_reports(), never_restarted.num_reports());
+    const std::vector<double> restored = estimates(server);
+    const std::vector<double> expected = estimates(never_restarted);
+    for (size_t b = 0; b < expected.size(); ++b) {
+      EXPECT_EQ(restored[b], expected[b]) << "box " << b;
+    }
+    ingest(server, 3, 6);
+  }
+
+  const std::string name = JoinPath(kDir, SnapshotFileName(6));
+  const std::string steady = steady_fs.ReadFileToString(name).ValueOrDie();
+  EXPECT_GT(steady.size(), 4 * kSnapshotChunkBytes);
+  EXPECT_EQ(restarted_fs.ReadFileToString(name).ValueOrDie(), steady);
+}
+
 TEST(StorageRecoveryTest, WalWithOnlyATornFinalRecordRecoversEmpty) {
   const Workload w = MakeWorkload(2);
   FaultFs fs;

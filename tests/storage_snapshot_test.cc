@@ -1,15 +1,21 @@
 // Snapshot file tests: checksummed roundtrip, the file bytes pinned,
 // quarantine-and-fall-back on corruption (flipped header byte, malformed
 // entry section), spec mismatch refusal, retention deletes, and .tmp
-// leftovers being invisible to recovery.
+// leftovers being invisible to recovery. The writer streams the entry
+// section chunk by chunk, so its piecewise checksum must equal Checksum64
+// of the whole file body however the bytes are split.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/coding.h"
+#include "common/hash.h"
+#include "common/random.h"
 #include "storage/fault_fs.h"
 #include "storage/snapshot.h"
 
@@ -39,13 +45,15 @@ Status Write(Fs& fs, const SnapshotData& data) {
   return WriteSnapshotFile(fs, kDir, data);
 }
 
-/// The entries of a section, copied out of it, in order.
+/// The entries of a section, copied out of its chunks, in order.
 std::vector<std::pair<uint64_t, std::string>> Entries(
-    std::string_view section) {
+    const std::vector<std::string>& chunks) {
   std::vector<std::pair<uint64_t, std::string>> entries;
   SnapshotEntry entry;
-  for (size_t pos = 0; NextSnapshotEntry(section, &pos, &entry);) {
-    entries.emplace_back(entry.user, std::string(entry.payload));
+  for (const std::string& chunk : chunks) {
+    for (size_t pos = 0; NextSnapshotEntry(chunk, &pos, &entry);) {
+      entries.emplace_back(entry.user, std::string(entry.payload));
+    }
   }
   return entries;
 }
@@ -119,9 +127,9 @@ TEST(SnapshotTest, MalformedEntrySectionIsQuarantined) {
   for (const bool cut_short : {true, false}) {
     SnapshotData data = MakeData(/*wal_seq=*/5, /*accepted=*/2);
     if (cut_short) {
-      data.entries.pop_back();
+      data.entries.back().pop_back();
     } else {
-      data.entries.push_back('x');
+      data.entries.back().push_back('x');
     }
     FaultFs fs;
     ASSERT_TRUE(fs.CreateDir(kDir).ok());
@@ -130,6 +138,70 @@ TEST(SnapshotTest, MalformedEntrySectionIsQuarantined) {
     EXPECT_FALSE(load.loaded) << cut_short;
     EXPECT_EQ(load.quarantined, 1u) << cut_short;
   }
+}
+
+// Random strings split at random: empty pieces, pieces of 1-15 bytes (so
+// cuts fall inside 8-byte words, and a word can span three pieces), and
+// longer ones; then every cut of a 24-byte string into two and three pieces.
+TEST(Checksum64StreamTest, PiecewiseEqualsChecksum64OfTheConcatenation) {
+  Rng rng(77);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t len = rng.UniformInt(trial < 1000 ? 40 : 400);
+    std::string bytes(len, '\0');
+    for (char& c : bytes) c = static_cast<char>(rng.UniformInt(256));
+    Checksum64Stream stream(len);
+    size_t pos = 0;
+    do {
+      const uint64_t kind = rng.UniformInt(4);
+      size_t piece = kind == 0   ? 0
+                     : kind < 3 ? 1 + rng.UniformInt(15)
+                                : rng.UniformInt(100);
+      piece = std::min(piece, len - pos);
+      stream.Update(std::string_view(bytes).substr(pos, piece));
+      pos += piece;
+    } while (pos < len || rng.UniformInt(2) == 0);
+    EXPECT_EQ(stream.Finish(), Checksum64(bytes)) << "trial " << trial;
+  }
+  std::string word3(24, '\0');
+  for (size_t i = 0; i < word3.size(); ++i) {
+    word3[i] = static_cast<char>(0x80 + 7 * i);
+  }
+  const std::string_view all(word3);
+  for (size_t a = 0; a <= all.size(); ++a) {
+    for (size_t b = a; b <= all.size(); ++b) {
+      Checksum64Stream stream(all.size());
+      stream.Update(all.substr(0, a));
+      stream.Update(all.substr(a, b - a));
+      stream.Update(all.substr(b));
+      EXPECT_EQ(stream.Finish(), Checksum64(all)) << a << " " << b;
+    }
+  }
+}
+
+// A section of many chunks writes the same file as the same entries
+// appended to one string would: the entries are the bytes, chunk borders
+// are not.
+TEST(SnapshotTest, ChunkedSectionWritesTheContiguousBytes) {
+  SnapshotData data = MakeData(/*wal_seq=*/3, /*accepted=*/0);
+  std::string contiguous;
+  const std::string payload(1000, 'p');
+  while (data.entries.size() < 4) {
+    const uint64_t user = data.entry_count;
+    AppendSnapshotEntry(&data, user, payload);
+    PutU64(&contiguous, user);
+    PutU32(&contiguous, static_cast<uint32_t>(payload.size()));
+    contiguous += payload;
+  }
+  data.accepted = data.entry_count;
+  FaultFs fs;
+  ASSERT_TRUE(fs.CreateDir(kDir).ok());
+  ASSERT_TRUE(Write(fs, data).ok());
+  const SnapshotLoad load = LoadLatestSnapshot(fs, kDir, kSpec).ValueOrDie();
+  ASSERT_TRUE(load.loaded);
+  ASSERT_EQ(load.data.entries.size(), 1u);  // a load is one chunk
+  EXPECT_EQ(load.data.entries[0], contiguous);
+  EXPECT_EQ(load.data.entry_count, data.entry_count);
+  EXPECT_EQ(Entries(load.data.entries), Entries(data.entries));
 }
 
 TEST(SnapshotTest, NoDirectoryMeansEmptyLoad) {

@@ -168,8 +168,8 @@ BENCHMARK(BM_OueEstimate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 // (identical to scalar under LDPMDA_DISABLE_SIMD or on hosts without a
 // vector unit, so the curve degenerates gracefully). The label names the
 // level actually measured; `reports_per_sec` counts reduction-dimension
-// elements consumed per second (reports for the raw scans, pool seeds for
-// the pooled OLH histogram, spectrum entries for HR).
+// elements consumed per second (reports for the raw scans and SC's kernels,
+// pool seeds for the pooled OLH histogram, spectrum entries for HR).
 
 constexpr uint64_t kKernelRows = 1u << 18;
 constexpr uint32_t kKernelG = 8;       // OLH hash range (~e^eps + 1 at eps=2)
@@ -314,6 +314,68 @@ void BM_KernelHrSpectrum(benchmark::State& state) {
   SetReportsPerSec(state, static_cast<double>(kKernelSpectrum));
 }
 BENCHMARK(BM_KernelHrSpectrum)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// SC's support-bit hashing: 4 value rows over kKernelRows reports, at
+/// g = 2 (a power of two: the AVX2 kernel takes the bucket by a shift) and
+/// g = 3 (the multiply-high every g can use). The second arg is g.
+void BM_KernelOlhSupportBits(benchmark::State& state) {
+  const FoKernels& kernels = KernelTable(state);
+  const KernelInputs& in = Inputs();
+  const uint32_t g = static_cast<uint32_t>(state.range(1));
+  std::vector<uint32_t> ys(kKernelRows);
+  for (uint64_t i = 0; i < kKernelRows; ++i) ys[i] = in.ys[i] % g;
+  const std::vector<uint64_t> values = ValueSet(4, kKernelDomain);
+  const size_t words = kKernelRows / 64;
+  std::vector<uint64_t> bits(values.size() * words);
+  for (auto _ : state) {
+    kernels.olh_support_bits(in.seeds.data(), ys.data(), kKernelRows, g,
+                             values.data(), values.size(), bits.data(), words);
+    benchmark::DoNotOptimize(bits.data());
+  }
+  SetReportsPerSec(state, static_cast<double>(kKernelRows));
+}
+BENCHMARK(BM_KernelOlhSupportBits)
+    ->Args({0, 2})
+    ->Args({1, 2})
+    ->Args({0, 3})
+    ->Args({1, 3})
+    ->Unit(benchmark::kMillisecond);
+
+/// SC's masked weight sum over 1M reports: the AND of 1 or 4 bitset rows of
+/// density 1/2 (the second arg) selects which reports' weights are summed.
+void BM_KernelMaskedWeightSum(benchmark::State& state) {
+  constexpr size_t kReports = 1u << 20;
+  const FoKernels& kernels = KernelTable(state);
+  const size_t num_sets = static_cast<size_t>(state.range(1));
+  static const auto* rows = [] {
+    auto* r = new std::vector<std::vector<uint64_t>>(4);
+    Rng rng(12);
+    for (auto& row : *r) {
+      row.resize(kReports / 64);
+      for (uint64_t& word : row) word = rng();
+    }
+    return r;
+  }();
+  static const auto* weights = [] {
+    auto* w = new std::vector<double>(kReports);
+    Rng rng(13);
+    for (double& x : *w) x = rng.UniformDouble() - 0.5;
+    return w;
+  }();
+  std::vector<const uint64_t*> sets;
+  for (size_t j = 0; j < num_sets; ++j) sets.push_back((*rows)[j].data());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernels.masked_weight_sum(
+        sets.data(), sets.size(), weights->data(), kReports));
+  }
+  SetReportsPerSec(state, static_cast<double>(kReports));
+}
+BENCHMARK(BM_KernelMaskedWeightSum)
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Args({0, 4})
+    ->Args({1, 4})
+    ->Unit(benchmark::kMillisecond);
 
 /// Repeated identical query through the engine: with the node-estimate cache
 /// every per-node estimate after the first execution is a hash-map probe;

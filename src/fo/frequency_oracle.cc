@@ -81,6 +81,7 @@ WeightVector::WeightVector(std::vector<double> weights, uint64_t id)
   for (const double w : weights_) {
     total_ += w;
     sum_squares_ += w * w;
+    unit_ = unit_ && w == 1.0;
   }
 }
 

@@ -95,12 +95,16 @@ class WeightVector {
   double total() const { return total_; }
   /// Sum of squared weights (M2_S in the paper's bounds).
   double sum_squares() const { return sum_squares_; }
+  /// Whether every weight is exactly 1.0 (COUNT), so a sum of weights over
+  /// any subset of users is that subset's size.
+  bool unit() const { return unit_; }
 
  private:
   uint64_t id_;
   std::vector<double> weights_;
   double total_ = 0.0;
   double sum_squares_ = 0.0;
+  bool unit_ = true;
 };
 
 /// Server-side state for one group of reports encoded with the same

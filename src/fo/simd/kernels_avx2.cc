@@ -4,8 +4,9 @@
 // changes which VALUES advance together, never the order within one value's
 // sum. Non-supporting reports contribute via mask-AND (+0.0), matching the
 // scalar branchless form bit-for-bit. The SC support-bit kernels map lane =
-// report: olh_support_bits hashes 4 reports at once into integer bits, and
-// masked_weight_sum's lane k is the scalar reference's partial acc[k].
+// report: olh_support_bits hashes 4 reports at once into integer bits (with
+// a shift for the bucket when g is a power of two), and masked_weight_sum's
+// lane k is the scalar reference's partial acc[k], selected by a table load.
 //
 // This TU is compiled with -mavx2 -ffp-contract=off and must not be entered
 // unless __builtin_cpu_supports("avx2") — dispatch.cc guarantees that. No
@@ -14,6 +15,8 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -34,14 +37,20 @@ inline __m256i MulLo64(__m256i a, __m256i b) {
   return _mm256_add_epi64(lo_lo, _mm256_slli_epi64(cross, 32));
 }
 
-/// Lane-wise Mix64 (common/hash.h), same xor-shift-multiply chain.
-inline __m256i Mix64V(__m256i x) {
+/// Lane-wise Mix64 (common/hash.h) up to, not including, its final
+/// x ^= x >> 31.
+inline __m256i Mix64BeforeLastShiftV(__m256i x) {
   x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 30));
   x = MulLo64(x, _mm256_set1_epi64x(static_cast<long long>(0xbf58476d1ce4e5b9ULL)));
   x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 27));
-  x = MulLo64(x, _mm256_set1_epi64x(static_cast<long long>(0x94d049bb133111ebULL)));
-  x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
-  return x;
+  return MulLo64(
+      x, _mm256_set1_epi64x(static_cast<long long>(0x94d049bb133111ebULL)));
+}
+
+/// Lane-wise Mix64 (common/hash.h), same xor-shift-multiply chain.
+inline __m256i Mix64V(__m256i x) {
+  x = Mix64BeforeLastShiftV(x);
+  return _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
 }
 
 /// Lane-wise (h * g) >> 64 for g < 2^32 (the multiply-shift bucket reduction
@@ -225,13 +234,22 @@ inline __m256i LoadU32x4(const uint32_t* p) {
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
 }
 
-void OlhSupportBitsAvx2(const uint32_t* seeds, const uint32_t* ys,
+/// OlhSupportBitsAvx2 for one bucket reduction. kPowerOfTwo requires
+/// g = 2^b: then (h g) >> 64 is h >> (64 - b), the top b bits of the hash
+/// h. Mix64 ends with h = x ^ (x >> 31), and x >> 31 is zero in its top 31
+/// bits, so for b <= 31 (every power of two a uint32_t g can be) those b
+/// bits are x's: the bucket is x >> (64 - b), with neither the last
+/// xor-shift nor the multiply-high. (b = 0 shifts by 64, which gives 0 on
+/// every lane, as (h * 1) >> 64 does.)
+template <bool kPowerOfTwo>
+void OlhSupportBitsImpl(const uint32_t* seeds, const uint32_t* ys,
                         size_t num_reports, uint32_t g,
                         const uint64_t* values, size_t num_values,
                         uint64_t* bits, size_t stride) {
   // One word of every value's row at a time: a 4-report group's seed base
   // and y are loaded once for all values.
   const __m256i g_v = _mm256_set1_epi64x(static_cast<long long>(g));
+  const __m128i bucket_shift = _mm_cvtsi32_si128(64 - std::countr_zero(g));
   const __m256i seed_mul =
       _mm256_set1_epi64x(static_cast<long long>(0x9e3779b97f4a7c15ULL));
   const __m256i seed_add =
@@ -249,7 +267,13 @@ void OlhSupportBitsAvx2(const uint32_t* seeds, const uint32_t* ys,
       const __m256i y = LoadU32x4(ys + i);
       for (size_t vi = 0; vi < num_values; ++vi) {
         const __m256i v = _mm256_set1_epi64x(static_cast<long long>(values[vi]));
-        const __m256i eq = _mm256_cmpeq_epi64(EvalWithBaseV(base, v, g_v), y);
+        const __m256i bucket =
+            kPowerOfTwo
+                ? _mm256_srl_epi64(
+                      Mix64BeforeLastShiftV(_mm256_add_epi64(base, v)),
+                      bucket_shift)
+                : EvalWithBaseV(base, v, g_v);
+        const __m256i eq = _mm256_cmpeq_epi64(bucket, y);
         bits[vi * stride + w] |=
             static_cast<uint64_t>(_mm256_movemask_pd(_mm256_castsi256_pd(eq)))
             << (i - r0);
@@ -266,10 +290,28 @@ void OlhSupportBitsAvx2(const uint32_t* seeds, const uint32_t* ys,
   }
 }
 
+void OlhSupportBitsAvx2(const uint32_t* seeds, const uint32_t* ys,
+                        size_t num_reports, uint32_t g,
+                        const uint64_t* values, size_t num_values,
+                        uint64_t* bits, size_t stride) {
+  (std::has_single_bit(g) ? &OlhSupportBitsImpl<true>
+                          : &OlhSupportBitsImpl<false>)(
+      seeds, ys, num_reports, g, values, num_values, bits, stride);
+}
+
+/// Lane masks by nibble: lane k of entry m is all ones iff bit k of m is
+/// set, so entry m selects the reports of a 4-report nibble m.
+alignas(32) constexpr std::array<std::array<uint64_t, 4>, 16> kNibbleLanes =
+    [] {
+      std::array<std::array<uint64_t, 4>, 16> table{};
+      for (size_t m = 0; m < 16; ++m) {
+        for (size_t k = 0; k < 4; ++k) table[m][k] = (m >> k) & 1 ? ~0ull : 0;
+      }
+      return table;
+    }();
+
 double MaskedWeightSumAvx2(const uint64_t* const* sets, size_t num_sets,
                            const double* weights, size_t num_reports) {
-  // Lane k selects bit k of a 4-report nibble.
-  const __m256i lane_bit = _mm256_setr_epi64x(1, 2, 4, 8);
   const size_t full = num_reports & ~static_cast<size_t>(3);
   const auto word_mask = [&](size_t w) {
     const size_t left = num_reports - w * 64;
@@ -283,11 +325,10 @@ double MaskedWeightSumAvx2(const uint64_t* const* sets, size_t num_sets,
     if (mask == 0) continue;  // +0.0 to every partial: the identity
     const size_t r0 = w * 64;
     const size_t r1 = std::min(r0 + 64, full);
-    for (size_t i = r0; i < r1; i += 4) {
-      const __m256i nibble =
-          _mm256_set1_epi64x(static_cast<long long>((mask >> (i - r0)) & 15));
-      const __m256d select = _mm256_castsi256_pd(
-          _mm256_cmpeq_epi64(_mm256_and_si256(nibble, lane_bit), lane_bit));
+    uint64_t nibbles = mask;
+    for (size_t i = r0; i < r1; i += 4, nibbles >>= 4) {
+      const __m256d select = _mm256_castsi256_pd(_mm256_load_si256(
+          reinterpret_cast<const __m256i*>(kNibbleLanes[nibbles & 15].data())));
       acc = _mm256_add_pd(acc,
                           _mm256_and_pd(select, _mm256_loadu_pd(weights + i)));
     }

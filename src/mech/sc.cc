@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <numeric>
 #include <unordered_map>
@@ -64,6 +65,47 @@ struct NodeKeyHash {
         HashCombine(HashCombine(key.group, key.node), key.weights));
   }
 };
+
+/// Always-on wall time of the estimation passes: one sample per hashing
+/// pass (`estimate.sc_support_ns`) and per masked-sum pass
+/// (`estimate.sc_sum_ns`). Each pass adds its report chunks to
+/// `estimate.batches`.
+struct ScPassHistograms {
+  LatencyHistogram* support_ns;
+  LatencyHistogram* sum_ns;
+};
+const ScPassHistograms& ScPassMetrics() {
+  static const ScPassHistograms histograms = {
+      GlobalMetrics().histogram("estimate.sc_support_ns"),
+      GlobalMetrics().histogram("estimate.sc_sum_ns"),
+  };
+  return histograms;
+}
+
+void RecordSince(LatencyHistogram* histogram,
+                 std::chrono::steady_clock::time_point start) {
+  histogram->Record(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count()));
+}
+
+/// masked_weight_sum over unit weights: the number of reports in
+/// [0, num_reports) whose bit is set in every one of the `num_sets` rows (all
+/// of them when num_sets == 0). It reads no weights, and it is the kernel's
+/// value bit for bit: each of the kernel's 4 partials then holds an integer
+/// count, exact in a double.
+double MaskedCount(const uint64_t* const* sets, size_t num_sets,
+                   size_t num_reports) {
+  uint64_t count = 0;
+  for (size_t w = 0; w * 64 < num_reports; ++w) {
+    const size_t left = num_reports - w * 64;
+    uint64_t mask = left >= 64 ? ~uint64_t{0} : (uint64_t{1} << left) - 1;
+    for (size_t j = 0; j < num_sets; ++j) mask &= sets[j][w];
+    count += static_cast<uint64_t>(std::popcount(mask));
+  }
+  return static_cast<double>(count);
+}
 }  // namespace
 
 ScMechanism::ScMechanism(const Schema& schema, const MechanismParams& params)
@@ -154,6 +196,8 @@ Status ScMechanism::AddReportAt(const LdpReport& report, uint32_t group_base,
     seeds_[g].push_back(report.entries[g].fo.seed);
     ys_[g].push_back(report.entries[g].fo.value);
   }
+  dense_ids_ = dense_ids_ && user == users_.size();
+  max_user_ = std::max(max_user_, user);
   users_.push_back(user);
   ++num_reports_;
   return Status::OK();
@@ -174,8 +218,15 @@ Status ScMechanism::Merge(Mechanism&& shard) {
     other->seeds_[g].clear();
     other->ys_[g].clear();
   }
+  const uint64_t base = users_.size();
+  for (uint64_t t = 0; t < other->users_.size(); ++t) {
+    dense_ids_ = dense_ids_ && other->users_[t] == base + t;
+    max_user_ = std::max(max_user_, other->users_[t]);
+  }
   users_.insert(users_.end(), other->users_.begin(), other->users_.end());
   other->users_.clear();
+  other->dense_ids_ = true;
+  other->max_user_ = 0;
   num_reports_ += other->num_reports_;
   other->num_reports_ = 0;
   return Status::OK();
@@ -252,6 +303,12 @@ Status ScMechanism::EstimateBoxes(std::span<const BoxTask> tasks,
     BoxWork& box = boxes[b];
     if (static_cast<int>(tasks[b].ranges.size()) != d) {
       return Status::InvalidArgument("EstimateBox needs one range per dim");
+    }
+    if (tasks[b].weights->size() <= max_user_) {
+      return Status::InvalidArgument(
+          "weight vector of length " +
+          std::to_string(tasks[b].weights->size()) +
+          " has no entry for user " + std::to_string(max_user_));
     }
     box.weights = tasks[b].weights;
     box.pieces.resize(d);
@@ -419,6 +476,7 @@ void ScMechanism::EstimateSubQueries(std::span<BoxWork> boxes) const {
   }
   std::vector<uint64_t> bits(num_rows * words);
   if (num_rows > 0) {
+    const auto start = std::chrono::steady_clock::now();
     exec().ParallelChunks(
         n, kExecChunkRows, [&](uint64_t, uint64_t begin, uint64_t end) {
           for (const GroupJob& job : jobs) {
@@ -432,25 +490,47 @@ void ScMechanism::EstimateSubQueries(std::span<BoxWork> boxes) const {
         });
     FoEstimateMetrics().batches->Add(num_chunks);
     FoEstimateMetrics().report_values->Add(n * num_rows);
+    RecordSince(ScPassMetrics().support_ns, start);
   }
 
-  // Masked weight sums over all reports: `chunk_sums(first, w, out)` writes
-  // `num_sums` sums over one report chunk (starting at report `first`, with
-  // weights w), every chunk runs in parallel, and the partials reduce in
-  // chunk order. Callers keep num_sums <= kExecChunkRows, so the partials
-  // take at most one double per report.
+  // Masked weight sums over all reports, one pass per call:
+  // `chunk_sums(first, len, masked_sum, out)` writes `num_sums` sums over the
+  // report chunk [first, first + len), where `masked_sum(sets, num_sets)` is
+  // the chunk's masked weight sum of the AND of those bitset rows (sets point
+  // at the chunk's first word). Every chunk runs in parallel, and the
+  // partials reduce in chunk order. Callers keep num_sums <= kExecChunkRows,
+  // so the partials take at most one double per report. A sum reads only what
+  // it needs: unit weights make it a count (MaskedCount), dense ids read the
+  // chunk's weights in place, and only other ids gather them through users_.
   const auto reduce_chunks = [&](const WeightVector& weights, size_t num_sums,
                                  const auto& chunk_sums) {
+    const auto start = std::chrono::steady_clock::now();
     std::vector<double> partial(num_chunks * num_sums);
     exec().ParallelChunks(
         n, kExecChunkRows, [&](uint64_t chunk, uint64_t first, uint64_t last) {
-          std::vector<double> chunk_weights(last - first);
-          for (uint64_t t = first; t < last; ++t) {
-            chunk_weights[t - first] = weights[users_[t]];
+          const size_t len = last - first;
+          std::vector<double> gathered;
+          const double* w = nullptr;
+          if (dense_ids_) {
+            w = weights.values().data() + first;
+          } else if (!weights.unit()) {
+            gathered.resize(len);
+            for (uint64_t t = first; t < last; ++t) {
+              gathered[t - first] = weights[users_[t]];
+            }
+            w = gathered.data();
           }
-          chunk_sums(first, chunk_weights, partial.data() + chunk * num_sums);
+          const auto masked_sum = [&](const uint64_t* const* sets,
+                                      size_t num_sets) {
+            return weights.unit()
+                       ? MaskedCount(sets, num_sets, len)
+                       : kernels.masked_weight_sum(sets, num_sets, w, len);
+          };
+          chunk_sums(first, len, masked_sum,
+                     partial.data() + chunk * num_sums);
         });
     FoEstimateMetrics().batches->Add(num_chunks);
+    RecordSince(ScPassMetrics().sum_ns, start);
     std::vector<double> sum(num_sums, 0.0);
     for (uint64_t c = 0; c < num_chunks; ++c) {
       for (size_t s = 0; s < num_sums; ++s) sum[s] += partial[c * num_sums + s];
@@ -481,8 +561,9 @@ void ScMechanism::EstimateSubQueries(std::span<BoxWork> boxes) const {
       const size_t batch = std::min(per_batch, num_q - q0);
       const std::vector<double> class_sum = reduce_chunks(
           *box.weights, batch * (k + 1),
-          [&](uint64_t first, std::span<const double> w, double* out) {
-            const size_t chunk_words = (w.size() + 63) / 64;
+          [&](uint64_t first, size_t len, const auto& masked_sum,
+              double* out) {
+            const size_t chunk_words = (len + 63) / 64;
             std::vector<uint64_t> count(chunk_words * planes);
             std::vector<uint64_t> mask(chunk_words);
             const uint64_t* mask_set = mask.data();
@@ -511,8 +592,7 @@ void ScMechanism::EstimateSubQueries(std::span<BoxWork> boxes) const {
                   }
                   mask[x] = m;
                 }
-                out[b * (k + 1) + j] =
-                    kernels.masked_weight_sum(&mask_set, 1, w.data(), w.size());
+                out[b * (k + 1) + j] = masked_sum(&mask_set, 1);
               }
             }
           });
@@ -607,15 +687,14 @@ void ScMechanism::EstimateSubQueries(std::span<BoxWork> boxes) const {
       }
       const std::vector<double> sum = reduce_chunks(
           weights, sets.size(),
-          [&](uint64_t first, std::span<const double> w, double* out) {
+          [&](uint64_t first, size_t, const auto& masked_sum, double* out) {
             std::vector<const uint64_t*> set_bits;
             for (size_t s = 0; s < sets.size(); ++s) {
               set_bits.clear();
               for (const uint32_t row : sets[s]) {
                 set_bits.push_back(bits.data() + row * words + first / 64);
               }
-              out[s] = kernels.masked_weight_sum(
-                  set_bits.data(), set_bits.size(), w.data(), w.size());
+              out[s] = masked_sum(set_bits.data(), set_bits.size());
             }
           });
       for (Term t = begin; t.s != end.s || t.mask != end.mask; advance(&t)) {

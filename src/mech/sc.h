@@ -34,7 +34,10 @@ namespace ldp {
 /// box with the same weights; a one-piece sub-query is exactly OLH's
 /// scale * (theta - W / g). From k = 3 on, a sub-query sums the weights of
 /// each popcount class (how many of its pieces a report supports): k + 1
-/// masked sums, so the cost grows linearly in k.
+/// masked sums, so the cost grows linearly in k. A masked sum reads only
+/// what it needs: unit weights (COUNT) are counted by popcount, and when
+/// every report's user id is its position the weights are read in place
+/// rather than gathered through the ids.
 ///
 /// Requires OLH as the frequency oracle (the conjunctive estimator evaluates
 /// per-report support bits).
@@ -94,6 +97,11 @@ class ScMechanism : public Mechanism {
   std::vector<std::vector<uint32_t>> seeds_;
   std::vector<std::vector<uint32_t>> ys_;
   std::vector<uint64_t> users_;
+  /// Whether users_[t] == t for every report t: the masked sums then read a
+  /// weight vector in place instead of gathering it through users_.
+  bool dense_ids_ = true;
+  /// The largest user id: a weight vector needs an entry for it.
+  uint64_t max_user_ = 0;
   /// Conjunctive-estimator factors (identical across groups: same budget).
   double c1_ = 0.0;
   double c0_ = 0.0;

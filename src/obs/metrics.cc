@@ -228,6 +228,11 @@ MetricsRegistry& GlobalMetrics() {
     // storage.snapshot_writes.
     registry->histogram("storage.fsync_ns");
     registry->histogram("storage.snapshot_ns");
+    // SC's estimation passes: one sample per support-bit hashing pass and
+    // per masked-sum pass, each of which adds its report chunks to
+    // estimate.batches.
+    registry->histogram("estimate.sc_support_ns");
+    registry->histogram("estimate.sc_sum_ns");
     return registry;
   }();
   return *global;

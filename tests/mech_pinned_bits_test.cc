@@ -11,7 +11,10 @@
 // second read is served from the cache). MultiMechanism(HIO, HDG, MG) is
 // pinned the same way through EstimateBoxWith / VarianceBoundWith for each
 // of its kinds, with values recorded before Multi routed reports to its
-// subs without rebasing a copy.
+// subs without rebasing a copy. ScMechanism is pinned over unit, mixed-sign
+// and all-2.0 weights, dense and strided user ids, and boxes on both of its
+// masked-sum paths, with values recorded before its masked sums counted unit
+// weights and read dense weights in place.
 
 #include <bit>
 #include <cstdio>
@@ -339,6 +342,185 @@ TEST(MultiPinnedBitsTest, EstimateBoxWithKeepsItsBits) {
     multi->set_execution_context(nullptr);
   }
 }
+
+/// One ScMechanism: a budget (eps 4 splits into g = 2, the power-of-two
+/// bucket; eps 12 into g = 3) and user ids (dense t, or strided 3t).
+struct ScPinnedCase {
+  double epsilon;
+  uint64_t id_stride;
+};
+
+std::string ScCaseName(const ScPinnedCase& c) {
+  return "eps" + std::to_string(static_cast<int>(c.epsilon)) +
+         (c.id_stride == 1 ? "_dense" : "_strided");
+}
+
+/// Eight sensitive dims; with fanout 2 they have 20 (dim, level) groups.
+Schema ScSchema() {
+  Schema schema;
+  EXPECT_TRUE(schema.AddOrdinal("a", 16).ok());
+  EXPECT_TRUE(schema.AddOrdinal("b", 10).ok());
+  EXPECT_TRUE(schema.AddCategorical("c", 6).ok());
+  EXPECT_TRUE(schema.AddOrdinal("d", 5).ok());
+  EXPECT_TRUE(schema.AddCategorical("e", 3).ok());
+  EXPECT_TRUE(schema.AddOrdinal("f", 8).ok());
+  EXPECT_TRUE(schema.AddCategorical("g", 4).ok());
+  EXPECT_TRUE(schema.AddOrdinal("h", 6).ok());
+  EXPECT_TRUE(schema.AddMeasure("w").ok());
+  return schema;
+}
+
+/// Boxes constraining k = 1 and 2 dims (the subset expansion) and k = 3 and
+/// 8 (the popcount classes), several pieces per dim where the domain allows.
+std::vector<std::vector<Interval>> ScBoxes() {
+  const std::vector<Interval> full = {{0, 15}, {0, 9}, {0, 5}, {0, 4},
+                                      {0, 2},  {0, 7}, {0, 3}, {0, 5}};
+  const auto with = [&](std::vector<std::pair<size_t, Interval>> ranges) {
+    std::vector<Interval> box = full;
+    for (const auto& [dim, range] : ranges) box[dim] = range;
+    return box;
+  };
+  return {
+      with({{0, {3, 12}}}),                          // k = 1
+      with({{2, {4, 4}}}),                           // k = 1, one piece
+      with({{0, {2, 13}}, {1, {1, 8}}}),             // k = 2
+      with({{3, {0, 1}}, {6, {2, 2}}}),              // k = 2
+      with({{1, {4, 9}}, {3, {1, 3}}, {5, {2, 6}}}),  // k = 3
+      // k = 8
+      {{5, 6}, {2, 2}, {1, 1}, {0, 1}, {2, 2}, {3, 4}, {0, 0}, {1, 4}},
+  };
+}
+
+/// 20000 users (two report chunks, the second ending inside a bitset word).
+constexpr uint64_t kScUsers = 20000;
+
+/// The recorded bits of ScPinnedBitsTest, keyed by ScCaseName: per weight
+/// vector (unit, mixed-sign, all 2.0), the estimate of every ScBoxes() box.
+const std::map<std::string, std::vector<double>>& PinnedSc() {
+  static const auto* pinned = new std::map<std::string, std::vector<double>>{
+      {"eps4_dense",
+       {0x1.83896166db75fp+13, 0x1.4b1969960394p+11,
+        -0x1.f7562f70be0fbp+13, 0x1.1b207aaf6ae8ep+13,
+        -0x1.b5f0f5bab172p+18, -0x1.22c16911bb6dbp+35,
+        0x1.930b5c6c1adbdp+13, 0x1.a35e08d161f68p+10,
+        -0x1.d51c19c838cc8p+14, 0x1.2e38e2887545cp+13,
+        -0x1.603f2e429402p+17, -0x1.47640527effdfp+35,
+        0x1.83896166db75fp+14, 0x1.4b1969960394p+12,
+        -0x1.f7562f70be0fbp+14, 0x1.1b207aaf6ae8ep+14,
+        -0x1.b5f0f5bab172p+19, -0x1.22c16911bb6dbp+36}},
+      {"eps4_strided",
+       {0x1.83896166db75fp+13, 0x1.4b1969960394p+11,
+        -0x1.f7562f70be0fbp+13, 0x1.1b207aaf6ae8ep+13,
+        -0x1.b5f0f5bab172p+18, -0x1.22c16911bb6dbp+35,
+        0x1.930b5c6c1adbdp+13, 0x1.a35e08d161f68p+10,
+        -0x1.d51c19c838cc8p+14, 0x1.2e38e2887545cp+13,
+        -0x1.603f2e429402p+17, -0x1.47640527effdfp+35,
+        0x1.83896166db75fp+14, 0x1.4b1969960394p+12,
+        -0x1.f7562f70be0fbp+14, 0x1.1b207aaf6ae8ep+14,
+        -0x1.b5f0f5bab172p+19, -0x1.22c16911bb6dbp+36}},
+      {"eps12_dense",
+       {0x1.90d71a9c89ed4p+13, 0x1.684e4bb21a2e6p+11,
+        0x1.4bfb0ab7dc433p+12, 0x1.9497416889b77p+11,
+        -0x1.056c2d2659f78p+13, -0x1.62340e99e8fecp+23,
+        0x1.6bf19adcb0182p+13, 0x1.ca8cda2de1ee6p+11,
+        0x1.c4629f7696028p+7, 0x1.49868039755eep+12,
+        -0x1.661408b4d1acp+10, 0x1.b9ba83acd959cp+19,
+        0x1.90d71a9c89ed4p+14, 0x1.684e4bb21a2e6p+12,
+        0x1.4bfb0ab7dc433p+13, 0x1.9497416889b77p+12,
+        -0x1.056c2d2659f78p+14, -0x1.62340e99e8fecp+24}},
+      {"eps12_strided",
+       {0x1.90d71a9c89ed4p+13, 0x1.684e4bb21a2e6p+11,
+        0x1.4bfb0ab7dc433p+12, 0x1.9497416889b77p+11,
+        -0x1.056c2d2659f78p+13, -0x1.62340e99e8fecp+23,
+        0x1.6bf19adcb0182p+13, 0x1.ca8cda2de1ee6p+11,
+        0x1.c4629f7696028p+7, 0x1.49868039755eep+12,
+        -0x1.661408b4d1acp+10, 0x1.b9ba83acd959cp+19,
+        0x1.90d71a9c89ed4p+14, 0x1.684e4bb21a2e6p+12,
+        0x1.4bfb0ab7dc433p+13, 0x1.9497416889b77p+12,
+        -0x1.056c2d2659f78p+14, -0x1.62340e99e8fecp+24}},
+  };
+  return *pinned;
+}
+
+class ScPinnedBitsTest : public ::testing::TestWithParam<ScPinnedCase> {};
+
+TEST_P(ScPinnedBitsTest, EstimatesKeepTheirBits) {
+  const ScPinnedCase c = GetParam();
+  const Schema schema = ScSchema();
+  MechanismParams params;
+  params.epsilon = c.epsilon;
+  params.fanout = 2;
+  auto mech = CreateMechanism(MechanismKind::kSc, schema, params).ValueOrDie();
+  const size_t d = schema.sensitive_dims().size();
+  Rng data_rng(17);
+  Rng client_rng(29);
+  for (uint64_t t = 0; t < kScUsers; ++t) {
+    std::vector<uint32_t> values(d);
+    for (size_t i = 0; i < d; ++i) {
+      values[i] = static_cast<uint32_t>(data_rng.UniformInt(
+          schema.attribute(schema.sensitive_dims()[i]).domain_size));
+    }
+    ASSERT_TRUE(mech->AddReport(mech->EncodeUser(values, client_rng),
+                                t * c.id_stride)
+                    .ok());
+  }
+  // Report t's weight sits at its user id; the entries between strided ids
+  // belong to no report.
+  const uint64_t size = (kScUsers - 1) * c.id_stride + 1;
+  std::vector<double> mixed(size, -7.25);
+  for (uint64_t t = 0; t < kScUsers; ++t) {
+    mixed[t * c.id_stride] =
+        0.1 + 0.37 * static_cast<double>(t % 7) - (t % 5 == 0 ? 1.3 : 0.0);
+  }
+  const std::vector<WeightVector> weights = {
+      WeightVector::Ones(size), WeightVector(std::move(mixed)),
+      WeightVector(std::vector<double>(size, 2.0))};
+  const auto boxes = ScBoxes();
+  const auto evaluate = [&] {
+    std::vector<double> out;
+    for (const WeightVector& w : weights) {
+      for (const auto& box : boxes) {
+        const auto estimate = mech->EstimateBox(box, w);
+        EXPECT_TRUE(estimate.ok()) << estimate.status().ToString();
+        out.push_back(estimate.ok() ? estimate.value() : 0.0);
+      }
+    }
+    return out;
+  };
+
+  const auto it = PinnedSc().find(ScCaseName(c));
+  ASSERT_TRUE(it != PinnedSc().end())
+      << "no pinned bits; actual:\n    {\"" << ScCaseName(c) << "\", "
+      << Format(evaluate()) << "},";
+  const std::vector<double>& expected = it->second;
+  for (const int threads : {1, 4}) {
+    const ExecutionContext exec(threads);
+    mech->set_execution_context(&exec);
+    for (const bool cache : {false, true}) {
+      mech->EnableEstimateCache(cache ? 1 << 20 : 0);
+      for (int pass = 0; pass < (cache ? 2 : 1); ++pass) {
+        const std::vector<double> got = evaluate();
+        ASSERT_EQ(got.size(), expected.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(got[i]),
+                    std::bit_cast<uint64_t>(expected[i]))
+              << ScCaseName(c) << " value " << i << " threads " << threads
+              << " cache " << cache << " pass " << pass << ": got "
+              << Format({got[i]}) << ", pinned " << Format({expected[i]});
+        }
+      }
+    }
+    mech->set_execution_context(nullptr);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sc, ScPinnedBitsTest,
+    ::testing::Values(ScPinnedCase{4.0, 1}, ScPinnedCase{4.0, 3},
+                      ScPinnedCase{12.0, 1}, ScPinnedCase{12.0, 3}),
+    [](const ::testing::TestParamInfo<ScPinnedCase>& info) {
+      return ScCaseName(info.param);
+    });
 
 std::vector<PinnedCase> AllCases() {
   std::vector<PinnedCase> cases;

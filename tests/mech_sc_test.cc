@@ -1,5 +1,6 @@
 #include "mech/sc.h"
 
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <string>
@@ -8,6 +9,7 @@
 
 #include "common/hash.h"
 #include "common/privacy_math.h"
+#include "exec/execution_context.h"
 #include "obs/metrics.h"
 
 namespace ldp {
@@ -369,6 +371,158 @@ TEST(ScMechanismTest, BatchedSumsMatchFactorizedTotal) {
                        f.FactorizedTotal(box, w), BoxName(box));
     // n fits one report chunk: one task for the bitsets, one per batch.
     EXPECT_GT(batches->value() - before, 2u) << BoxName(box);
+  }
+}
+
+/// An empty SC mechanism configured as ScFixture's default.
+std::unique_ptr<ScMechanism> NewSc() {
+  return ScMechanism::Create(FourDimSchema(16), Params(8.0)).ValueOrDie();
+}
+
+// A weight vector needs an entry for every report's user. A shorter one is
+// InvalidArgument, before any weight is read, whichever path the sums take.
+TEST(ScMechanismTest, ShortWeightVectorIsInvalidArgument) {
+  const uint64_t n = 300;
+  const ScFixture f(n, 35);
+  auto strided = NewSc();
+  for (uint64_t t = 0; t < n; ++t) {
+    ASSERT_TRUE(strided->AddReport(f.reports[t], 3 * t).ok());
+  }
+  const std::vector<Interval> box = {{3, 12}, {0, 15}, {2, 2}, {0, 2}};
+  const WeightVector ones = WeightVector::Ones(n);
+  const WeightVector short_ones = WeightVector::Ones(n - 1);
+  const WeightVector short_mixed = MixedWeights(n - 1);
+  for (const int threads : {1, 4}) {
+    const ExecutionContext exec(threads);
+    f.mech->set_execution_context(&exec);
+    strided->set_execution_context(&exec);
+    for (const WeightVector* w : {&short_ones, &short_mixed}) {
+      EXPECT_EQ(f.mech->EstimateBox(box, *w).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+    // A batch fails on its short task even after a good one.
+    const BoxTask tasks[] = {{box, &ones}, {box, &short_ones}};
+    double out[2] = {0.0, 0.0};
+    EXPECT_EQ(f.mech->EstimateBoxes(tasks, out).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(f.mech->EstimateBox(box, ones).ok());
+    // Strided ids reach user 3(n - 1).
+    EXPECT_EQ(strided->EstimateBox(box, WeightVector::Ones(3 * (n - 1)))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(strided->EstimateBox(box, WeightVector::Ones(3 * n - 2)).ok());
+    f.mech->set_execution_context(nullptr);
+    strided->set_execution_context(nullptr);
+  }
+}
+
+/// Boxes on both masked-sum paths: k = 1 and 2 (subset expansion), 3 and 4
+/// (popcount classes).
+std::vector<std::vector<Interval>> BothPathBoxes() {
+  return {
+      {{3, 12}, {0, 15}, {0, 3}, {0, 2}},  // k = 1
+      {{3, 12}, {0, 15}, {0, 3}, {1, 1}},  // k = 2
+      {{1, 9}, {6, 13}, {3, 3}, {0, 2}},   // k = 3
+      {{3, 13}, {2, 9}, {0, 0}, {1, 1}},   // k = 4
+  };
+}
+
+// Unit weights are counted without reading a weight; all-2.0 weights go
+// through the masked-sum kernel. Doubling every weight doubles every partial
+// sum exactly, so the two estimates differ by exactly a factor of 2.
+TEST(ScMechanismTest, DoubledWeightsDoubleTheCountBitForBit) {
+  const uint64_t n = 20000;  // two report chunks
+  const ScFixture f(n, 36);
+  const WeightVector ones = WeightVector::Ones(n);
+  const WeightVector twos(std::vector<double>(n, 2.0));
+  ASSERT_TRUE(ones.unit());
+  ASSERT_FALSE(twos.unit());
+  for (const int threads : {1, 4}) {
+    const ExecutionContext exec(threads);
+    f.mech->set_execution_context(&exec);
+    for (const auto& box : BothPathBoxes()) {
+      const double count = f.mech->EstimateBox(box, ones).ValueOrDie();
+      const double doubled = f.mech->EstimateBox(box, twos).ValueOrDie();
+      EXPECT_EQ(std::bit_cast<uint64_t>(doubled),
+                std::bit_cast<uint64_t>(2.0 * count))
+          << BoxName(box) << " threads " << threads;
+    }
+    f.mech->set_execution_context(nullptr);
+  }
+}
+
+// Ids 3t gather each report's weight through the ids; dense ids (also when
+// merged from shards in id order) read the weights in place. With report t's
+// weight at 3t, both see the same weights, so the estimates are equal bit
+// for bit.
+TEST(ScMechanismTest, StridedIdsEqualDenseIdsOnReindexedWeights) {
+  const uint64_t n = 20000;
+  const ScFixture f(n, 37);
+  auto strided = NewSc();
+  auto merged = NewSc();
+  for (const uint64_t half : {uint64_t{0}, n / 2}) {
+    auto shard = NewSc();
+    for (uint64_t t = half; t < half + n / 2; ++t) {
+      ASSERT_TRUE(shard->AddReport(f.reports[t], t).ok());
+    }
+    ASSERT_TRUE(merged->Merge(std::move(*shard)).ok());
+  }
+  for (uint64_t t = 0; t < n; ++t) {
+    ASSERT_TRUE(strided->AddReport(f.reports[t], 3 * t).ok());
+  }
+  const WeightVector dense = MixedWeights(n);
+  std::vector<double> spread(3 * n - 2, 1e6);
+  for (uint64_t t = 0; t < n; ++t) spread[3 * t] = dense[t];
+  const WeightVector reindexed(std::move(spread));
+  for (const int threads : {1, 4}) {
+    const ExecutionContext exec(threads);
+    f.mech->set_execution_context(&exec);
+    strided->set_execution_context(&exec);
+    merged->set_execution_context(&exec);
+    for (const auto& box : BothPathBoxes()) {
+      const double want = f.mech->EstimateBox(box, dense).ValueOrDie();
+      EXPECT_EQ(std::bit_cast<uint64_t>(
+                    strided->EstimateBox(box, reindexed).ValueOrDie()),
+                std::bit_cast<uint64_t>(want))
+          << BoxName(box) << " threads " << threads;
+      EXPECT_EQ(std::bit_cast<uint64_t>(
+                    merged->EstimateBox(box, dense).ValueOrDie()),
+                std::bit_cast<uint64_t>(want))
+          << BoxName(box) << " threads " << threads;
+    }
+    f.mech->set_execution_context(nullptr);
+    strided->set_execution_context(nullptr);
+    merged->set_execution_context(nullptr);
+  }
+}
+
+// Ids that are not the reports' positions, whether added so or merged from
+// shards out of id order, read each report's weight through its id: the
+// estimate is the dense mechanism's up to the order of its sums.
+TEST(ScMechanismTest, ReorderedIdsReadWeightsThroughTheIds) {
+  const uint64_t n = 20000;
+  const ScFixture f(n, 38);
+  auto added = NewSc();
+  auto merged = NewSc();
+  // The second half of the users first, then the first half.
+  for (const uint64_t half : {n / 2, uint64_t{0}}) {
+    auto shard = NewSc();
+    for (uint64_t t = half; t < half + n / 2; ++t) {
+      ASSERT_TRUE(added->AddReport(f.reports[t], t).ok());
+      ASSERT_TRUE(shard->AddReport(f.reports[t], t).ok());
+    }
+    ASSERT_TRUE(merged->Merge(std::move(*shard)).ok());
+  }
+  const WeightVector w = MixedWeights(n);
+  for (const auto& box : BothPathBoxes()) {
+    const double want = f.mech->EstimateBox(box, w).ValueOrDie();
+    EXPECT_NEAR(added->EstimateBox(box, w).ValueOrDie(), want,
+                1e-9 * std::abs(want))
+        << BoxName(box);
+    EXPECT_NEAR(merged->EstimateBox(box, w).ValueOrDie(), want,
+                1e-9 * std::abs(want))
+        << BoxName(box);
   }
 }
 

@@ -18,6 +18,7 @@
 #include "data/generator.h"
 #include "engine/engine.h"
 #include "engine/protocol.h"
+#include "exec/execution_context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "plan/weights.h"
@@ -556,6 +557,50 @@ TEST(EngineProfileTest, ScHashesEachPieceOncePerPlan) {
     EXPECT_EQ(profile.estimate_calls, c.boxes);
     EXPECT_EQ(profile.stages[QueryProfile::kEstimate].calls, c.boxes);
   }
+}
+
+// SC's pass histograms take one sample per pass over the reports, and each
+// pass adds one estimate.batches task per report chunk, so on an SC engine
+// the batches added are the samples added times the chunk count. Each query
+// is one EstimateBoxes call, hence one hashing pass.
+TEST(EngineProfileTest, ScPassHistogramsReconcileWithEstimateBatches) {
+  GlobalMetrics().set_enabled(true);
+  const auto registered = GlobalMetrics().TakeSnapshot().histograms;
+  EXPECT_TRUE(registered.contains("estimate.sc_support_ns"));
+  EXPECT_TRUE(registered.contains("estimate.sc_sum_ns"));
+  const Table table = MakeIpums4D(40000, 12, /*seed=*/33);
+  const uint64_t chunks =
+      (table.num_rows() + kExecChunkRows - 1) / kExecChunkRows;
+  ASSERT_EQ(chunks, 3u);
+  EngineOptions options;
+  options.mechanism = MechanismKind::kSc;
+  options.params.epsilon = 2.0;
+  options.seed = 7;
+  options.enable_estimate_cache = false;
+  const auto engine = AnalyticsEngine::Create(table, options).ValueOrDie();
+  LatencyHistogram* support_ns =
+      GlobalMetrics().histogram("estimate.sc_support_ns");
+  LatencyHistogram* sum_ns = GlobalMetrics().histogram("estimate.sc_sum_ns");
+  Counter* batches = GlobalMetrics().counter("estimate.batches");
+  const uint64_t support_before = support_ns->count();
+  const uint64_t sum_before = sum_ns->count();
+  const uint64_t batches_before = batches->value();
+  const char* const queries[] = {
+      "SELECT COUNT(*) FROM T WHERE age BETWEEN 2 AND 9",
+      "SELECT SUM(weekly_work_hour) FROM T WHERE income BETWEEN 3 AND 7",
+      "SELECT AVG(weekly_work_hour) FROM T WHERE age BETWEEN 1 AND 10 AND "
+      "income BETWEEN 3 AND 7",
+      "SELECT COUNT(*) FROM T WHERE age BETWEEN 2 AND 9 OR "
+      "income BETWEEN 3 AND 7",
+  };
+  for (const char* sql : queries) {
+    ASSERT_TRUE(engine->ExecuteSql(sql).ok()) << sql;
+  }
+  const uint64_t support = support_ns->count() - support_before;
+  const uint64_t sums = sum_ns->count() - sum_before;
+  EXPECT_EQ(support, std::size(queries));
+  EXPECT_GE(sums, support);
+  EXPECT_EQ(batches->value() - batches_before, (support + sums) * chunks);
 }
 
 TEST(EngineProfileTest, MgNodesMatchBoxCellsOnBothSidesOfTheCacheGate) {

@@ -214,49 +214,62 @@ bool Supports(uint32_t seed, uint32_t y, uint64_t value, uint32_t g) {
   return SeededHashFamily::Eval(seed, value, g) == y;
 }
 
+/// Hash ranges of both bucket reductions: the multiply-high for any g, the
+/// shift for powers of two (2^31 is the largest a uint32_t g can be).
+const uint32_t kHashRanges[] = {2, 3, 4, 5, 7, 8, 1024, 1u << 31};
+
 TEST(SimdKernelFuzzTest, OlhSupportBitsMatchScalarAndBruteForce) {
   Rng rng(21);
   for (const size_t n : kReportCounts) {
     for (const size_t off : kOffsets) {
-      const uint32_t g = 2 + static_cast<uint32_t>(rng.UniformInt(6));
-      std::vector<uint32_t> seeds(n + off), ys(n + off);
-      for (size_t i = 0; i < n + off; ++i) {
-        seeds[i] = static_cast<uint32_t>(rng());
-        ys[i] = static_cast<uint32_t>(rng.UniformInt(g));
-      }
-      // 11 values: one row each, all written in one pass over the reports.
-      std::vector<uint64_t> values(11 + off);
-      for (uint64_t& v : values) v = rng.UniformInt(1000);
-      const size_t words = (n + 63) / 64;
-      const size_t stride = words + 3;  // rows need not be adjacent
-      const std::string what =
-          "n=" + std::to_string(n) + " off=" + std::to_string(off);
-      std::vector<uint64_t> reference;
-      for (const SimdLevel level : SupportedLevels()) {
-        // Garbage-filled: the kernel must overwrite every word of a row.
-        std::vector<uint64_t> bits(11 * stride + off, ~0ull);
-        KernelsForLevel(level).olh_support_bits(
-            seeds.data() + off, ys.data() + off, n, g, values.data() + off,
-            11, bits.data() + off, stride);
-        if (level == SimdLevel::kScalar) {
-          for (size_t v = 0; v < 11; ++v) {
-            for (size_t i = 0; i < words * 64; ++i) {
-              const bool bit =
-                  (bits[off + v * stride + i / 64] >> (i % 64)) & 1;
-              const bool want = i < n && Supports(seeds[off + i], ys[off + i],
-                                                  values[off + v], g);
-              ASSERT_EQ(bit, want) << what << " value " << v << " report " << i;
-            }
-          }
-          reference = bits;
-          continue;
+      for (const uint32_t g : kHashRanges) {
+        // 11 values: one row each, all written in one pass over the reports.
+        std::vector<uint64_t> values(11 + off);
+        for (uint64_t& v : values) v = rng.UniformInt(1000);
+        // Half the reports support one of the values, so every row has set
+        // bits even when g is large.
+        std::vector<uint32_t> seeds(n + off), ys(n + off);
+        for (size_t i = 0; i < n + off; ++i) {
+          seeds[i] = static_cast<uint32_t>(rng());
+          ys[i] = rng.Bernoulli(0.5)
+                      ? SeededHashFamily::Eval(
+                            seeds[i], values[off + rng.UniformInt(11)], g)
+                      : static_cast<uint32_t>(rng.UniformInt(g));
         }
-        for (size_t v = 0; v < 11; ++v) {
-          for (size_t w = 0; w < words; ++w) {
-            ASSERT_EQ(bits[off + v * stride + w],
-                      reference[off + v * stride + w])
-                << SimdLevelName(level) << " " << what << " value " << v
-                << " word " << w;
+        const size_t words = (n + 63) / 64;
+        const size_t stride = words + 3;  // rows need not be adjacent
+        const std::string what = "n=" + std::to_string(n) +
+                                 " off=" + std::to_string(off) +
+                                 " g=" + std::to_string(g);
+        std::vector<uint64_t> reference;
+        for (const SimdLevel level : SupportedLevels()) {
+          // Garbage-filled: the kernel must overwrite every word of a row.
+          std::vector<uint64_t> bits(11 * stride + off, ~0ull);
+          KernelsForLevel(level).olh_support_bits(
+              seeds.data() + off, ys.data() + off, n, g, values.data() + off,
+              11, bits.data() + off, stride);
+          if (level == SimdLevel::kScalar) {
+            for (size_t v = 0; v < 11; ++v) {
+              for (size_t i = 0; i < words * 64; ++i) {
+                const bool bit =
+                    (bits[off + v * stride + i / 64] >> (i % 64)) & 1;
+                const bool want =
+                    i < n && Supports(seeds[off + i], ys[off + i],
+                                      values[off + v], g);
+                ASSERT_EQ(bit, want)
+                    << what << " value " << v << " report " << i;
+              }
+            }
+            reference = bits;
+            continue;
+          }
+          for (size_t v = 0; v < 11; ++v) {
+            for (size_t w = 0; w < words; ++w) {
+              ASSERT_EQ(bits[off + v * stride + w],
+                        reference[off + v * stride + w])
+                  << SimdLevelName(level) << " " << what << " value " << v
+                  << " word " << w;
+            }
           }
         }
       }
@@ -283,6 +296,10 @@ TEST(SimdKernelFuzzTest, MaskedWeightSumMatchesScalarAndBruteForce) {
           w = rng() | (j % 2 == 0 ? rng() : 0);
         }
       }
+      // The first word of set 0 holds each of the 16 nibbles once, and the
+      // other sets keep it whole, so every 4-report lane pattern is summed.
+      set_words[0][off] = 0xfedcba9876543210ull;
+      for (size_t j = 1; j < 4; ++j) set_words[j][off] = ~0ull;
       for (size_t num_sets = 0; num_sets <= 4; ++num_sets) {
         std::vector<const uint64_t*> sets;
         for (size_t j = 0; j < num_sets; ++j) {

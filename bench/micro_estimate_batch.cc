@@ -197,7 +197,7 @@ void SetReportsPerSec(benchmark::State& state, double per_iteration) {
 /// accumulators feed: uniform report values/seeds, unit weights, dense OUE
 /// bit rows, signed HR sums.
 struct KernelInputs {
-  std::vector<uint32_t> seeds, ys, grr_reports;
+  std::vector<uint32_t> seeds, ys;
   std::vector<uint64_t> users, oue_bits, hr_indices;
   std::vector<double> weights, hist, hr_sums;
 };
@@ -208,7 +208,6 @@ const KernelInputs& Inputs() {
     Rng rng(11);
     in->seeds.resize(kKernelRows);
     in->ys.resize(kKernelRows);
-    in->grr_reports.resize(kKernelRows);
     in->users.resize(kKernelRows);
     in->weights.resize(kKernelRows, 1.0);
     const size_t words = kKernelDomain / 64;
@@ -216,8 +215,6 @@ const KernelInputs& Inputs() {
     for (uint64_t i = 0; i < kKernelRows; ++i) {
       in->seeds[i] = static_cast<uint32_t>(rng());
       in->ys[i] = static_cast<uint32_t>(rng.UniformInt(kKernelG));
-      in->grr_reports[i] = static_cast<uint32_t>(
-          rng.UniformInt(kKernelDomain));
       in->users[i] = i;
       for (size_t w = 0; w < words; ++w) in->oue_bits[i * words + w] = rng();
     }
@@ -264,24 +261,6 @@ void BM_KernelOlhHist(benchmark::State& state) {
   SetReportsPerSec(state, static_cast<double>(kKernelPool));
 }
 BENCHMARK(BM_KernelOlhHist)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_KernelGrrRaw(benchmark::State& state) {
-  const FoKernels& kernels = KernelTable(state);
-  const KernelInputs& in = Inputs();
-  const std::vector<uint64_t> values = ValueSet(64, kKernelDomain);
-  std::vector<double> theta(values.size());
-  for (auto _ : state) {
-    std::fill(theta.begin(), theta.end(), 0.0);
-    double group_weight = 0.0;
-    kernels.grr_raw(in.grr_reports.data(), in.users.data(), kKernelRows,
-                    in.weights.data(), values.data(), values.size(),
-                    theta.data(), &group_weight);
-    benchmark::DoNotOptimize(theta.data());
-    benchmark::DoNotOptimize(group_weight);
-  }
-  SetReportsPerSec(state, static_cast<double>(kKernelRows));
-}
-BENCHMARK(BM_KernelGrrRaw)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_KernelOueRaw(benchmark::State& state) {
   const FoKernels& kernels = KernelTable(state);

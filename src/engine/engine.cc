@@ -22,8 +22,6 @@ constexpr size_t kPlanCacheEntries = 256;
 PlanObservation ObservationOf(const QueryProfile& local) {
   PlanObservation obs;
   obs.wall_nanos = local.total_nanos;
-  obs.fanout_nanos = local.stages[QueryProfile::kFanout].wall_nanos;
-  obs.estimate_nanos = local.stages[QueryProfile::kEstimate].wall_nanos;
   obs.estimate_calls = local.estimate_calls;
   // Nodes the cache served plus nodes the kernels estimated.
   obs.nodes_touched = local.cache_hits + local.nodes_estimated;

@@ -16,6 +16,7 @@ Result<std::vector<double>> EstimateHistogram(const HioMechanism& hio,
   if (dim_position < 0 || dim_position >= grid.num_dims()) {
     return Status::InvalidArgument("bad dimension position");
   }
+  LDP_RETURN_NOT_OK(hio.ValidateWeights(weights));
   const DimHierarchy& dim = grid.dim(dim_position);
   const uint64_t m = dim.domain_size();
   std::vector<double> hist(m, 0.0);

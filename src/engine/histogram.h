@@ -23,7 +23,8 @@ struct HistogramOptions {
 /// total weight of users with t[D] = v. This is the classic LDP
 /// "frequency/histogram estimation" task expressed through the paper's
 /// machinery — the leaf level of dimension D with every other dimension at
-/// its root ('*') level.
+/// its root ('*') level. InvalidArgument when `weights` has no entry for a
+/// reporting user (the mechanism's ValidateWeights).
 Result<std::vector<double>> EstimateHistogram(
     const HioMechanism& hio, int dim_position, const WeightVector& weights,
     const HistogramOptions& options = {});

@@ -320,7 +320,6 @@ Result<CollectionServer> CollectionServer::CreateDurable(
         LDP_RETURN_NOT_OK(server.mechanism_->AddReport(report.value(),
                                                        entry.user));
         server.users_.insert(entry.user);
-        server.max_user_ = std::max(server.max_user_, entry.user);
       }
     }
     server.stats_.accepted = snapshot.data.accepted;
@@ -391,7 +390,6 @@ Status CollectionServer::ApplyFrame(std::string_view frame_bytes,
     return added;
   }
   users_.insert(user);
-  max_user_ = std::max(max_user_, user);
   ++stats_.accepted;
   IngestMetrics().accepted->Add(1);
   if (store_ != nullptr) store_->RetainAccepted(user, payload.value());
@@ -469,7 +467,6 @@ Status CollectionServer::IngestBatch(std::span<const ReportFrame> frames) {
     } else if (!users_.insert(user)) {
       ++batch.duplicate;
     } else {
-      max_user_ = std::max(max_user_, user);
       ++batch.accepted;
       if (store_ != nullptr) {
         // fate != kCorrupt, so UnframeReport succeeded in phase A: the
@@ -548,16 +545,6 @@ void CollectionServer::MaybeSnapshot() {
 
 Result<double> CollectionServer::EstimateBox(std::span<const Interval> ranges,
                                              const WeightVector& weights) const {
-  if (stats_.accepted == 0) {
-    return Status::FailedPrecondition(
-        "no accepted reports (" + std::to_string(stats_.quarantined()) +
-        " quarantined): nothing to estimate from");
-  }
-  if (weights.size() <= max_user_) {
-    return Status::InvalidArgument(
-        "weight vector of length " + std::to_string(weights.size()) +
-        " has no entry for accepted user " + std::to_string(max_user_));
-  }
   return mechanism_->EstimateBox(ranges, weights);
 }
 

@@ -201,9 +201,10 @@ class CollectionServer {
 
   /// Unbiased weighted box estimate over the *accepted cohort* (one range
   /// per sensitive dimension, spec order); weights are the server-known
-  /// public measures, indexed by user id. Returns kFailedPrecondition —
-  /// never NaN — when zero reports survived ingest, and kInvalidArgument
-  /// when `weights` has no entry for the largest accepted user id.
+  /// public measures, indexed by user id. The mechanism's EstimateBox:
+  /// kFailedPrecondition — never NaN — when zero reports survived ingest,
+  /// and kInvalidArgument when `weights` has no entry for the largest
+  /// accepted user id.
   Result<double> EstimateBox(std::span<const Interval> ranges,
                              const WeightVector& weights) const;
 
@@ -273,9 +274,6 @@ class CollectionServer {
   std::shared_ptr<Mechanism> mechanism_;
   IngestStats stats_;
   UserSet users_;  // accepted users, for dedup
-  /// Largest accepted user id (0 while none is accepted): estimation indexes
-  /// the caller's weights by user id, so they must reach past it.
-  uint64_t max_user_ = 0;
   /// Null for a non-durable server (Create); set by CreateDurable.
   std::shared_ptr<DurableStore> store_;
 };

@@ -1,20 +1,10 @@
 #include "fo/grr.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
-#include "fo/simd/simd.h"
 
 namespace ldp {
-
-namespace {
-/// Raw equality scans beat a histogram build only for small value batches
-/// (the scan costs O(n * V / lanes) vs the build's O(n) map inserts), so cap
-/// the batch size the raw path accepts. Also the raw theta stack buffer.
-constexpr size_t kGrrRawMaxValues = 64;
-constexpr size_t kMaxRawProbedWeightSets = 16;
-}  // namespace
 
 GrrProtocol::GrrProtocol(double epsilon, uint64_t domain_size)
     : epsilon_(epsilon), domain_size_(domain_size) {
@@ -107,22 +97,6 @@ double GrrAccumulator::EstimateWeighted(uint64_t value,
          (protocol_.p() - protocol_.q());
 }
 
-bool GrrAccumulator::ShouldUseRawScan(const WeightVector& w,
-                                      size_t num_values) const {
-  if (num_values > kGrrRawMaxValues) return false;
-  if (hist_cache_.ContainsFresh(w.id(), values_.size())) {
-    return false;  // a fresh histogram is already paid for: probe it in O(V)
-  }
-  std::lock_guard<std::mutex> lock(raw_probed_mu_);
-  if (std::find(raw_probed_.begin(), raw_probed_.end(), w.id()) !=
-      raw_probed_.end()) {
-    return false;  // second visit: promote to a histogram build
-  }
-  if (raw_probed_.size() >= kMaxRawProbedWeightSets) raw_probed_.pop_front();
-  raw_probed_.push_back(w.id());
-  return true;
-}
-
 void GrrAccumulator::EstimateManyWeighted(std::span<const uint64_t> values,
                                           const WeightVector& w,
                                           std::span<double> out) const {
@@ -130,23 +104,6 @@ void GrrAccumulator::EstimateManyWeighted(std::span<const uint64_t> values,
   if (values.empty()) return;
   const double q = protocol_.q();
   const double pq_diff = protocol_.p() - q;
-  if (ShouldUseRawScan(w, values.size())) {
-    // Single vectorized pass over the raw reports; theta and group_weight
-    // both accumulate in report order, and non-matching reports add +0.0,
-    // so the result is bit-identical to the histogram path below.
-    const size_t n = values_.size();
-    double theta[kGrrRawMaxValues];
-    std::fill(theta, theta + values.size(), 0.0);
-    double group_weight = 0.0;
-    ActiveKernels().grr_raw(values_.data(), users_.data(), n,
-                            w.values().data(), values.data(), values.size(),
-                            theta, &group_weight);
-    FoEstimateMetrics().report_values->Add(n * values.size());
-    for (size_t i = 0; i < values.size(); ++i) {
-      out[i] = (theta[i] - group_weight * q) / pq_diff;
-    }
-    return;
-  }
   // One histogram fetch amortized across the batch; per-value math is
   // exactly the scalar estimator's.
   const auto h = GetOrBuildHistogram(w);

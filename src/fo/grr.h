@@ -2,9 +2,7 @@
 #define LDPMDA_FO_GRR_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -74,24 +72,10 @@ class GrrAccumulator : public FoAccumulator {
   std::shared_ptr<const WeightedHistogram> GetOrBuildHistogram(
       const WeightVector& w) const;
 
-  /// Whether a batched estimate should scan the raw reports with the SIMD
-  /// equality kernel instead of probing a histogram. True only for small
-  /// value batches on the FIRST visit from a weight set (recorded in
-  /// raw_probed_): a one-shot weight set never pays the O(n) map build,
-  /// while a repeat visitor is promoted to the histogram so steady-state
-  /// repeated queries amortize. Both paths produce bit-identical estimates
-  /// (the raw scan's +0.0 non-match adds never change theta), so the choice
-  /// is purely a cost decision.
-  bool ShouldUseRawScan(const WeightVector& w, size_t num_values) const;
-
   const GrrProtocol& protocol_;
   std::vector<uint32_t> values_;
   std::vector<uint64_t> users_;
   mutable WeightSetCache<WeightedHistogram> hist_cache_;
-  /// Weight-set ids whose first batched estimate went through the raw scan;
-  /// bounded FIFO, guarded by raw_probed_mu_.
-  mutable std::mutex raw_probed_mu_;
-  mutable std::deque<uint64_t> raw_probed_;
 };
 
 }  // namespace ldp

@@ -138,36 +138,6 @@ void OlhHistAvx2(const double* hist, uint32_t pool, uint32_t g,
   }
 }
 
-void GrrRawAvx2(const uint32_t* report_values, const uint64_t* users,
-                size_t num_reports, const double* weights,
-                const uint64_t* values, size_t num_values, double* theta,
-                double* group_weight) {
-  // Same uint32 truncation of query values as the scalar kernel and the
-  // histogram probe path.
-  const __m256i lo32 = _mm256_set1_epi64x(0xffffffffLL);
-  const size_t nv4 = num_values & ~static_cast<size_t>(3);
-  for (size_t i = 0; i < num_reports; ++i) {
-    const uint32_t rv = report_values[i];
-    const double weight = weights[users[i]];
-    *group_weight += weight;
-    const __m256i rv_v = _mm256_set1_epi64x(static_cast<long long>(rv));
-    const __m256d w_v = _mm256_set1_pd(weight);
-    size_t vi = 0;
-    for (; vi < nv4; vi += 4) {
-      const __m256i v = _mm256_and_si256(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(values + vi)),
-          lo32);
-      const __m256i eq = _mm256_cmpeq_epi64(v, rv_v);
-      AccumulatePd(theta + vi, _mm256_and_pd(_mm256_castsi256_pd(eq), w_v));
-    }
-    for (; vi < num_values; ++vi) {
-      const double matches =
-          static_cast<double>(rv == static_cast<uint32_t>(values[vi]));
-      theta[vi] += weight * matches;
-    }
-  }
-}
-
 void OueRawAvx2(const uint64_t* bits, size_t words_per_report,
                 const uint64_t* users, size_t num_reports,
                 const double* weights, const uint64_t* values,
@@ -346,9 +316,9 @@ double MaskedWeightSumAvx2(const uint64_t* const* sets, size_t num_sets,
 
 const FoKernels& Avx2FoKernels() {
   static const FoKernels kernels = {
-      SimdLevel::kAvx2,     &OlhRawAvx2,         &OlhHistAvx2,
-      &GrrRawAvx2,          &OueRawAvx2,         &HrSpectrumAvx2,
-      &OlhSupportBitsAvx2,  &MaskedWeightSumAvx2,
+      SimdLevel::kAvx2,    &OlhRawAvx2,          &OlhHistAvx2,
+      &OueRawAvx2,         &HrSpectrumAvx2,      &OlhSupportBitsAvx2,
+      &MaskedWeightSumAvx2,
   };
   return kernels;
 }

@@ -1,5 +1,5 @@
 // Scalar reference kernels: the oracle inner loops exactly as they appeared
-// inline in olh.cc / grr.cc / oue.cc / hadamard.cc before the kernel table
+// inline in olh.cc / oue.cc / hadamard.cc before the kernel table
 // existed, plus SC's support-bit and masked-sum loops. These define the bit
 // pattern every vector implementation must reproduce, so keep them boring —
 // a change here is a change to the determinism contract, not an
@@ -42,22 +42,6 @@ void OlhHistScalar(const double* hist, uint32_t pool, uint32_t g,
     const double* row = hist + static_cast<size_t>(s) * g;
     for (size_t vi = 0; vi < num_values; ++vi) {
       theta[vi] += row[SeededHashFamily::EvalWithBase(base, values[vi], g)];
-    }
-  }
-}
-
-void GrrRawScalar(const uint32_t* report_values, const uint64_t* users,
-                  size_t num_reports, const double* weights,
-                  const uint64_t* values, size_t num_values, double* theta,
-                  double* group_weight) {
-  for (size_t i = 0; i < num_reports; ++i) {
-    const uint32_t rv = report_values[i];
-    const double weight = weights[users[i]];
-    *group_weight += weight;
-    for (size_t vi = 0; vi < num_values; ++vi) {
-      const double matches =
-          static_cast<double>(rv == static_cast<uint32_t>(values[vi]));
-      theta[vi] += weight * matches;
     }
   }
 }
@@ -130,9 +114,9 @@ double MaskedWeightSumScalar(const uint64_t* const* sets, size_t num_sets,
 
 const FoKernels& ScalarFoKernels() {
   static const FoKernels kernels = {
-      SimdLevel::kScalar,     &OlhRawScalar,         &OlhHistScalar,
-      &GrrRawScalar,          &OueRawScalar,         &HrSpectrumScalar,
-      &OlhSupportBitsScalar,  &MaskedWeightSumScalar,
+      SimdLevel::kScalar,    &OlhRawScalar,          &OlhHistScalar,
+      &OueRawScalar,         &HrSpectrumScalar,      &OlhSupportBitsScalar,
+      &MaskedWeightSumScalar,
   };
   return kernels;
 }

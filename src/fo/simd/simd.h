@@ -58,15 +58,6 @@ struct FoKernels {
   void (*olh_hist)(const double* hist, uint32_t pool, uint32_t g,
                    const uint64_t* values, size_t num_values, double* theta);
 
-  /// GRR equality-count scan: for each report i (in order),
-  ///   *group_weight += weights[users[i]]  and for each value v
-  ///   theta[v] += weights[users[i]] *
-  ///               (report_values[i] == uint32(values[v])).
-  void (*grr_raw)(const uint32_t* report_values, const uint64_t* users,
-                  size_t num_reports, const double* weights,
-                  const uint64_t* values, size_t num_values, double* theta,
-                  double* group_weight);
-
   /// OUE bit-matrix scan over row-major bit vectors (`words_per_report`
   /// 64-bit words per report): for each report i (in order) and value v,
   ///   theta[v] += weights[users[i]] * bit(bits + i * words_per_report, v).

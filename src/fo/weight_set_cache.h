@@ -77,14 +77,6 @@ class WeightSetCache {
     return IndexLocked(weight_id) < entries_.size();
   }
 
-  /// Whether a cached entry for `weight_id` covers `reports` reports. Does
-  /// not change recency.
-  bool ContainsFresh(uint64_t weight_id, uint64_t reports) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    const size_t i = IndexLocked(weight_id);
-    return i < entries_.size() && entries_[i].second->built_reports == reports;
-  }
-
  private:
   /// Position of `weight_id` in entries_, or entries_.size() if absent.
   size_t IndexLocked(uint64_t weight_id) const {

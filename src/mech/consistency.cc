@@ -21,6 +21,7 @@ Result<ConsistentHio> ConsistentHio::Build(const HioMechanism& hio,
         "consistency post-processing needs an ordinal hierarchy");
   }
   const double b = static_cast<double>(ordinal->fanout());
+  LDP_RETURN_NOT_OK(hio.ValidateWeights(weights));
 
   ConsistentHio out(hio);
   // Raw per-node estimates y (for d = 1 the flat level-tuple id equals the

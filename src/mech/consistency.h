@@ -22,7 +22,8 @@ namespace ldp {
 class ConsistentHio {
  public:
   /// Requires: the mechanism has exactly one sensitive dimension and it is
-  /// ordinal (its hierarchy has fan-out > 1).
+  /// ordinal (its hierarchy has fan-out > 1), and `weights` has an entry
+  /// for every reporting user (the mechanism's ValidateWeights).
   static Result<ConsistentHio> Build(const HioMechanism& hio,
                                      const WeightVector& weights);
 

@@ -78,10 +78,8 @@ std::vector<HaarMechanism::HaarTerm> HaarMechanism::DecomposeRange(
   return terms;
 }
 
-Result<double> HaarMechanism::EstimateBox(std::span<const Interval> ranges,
-                                          const WeightVector& weights) const {
-  LDP_RETURN_NOT_OK(EnsureReports());
-  LDP_RETURN_NOT_OK(ValidateBox(ranges));
+Result<double> HaarMechanism::EstimateValidBox(
+    std::span<const Interval> ranges, const WeightVector& weights) const {
   const auto terms = DecomposeRange(ranges[0]);
   // terms[0] is the scaling term against F_{0,0}; the rest pair a detail
   // coefficient with F_{j+1,2k} - F_{j+1,2k+1}. All block estimates batch
@@ -107,9 +105,8 @@ Result<double> HaarMechanism::EstimateBox(std::span<const Interval> ranges,
   return total;
 }
 
-Result<double> HaarMechanism::VarianceBound(std::span<const Interval> ranges,
-                                            const WeightVector& weights) const {
-  LDP_RETURN_NOT_OK(ValidateBox(ranges));
+Result<double> HaarMechanism::VarianceBoundOfValidBox(
+    std::span<const Interval> ranges, const WeightVector& weights) const {
   const auto terms = DecomposeRange(ranges[0]);
   const double e = std::exp(params_.epsilon);
   const double m2 = weights.sum_squares();

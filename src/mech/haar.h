@@ -39,10 +39,6 @@ class HaarMechanism : public StoreMechanism {
 
   LdpReport EncodeUser(std::span<const uint32_t> values,
                        Rng& rng) const override;
-  Result<double> EstimateBox(std::span<const Interval> ranges,
-                             const WeightVector& weights) const override;
-  Result<double> VarianceBound(std::span<const Interval> ranges,
-                               const WeightVector& weights) const override;
 
   int height() const { return height_; }
   uint64_t padded_size() const { return 1ull << height_; }
@@ -57,6 +53,13 @@ class HaarMechanism : public StoreMechanism {
     double coefficient = 0.0;
   };
   std::vector<HaarTerm> DecomposeRange(const Interval& range) const;
+
+ protected:
+  Result<double> EstimateValidBox(std::span<const Interval> ranges,
+                                  const WeightVector& weights) const override;
+  Result<double> VarianceBoundOfValidBox(
+      std::span<const Interval> ranges,
+      const WeightVector& weights) const override;
 
  private:
   HaarMechanism(const Schema& schema, const MechanismParams& params);

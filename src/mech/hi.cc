@@ -49,8 +49,8 @@ LdpReport HiMechanism::EncodeUser(std::span<const uint32_t> values,
   return report;
 }
 
-Result<double> HiMechanism::VarianceBound(std::span<const Interval> ranges,
-                                          const WeightVector& weights) const {
+Result<double> HiMechanism::VarianceBoundOfValidBox(
+    std::span<const Interval> ranges, const WeightVector& weights) const {
   std::vector<SubQuery> sub_queries;
   LDP_RETURN_NOT_OK(grid_->DecomposeBox(ranges, &sub_queries));
   // Prop. 4 at the per-level budget: each sub-query contributes the LDP
@@ -62,9 +62,8 @@ Result<double> HiMechanism::VarianceBound(std::span<const Interval> ranges,
          m2;
 }
 
-Result<double> HiMechanism::EstimateBox(std::span<const Interval> ranges,
-                                        const WeightVector& weights) const {
-  LDP_RETURN_NOT_OK(EnsureReports());
+Result<double> HiMechanism::EstimateValidBox(
+    std::span<const Interval> ranges, const WeightVector& weights) const {
   std::vector<SubQuery> sub_queries;
   LDP_RETURN_NOT_OK(grid_->DecomposeBox(ranges, &sub_queries));
   // Sub-queries of the same level batch into one kernel pass each (after a

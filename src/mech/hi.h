@@ -28,14 +28,17 @@ class HiMechanism : public StoreMechanism {
 
   LdpReport EncodeUser(std::span<const uint32_t> values,
                        Rng& rng) const override;
-  Result<double> EstimateBox(std::span<const Interval> ranges,
-                             const WeightVector& weights) const override;
-  Result<double> VarianceBound(std::span<const Interval> ranges,
-                               const WeightVector& weights) const override;
 
   const LevelGrid& grid() const { return *grid_; }
   /// Per-report privacy budget eps / Π_i (h_i + 1).
   double per_level_epsilon() const { return per_level_epsilon_; }
+
+ protected:
+  Result<double> EstimateValidBox(std::span<const Interval> ranges,
+                                  const WeightVector& weights) const override;
+  Result<double> VarianceBoundOfValidBox(
+      std::span<const Interval> ranges,
+      const WeightVector& weights) const override;
 
  private:
   HiMechanism(const Schema& schema, const MechanismParams& params);

@@ -72,7 +72,7 @@ void HioMechanism::EstimateCells(uint64_t level_flat,
   for (double& o : out) o *= scale;
 }
 
-Result<double> HioMechanism::VarianceBound(
+Result<double> HioMechanism::VarianceBoundOfValidBox(
     std::span<const Interval> ranges, const WeightVector& weights) const {
   std::vector<SubQuery> sub_queries;
   LDP_RETURN_NOT_OK(grid_->DecomposeBox(ranges, &sub_queries));
@@ -87,9 +87,8 @@ Result<double> HioMechanism::VarianceBound(
          (2.0 * levels - 1.0) * m2;
 }
 
-Result<double> HioMechanism::EstimateBox(std::span<const Interval> ranges,
-                                         const WeightVector& weights) const {
-  LDP_RETURN_NOT_OK(EnsureReports());
+Result<double> HioMechanism::EstimateValidBox(
+    std::span<const Interval> ranges, const WeightVector& weights) const {
   std::vector<SubQuery> sub_queries;
   LDP_RETURN_NOT_OK(grid_->DecomposeBox(ranges, &sub_queries));
   // Sub-queries of the same level batch into one kernel pass each (after a

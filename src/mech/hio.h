@@ -32,15 +32,12 @@ class HioMechanism : public StoreMechanism {
 
   LdpReport EncodeUser(std::span<const uint32_t> values,
                        Rng& rng) const override;
-  Result<double> EstimateBox(std::span<const Interval> ranges,
-                             const WeightVector& weights) const override;
-  Result<double> VarianceBound(std::span<const Interval> ranges,
-                               const WeightVector& weights) const override;
 
   const LevelGrid& grid() const { return *grid_; }
 
   /// Sampled estimate (eq. 24) of the weighted frequency of one d-dim cell:
   /// Π(h_i+1) * f̄_{S_level}(cell). Exposed for the consistency extension.
+  /// Outside EstimateBox's checks: `weights` must pass ValidateWeights.
   double EstimateCell(uint64_t level_flat, uint64_t cell,
                       const WeightVector& weights) const;
 
@@ -52,6 +49,13 @@ class HioMechanism : public StoreMechanism {
   void EstimateCells(uint64_t level_flat, std::span<const uint64_t> cells,
                      const WeightVector& weights,
                      std::span<double> out) const;
+
+ protected:
+  Result<double> EstimateValidBox(std::span<const Interval> ranges,
+                                  const WeightVector& weights) const override;
+  Result<double> VarianceBoundOfValidBox(
+      std::span<const Interval> ranges,
+      const WeightVector& weights) const override;
 
  private:
   HioMechanism(const Schema& schema, const MechanismParams& params);

@@ -1,5 +1,7 @@
 #include "mech/mechanism.h"
 
+#include <algorithm>
+
 #include "common/coding.h"
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -46,12 +48,93 @@ const ExecutionContext& Mechanism::exec() const {
   return exec_ != nullptr ? *exec_ : SerialExecutionContext();
 }
 
+Status Mechanism::AddReport(const LdpReport& report, uint64_t user) {
+  LDP_RETURN_NOT_OK(ValidateReportAt(report, 0));
+  AddValidReportAt(report, 0, user);
+  return Status::OK();
+}
+
+void Mechanism::AddValidReportAt(const LdpReport& report, uint32_t group_base,
+                                 uint64_t user) {
+  AppendReportAt(report, group_base, user);
+  ++num_reports_;
+  max_user_ = std::max(max_user_, user);
+}
+
+Status Mechanism::Merge(Mechanism&& shard) {
+  LDP_RETURN_NOT_OK(MergeShard(shard));
+  num_reports_ += shard.num_reports_;
+  max_user_ = std::max(max_user_, shard.max_user_);
+  shard.num_reports_ = 0;
+  shard.max_user_ = 0;
+  return Status::OK();
+}
+
+Result<double> Mechanism::EstimateBox(std::span<const Interval> ranges,
+                                      const WeightVector& weights) const {
+  const BoxTask task{ranges, &weights};
+  double estimate = 0.0;
+  LDP_RETURN_NOT_OK(EstimateBoxes(std::span<const BoxTask>(&task, 1),
+                                  std::span<double>(&estimate, 1)));
+  return estimate;
+}
+
 Status Mechanism::EstimateBoxes(std::span<const BoxTask> tasks,
                                 std::span<double> out) const {
   LDP_CHECK_EQ(tasks.size(), out.size());
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    LDP_ASSIGN_OR_RETURN(out[i],
-                         EstimateBox(tasks[i].ranges, *tasks[i].weights));
+  if (tasks.empty()) return Status::OK();
+  // With zero accepted reports the estimators would return a meaningless 0
+  // (or NaN after renormalization), so surface the condition instead.
+  if (num_reports_ == 0) {
+    return Status::FailedPrecondition(
+        "no accepted reports: nothing to estimate from (all clients dropped "
+        "out or every report was quarantined)");
+  }
+  // The tasks before the first one that breaks the contract are estimated
+  // first, so an earlier task's own failure (a box too costly to
+  // decompose) wins over a later malformed one, as in the per-task loop.
+  size_t valid = 0;
+  Status broken = Status::OK();
+  for (; valid < tasks.size(); ++valid) {
+    broken = ValidateBox(tasks[valid].ranges);
+    if (broken.ok()) broken = ValidateWeights(*tasks[valid].weights);
+    if (!broken.ok()) break;
+  }
+  if (valid > 0) {
+    LDP_RETURN_NOT_OK(EstimateValidBoxes(tasks.first(valid), out.first(valid)));
+  }
+  return broken;
+}
+
+Result<double> Mechanism::VarianceBound(std::span<const Interval> ranges,
+                                        const WeightVector& weights) const {
+  LDP_RETURN_NOT_OK(ValidateBox(ranges));
+  return VarianceBoundOfValidBox(ranges, weights);
+}
+
+Status Mechanism::ValidateBox(std::span<const Interval> ranges) const {
+  const auto& dims = schema_.sensitive_dims();
+  if (ranges.size() != dims.size()) {
+    return Status::InvalidArgument(
+        "expected one range per sensitive dimension (" +
+        std::to_string(dims.size()) + "), got " +
+        std::to_string(ranges.size()));
+  }
+  for (size_t i = 0; i < dims.size(); ++i) {
+    const Attribute& attr = schema_.attribute(dims[i]);
+    if (ranges[i].lo > ranges[i].hi || ranges[i].hi >= attr.domain_size) {
+      return Status::OutOfRange("range " + ranges[i].ToString() +
+                                " outside the domain of '" + attr.name + "'");
+    }
+  }
+  return Status::OK();
+}
+
+Status Mechanism::ValidateWeights(const WeightVector& weights) const {
+  if (num_reports_ > 0 && weights.size() <= max_user_) {
+    return Status::InvalidArgument(
+        "weight vector of length " + std::to_string(weights.size()) +
+        " has no entry for user " + std::to_string(max_user_));
   }
   return Status::OK();
 }
@@ -59,15 +142,6 @@ Status Mechanism::EstimateBoxes(std::span<const BoxTask> tasks,
 void Mechanism::EnableEstimateCache(size_t max_bytes) {
   estimate_cache_ =
       max_bytes == 0 ? nullptr : std::make_unique<EstimateCache>(max_bytes);
-}
-
-Status Mechanism::EnsureReports() const {
-  if (num_reports_ == 0) {
-    return Status::FailedPrecondition(
-        "no accepted reports: nothing to estimate from (all clients dropped "
-        "out or every report was quarantined)");
-  }
-  return Status::OK();
 }
 
 uint64_t LdpReport::SizeWords() const {

@@ -124,10 +124,9 @@ class Mechanism {
 
   /// --- Server side (estimation processor P̄) ---
   /// Ingests the report of user `user` (a dense row id; weights are indexed
-  /// by it at estimation time).
-  Status AddReport(const LdpReport& report, uint64_t user) {
-    return AddReportAt(report, 0, user);
-  }
+  /// by it at estimation time). Validates it once, then adds and counts it;
+  /// a rejected report leaves the mechanism untouched.
+  Status AddReport(const LdpReport& report, uint64_t user);
 
   /// Structural check of a report against this mechanism's configuration —
   /// exactly the validation AddReport performs before mutating any state.
@@ -149,30 +148,39 @@ class Mechanism {
   /// Folds a shard's accumulated reports into this mechanism, preserving
   /// report order (this mechanism's reports first, then the shard's). The
   /// shard must come from NewShard() of an identically-configured mechanism;
-  /// it is drained and must not be used afterwards.
-  virtual Status Merge(Mechanism&& shard) = 0;
+  /// it is drained and must not be used afterwards. InvalidArgument, with
+  /// both left untouched, for a shard of another kind or configuration.
+  Status Merge(Mechanism&& shard);
 
   /// Unbiased estimate of  sum of w_t  over users whose sensitive values lie
   /// in the axis-aligned box (one closed interval per sensitive dimension,
   /// in Schema::sensitive_dims() order; pass the full domain for dimensions
   /// absent from the predicate).
-  virtual Result<double> EstimateBox(std::span<const Interval> ranges,
-                                     const WeightVector& weights) const = 0;
+  ///
+  /// The contract every mechanism's estimate assumes, checked here once:
+  /// at least one accepted report (FailedPrecondition otherwise), a box
+  /// ValidateBox accepts (InvalidArgument or OutOfRange otherwise), and a
+  /// weight for every reporting user (ValidateWeights; InvalidArgument
+  /// otherwise). The one-task EstimateBoxes.
+  Result<double> EstimateBox(std::span<const Interval> ranges,
+                             const WeightVector& weights) const;
 
   /// Batched EstimateBox: out[i] receives the bits EstimateBox(
   /// tasks[i].ranges, *tasks[i].weights) returns, whatever the other tasks
-  /// are. An override may share work across the tasks (SC hashes each piece
+  /// are. A mechanism may share work across the tasks (SC hashes each piece
   /// once and shares masked sums) but never changes a result, and probes the
   /// estimate cache under the same keys. When a task is invalid it returns
   /// the Status the per-task loop would have returned first, and `out` is
-  /// unspecified. `out` must have one slot per task. The default loops over
-  /// EstimateBox.
-  virtual Status EstimateBoxes(std::span<const BoxTask> tasks,
-                               std::span<double> out) const;
+  /// unspecified. `out` must have one slot per task.
+  Status EstimateBoxes(std::span<const BoxTask> tasks,
+                       std::span<double> out) const;
 
   /// Number of *accepted* reports. All renormalization downstream is by this
   /// count — never by an intended population size — so estimates stay
   /// unbiased w.r.t. the cohort that actually reported when clients drop out.
+  /// Doubles as the estimate-cache epoch: it changes whenever the report set
+  /// does, so stale cache entries are recognized without any explicit
+  /// invalidation on the ingest path.
   uint64_t num_reports() const { return num_reports_; }
 
   /// Enables (or resizes) the cross-query node-estimate cache with a budget
@@ -192,33 +200,58 @@ class Mechanism {
   /// instantiated for this mechanism's actual decomposition of the box.
   /// Useful for reporting estimate +- stddev to analysts. Conservative: the
   /// data-dependent M2_S(v) terms are bounded by the full sum of squares.
-  virtual Result<double> VarianceBound(std::span<const Interval> ranges,
-                                       const WeightVector& weights) const = 0;
+  /// Checks the box like EstimateBox; needs no reports, and reads only
+  /// weights.sum_squares(), so a planner may call it before ingest.
+  Result<double> VarianceBound(std::span<const Interval> ranges,
+                               const WeightVector& weights) const;
+
+  /// InvalidArgument unless `weights` has an entry for the largest user id
+  /// among the accepted reports (any vector passes while there are none).
+  /// EstimateBox and EstimateBoxes check it; code that reads a mechanism's
+  /// node estimates outside them (ConsistentHio, EstimateHistogram) calls
+  /// it first.
+  Status ValidateWeights(const WeightVector& weights) const;
 
  protected:
   /// A composite mechanism routes each report to the part owning its group
-  /// ids through the *At forms below.
+  /// ids through the *At forms below, and hands a report it validated to
+  /// its sub's AddValidReportAt.
   friend class MultiMechanism;
 
   Mechanism(Schema schema, MechanismParams params)
       : params_(params), schema_(std::move(schema)) {}
 
-  /// ValidateReport and AddReport for a report whose group ids are offset by
+  /// InvalidArgument unless there is one range per sensitive dimension;
+  /// OutOfRange when a range is empty or leaves its dimension's domain.
+  Status ValidateBox(std::span<const Interval> ranges) const;
+
+  /// The hooks each mechanism defines. The public entry points above check
+  /// the contract and keep the report count and the largest user id, so
+  /// the hooks may assume what those checks establish.
+
+  /// ValidateReport for a report whose group ids are offset by
   /// `group_base`: entry group g names this mechanism's group g - group_base
   /// (unsigned, so an id below the base is out of range like one past the
-  /// end). The report is read in place, never rebased into a copy; AddReport
-  /// and ValidateReport pass 0, MultiMechanism its sub's offset.
+  /// end). The report is read in place, never rebased into a copy;
+  /// ValidateReport passes 0, MultiMechanism its sub's offset.
   virtual Status ValidateReportAt(const LdpReport& report,
                                   uint32_t group_base) const = 0;
-  /// Validates once, then updates the accumulators; a rejected report leaves
-  /// the mechanism untouched.
-  virtual Status AddReportAt(const LdpReport& report, uint32_t group_base,
-                             uint64_t user) = 0;
-
-  /// Typed guard for estimation entry points: with zero accepted reports the
-  /// estimators would return a meaningless 0 (or NaN after renormalization),
-  /// so surface the condition instead. Call at the top of EstimateBox.
-  Status EnsureReports() const;
+  /// Updates the accumulators with a report ValidateReportAt(report,
+  /// group_base) accepted.
+  virtual void AppendReportAt(const LdpReport& report, uint32_t group_base,
+                              uint64_t user) = 0;
+  /// Merge's own part: InvalidArgument, changing nothing, for a shard of
+  /// another kind or configuration; otherwise appends the shard's reports
+  /// after this mechanism's and drains the shard.
+  virtual Status MergeShard(Mechanism& shard) = 0;
+  /// EstimateBoxes over tasks that all meet the contract. May still fail,
+  /// e.g. ResourceExhausted for a box too costly to decompose, with the
+  /// Status the per-task loop would have returned first.
+  virtual Status EstimateValidBoxes(std::span<const BoxTask> tasks,
+                                    std::span<double> out) const = 0;
+  /// VarianceBound for a box ValidateBox accepted.
+  virtual Result<double> VarianceBoundOfValidBox(
+      std::span<const Interval> ranges, const WeightVector& weights) const = 0;
 
   /// The context estimation should run on: the attached one, or the serial
   /// singleton when none is attached.
@@ -230,13 +263,18 @@ class Mechanism {
   Schema schema_;
   /// Not owned; null until set_execution_context.
   const ExecutionContext* exec_ = nullptr;
-  /// Bumped by subclasses in AddReport after a report passes validation.
-  /// Doubles as the estimate-cache epoch: it changes whenever the report set
-  /// does, so stale cache entries are recognized without any explicit
-  /// invalidation on the ingest path.
-  uint64_t num_reports_ = 0;
   /// Null unless EnableEstimateCache was called with a non-zero budget.
   std::unique_ptr<EstimateCache> estimate_cache_;
+
+ private:
+  /// AppendReportAt, then counts the report and its user id.
+  void AddValidReportAt(const LdpReport& report, uint32_t group_base,
+                        uint64_t user);
+
+  uint64_t num_reports_ = 0;
+  /// The largest user id among the accepted reports; 0 while there are
+  /// none. A weight vector needs an entry for it.
+  uint64_t max_user_ = 0;
 };
 
 /// Builds the per-dimension hierarchies for the schema's sensitive

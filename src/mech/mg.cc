@@ -53,9 +53,8 @@ LdpReport MgMechanism::EncodeUser(std::span<const uint32_t> values,
   return report;
 }
 
-Result<double> MgMechanism::VarianceBound(std::span<const Interval> ranges,
-                                          const WeightVector& weights) const {
-  LDP_RETURN_NOT_OK(ValidateBox(ranges));
+Result<double> MgMechanism::VarianceBoundOfValidBox(
+    std::span<const Interval> ranges, const WeightVector& weights) const {
   double box_cells = 1.0;
   for (const Interval& range : ranges) {
     box_cells *= static_cast<double>(range.length());
@@ -67,10 +66,8 @@ Result<double> MgMechanism::VarianceBound(std::span<const Interval> ranges,
   return box_cells * 4.0 * m2 * e / ((e - 1.0) * (e - 1.0)) + m2;
 }
 
-Result<double> MgMechanism::EstimateBox(std::span<const Interval> ranges,
-                                        const WeightVector& weights) const {
-  LDP_RETURN_NOT_OK(EnsureReports());
-  LDP_RETURN_NOT_OK(ValidateBox(ranges));
+Result<double> MgMechanism::EstimateValidBox(
+    std::span<const Interval> ranges, const WeightVector& weights) const {
   uint64_t box_cells = 1;
   for (const Interval& range : ranges) {
     box_cells *= range.length();
@@ -109,7 +106,7 @@ Result<double> MgMechanism::EstimateBox(std::span<const Interval> ranges,
           std::vector<NodeRef> nodes(len);
           for (size_t k = 0; k < len; ++k) nodes[k] = {0, cells[k]};
           // Already inside a parallel chunk: run the batch serially.
-          EstimateNodesBatched(store_, nodes, weights, num_reports_, cache,
+          EstimateNodesBatched(store_, nodes, weights, num_reports(), cache,
                                SerialExecutionContext(), estimates);
         } else {
           // One kernel batch over the chunk's cells, counted the way

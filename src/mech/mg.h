@@ -27,12 +27,15 @@ class MgMechanism : public StoreMechanism {
 
   LdpReport EncodeUser(std::span<const uint32_t> values,
                        Rng& rng) const override;
-  Result<double> EstimateBox(std::span<const Interval> ranges,
-                             const WeightVector& weights) const override;
-  Result<double> VarianceBound(std::span<const Interval> ranges,
-                               const WeightVector& weights) const override;
 
   uint64_t total_cells() const { return total_cells_; }
+
+ protected:
+  Result<double> EstimateValidBox(std::span<const Interval> ranges,
+                                  const WeightVector& weights) const override;
+  Result<double> VarianceBoundOfValidBox(
+      std::span<const Interval> ranges,
+      const WeightVector& weights) const override;
 
  private:
   MgMechanism(const Schema& schema, const MechanismParams& params);

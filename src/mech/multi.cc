@@ -84,14 +84,11 @@ Status MultiMechanism::ValidateReportAt(const LdpReport& report,
       report, group_base + static_cast<uint32_t>(group_offset_[sub]));
 }
 
-Status MultiMechanism::AddReportAt(const LdpReport& report,
-                                   uint32_t group_base, uint64_t user) {
+void MultiMechanism::AppendReportAt(const LdpReport& report,
+                                    uint32_t group_base, uint64_t user) {
   const int sub = SubOf(report, group_base);
-  if (sub < 0) return ValidateReportAt(report, group_base);
-  LDP_RETURN_NOT_OK(subs_[sub]->AddReportAt(
-      report, group_base + static_cast<uint32_t>(group_offset_[sub]), user));
-  ++num_reports_;
-  return Status::OK();
+  subs_[sub]->AddValidReportAt(
+      report, group_base + static_cast<uint32_t>(group_offset_[sub]), user);
 }
 
 Result<std::unique_ptr<Mechanism>> MultiMechanism::NewShard() const {
@@ -100,7 +97,7 @@ Result<std::unique_ptr<Mechanism>> MultiMechanism::NewShard() const {
   return {std::unique_ptr<Mechanism>(std::move(shard))};
 }
 
-Status MultiMechanism::Merge(Mechanism&& shard) {
+Status MultiMechanism::MergeShard(Mechanism& shard) {
   auto* other = dynamic_cast<MultiMechanism*>(&shard);
   if (other == nullptr ||
       other->subs_.size() != subs_.size()) {
@@ -114,8 +111,6 @@ Status MultiMechanism::Merge(Mechanism&& shard) {
   for (size_t i = 0; i < subs_.size(); ++i) {
     LDP_RETURN_NOT_OK(subs_[i]->Merge(std::move(*other->subs_[i])));
   }
-  num_reports_ += other->num_reports_;
-  other->num_reports_ = 0;
   return Status::OK();
 }
 
@@ -146,10 +141,14 @@ int MultiMechanism::SelectSub(std::span<const Interval> ranges) const {
   return 0;
 }
 
-Result<double> MultiMechanism::EstimateBox(std::span<const Interval> ranges,
-                                           const WeightVector& weights) const {
-  LDP_RETURN_NOT_OK(EnsureReports());
-  return EstimateBoxWith(subs_[SelectSub(ranges)]->kind(), ranges, weights);
+Status MultiMechanism::EstimateValidBoxes(std::span<const BoxTask> tasks,
+                                          std::span<double> out) const {
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    LDP_ASSIGN_OR_RETURN(
+        out[i], EstimateBoxWith(subs_[SelectSub(tasks[i].ranges)]->kind(),
+                                tasks[i].ranges, *tasks[i].weights));
+  }
+  return Status::OK();
 }
 
 Status MultiMechanism::EstimateBoxesWith(MechanismKind kind,
@@ -177,10 +176,10 @@ Result<double> MultiMechanism::EstimateBoxWith(
   return estimate;
 }
 
-Result<double> MultiMechanism::VarianceBound(
+Result<double> MultiMechanism::VarianceBoundOfValidBox(
     std::span<const Interval> ranges, const WeightVector& weights) const {
   // Contract path (no plan): bound through the cost model's pick, matching
-  // EstimateBox above.
+  // EstimateValidBoxes above.
   return VarianceBoundWith(subs_[SelectSub(ranges)]->kind(), ranges, weights);
 }
 

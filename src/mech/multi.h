@@ -40,19 +40,11 @@ class MultiMechanism : public Mechanism {
   LdpReport EncodeUser(std::span<const uint32_t> values,
                        Rng& rng) const override;
   Result<std::unique_ptr<Mechanism>> NewShard() const override;
-  Status Merge(Mechanism&& shard) override;
-
-  /// Population estimate through the cost-model-selected sub-mechanism:
-  /// scores the registered kinds against the query's shape (constrained
-  /// dims, volume) and dispatches to the winner. Deterministic.
-  Result<double> EstimateBox(std::span<const Interval> ranges,
-                             const WeightVector& weights) const override;
-  Result<double> VarianceBound(std::span<const Interval> ranges,
-                               const WeightVector& weights) const override;
 
   /// Population estimates through a specific registered mechanism — the
   /// executor's per-plan dispatch point: out[i] = k x the sub's cohort
-  /// estimate of tasks[i], from one EstimateBoxes call on the sub.
+  /// estimate of tasks[i], from one EstimateBoxes call on the sub (which
+  /// checks the contract against the sub's own reports).
   Status EstimateBoxesWith(MechanismKind kind, std::span<const BoxTask> tasks,
                            std::span<double> out) const;
   /// The one-task EstimateBoxesWith.
@@ -74,12 +66,22 @@ class MultiMechanism : public Mechanism {
 
  protected:
   /// Route the report, read in place, to the sub owning its first entry's
-  /// group id, which validates it once against its own id range (so a
-  /// report spanning two subs is rejected there).
+  /// group id, which validates it against its own id range (so a report
+  /// spanning two subs is rejected there); an accepted report is handed to
+  /// that sub's non-validating add, so no report is validated twice.
   Status ValidateReportAt(const LdpReport& report,
                           uint32_t group_base) const override;
-  Status AddReportAt(const LdpReport& report, uint32_t group_base,
-                     uint64_t user) override;
+  void AppendReportAt(const LdpReport& report, uint32_t group_base,
+                      uint64_t user) override;
+  Status MergeShard(Mechanism& shard) override;
+  /// Population estimates through the cost-model-selected sub-mechanism:
+  /// scores the registered kinds against each box's shape (constrained
+  /// dims, volume) and dispatches to the winner. Deterministic.
+  Status EstimateValidBoxes(std::span<const BoxTask> tasks,
+                            std::span<double> out) const override;
+  Result<double> VarianceBoundOfValidBox(
+      std::span<const Interval> ranges,
+      const WeightVector& weights) const override;
 
  private:
   MultiMechanism(const Schema& schema, const MechanismParams& params)

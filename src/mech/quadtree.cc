@@ -80,7 +80,7 @@ void QuadTreeMechanism::Decompose(
 
 Result<std::vector<std::pair<int, uint64_t>>> QuadTreeMechanism::DecomposeBox(
     std::span<const Interval> ranges) const {
-  LDP_RETURN_NOT_OK(ValidateBox(ranges));
+  LDP_CHECK_EQ(ranges.size(), 2u);
   std::vector<std::pair<int, uint64_t>> nodes;
   Decompose(0, 0, 0, ranges[0], ranges[1], &nodes);
   if (nodes.size() > kMaxSubQueries) {
@@ -89,7 +89,7 @@ Result<std::vector<std::pair<int, uint64_t>>> QuadTreeMechanism::DecomposeBox(
   return nodes;
 }
 
-Result<double> QuadTreeMechanism::VarianceBound(
+Result<double> QuadTreeMechanism::VarianceBoundOfValidBox(
     std::span<const Interval> ranges, const WeightVector& weights) const {
   LDP_ASSIGN_OR_RETURN(const auto nodes, DecomposeBox(ranges));
   const double e = std::exp(params_.epsilon);
@@ -100,9 +100,8 @@ Result<double> QuadTreeMechanism::VarianceBound(
          (2.0 * levels - 1.0) * m2;
 }
 
-Result<double> QuadTreeMechanism::EstimateBox(
+Result<double> QuadTreeMechanism::EstimateValidBox(
     std::span<const Interval> ranges, const WeightVector& weights) const {
-  LDP_RETURN_NOT_OK(EnsureReports());
   LDP_ASSIGN_OR_RETURN(const auto nodes, DecomposeBox(ranges));
   // Level sampling: scale each group's estimate by the inverse sampling
   // rate h + 1 (as in HIO / eq. 24).

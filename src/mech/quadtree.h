@@ -31,10 +31,6 @@ class QuadTreeMechanism : public StoreMechanism {
 
   LdpReport EncodeUser(std::span<const uint32_t> values,
                        Rng& rng) const override;
-  Result<double> EstimateBox(std::span<const Interval> ranges,
-                             const WeightVector& weights) const override;
-  Result<double> VarianceBound(std::span<const Interval> ranges,
-                               const WeightVector& weights) const override;
 
   int height() const { return height_; }
   /// Grid side length 2^h.
@@ -42,9 +38,17 @@ class QuadTreeMechanism : public StoreMechanism {
 
   /// The quadtree nodes (level, cell) covering the box exactly — exposed so
   /// callers and tests can see the decomposition-size blow-up on unaligned
-  /// boxes (it grows linearly in the domain side).
+  /// boxes (it grows linearly in the domain side). `ranges` must be a box
+  /// EstimateBox accepts.
   Result<std::vector<std::pair<int, uint64_t>>> DecomposeBox(
       std::span<const Interval> ranges) const;
+
+ protected:
+  Result<double> EstimateValidBox(std::span<const Interval> ranges,
+                                  const WeightVector& weights) const override;
+  Result<double> VarianceBoundOfValidBox(
+      std::span<const Interval> ranges,
+      const WeightVector& weights) const override;
 
  private:
   QuadTreeMechanism(const Schema& schema, const MechanismParams& params);

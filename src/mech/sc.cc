@@ -188,22 +188,18 @@ Status ScMechanism::ValidateReportAt(const LdpReport& report,
   return Status::OK();
 }
 
-Status ScMechanism::AddReportAt(const LdpReport& report, uint32_t group_base,
-                                uint64_t user) {
-  LDP_RETURN_NOT_OK(ValidateReportAt(report, group_base));
+void ScMechanism::AppendReportAt(const LdpReport& report,
+                                 uint32_t /*group_base*/, uint64_t user) {
   // Validation fixed entry i to group i.
   for (size_t g = 0; g < report.entries.size(); ++g) {
     seeds_[g].push_back(report.entries[g].fo.seed);
     ys_[g].push_back(report.entries[g].fo.value);
   }
   dense_ids_ = dense_ids_ && user == users_.size();
-  max_user_ = std::max(max_user_, user);
   users_.push_back(user);
-  ++num_reports_;
-  return Status::OK();
 }
 
-Status ScMechanism::Merge(Mechanism&& shard) {
+Status ScMechanism::MergeShard(Mechanism& shard) {
   auto* other = dynamic_cast<ScMechanism*>(&shard);
   if (other == nullptr) {
     return Status::InvalidArgument("cannot merge a non-SC shard");
@@ -221,23 +217,16 @@ Status ScMechanism::Merge(Mechanism&& shard) {
   const uint64_t base = users_.size();
   for (uint64_t t = 0; t < other->users_.size(); ++t) {
     dense_ids_ = dense_ids_ && other->users_[t] == base + t;
-    max_user_ = std::max(max_user_, other->users_[t]);
   }
   users_.insert(users_.end(), other->users_.begin(), other->users_.end());
   other->users_.clear();
   other->dense_ids_ = true;
-  other->max_user_ = 0;
-  num_reports_ += other->num_reports_;
-  other->num_reports_ = 0;
   return Status::OK();
 }
 
-Result<double> ScMechanism::VarianceBound(std::span<const Interval> ranges,
-                                          const WeightVector& weights) const {
+Result<double> ScMechanism::VarianceBoundOfValidBox(
+    std::span<const Interval> ranges, const WeightVector& weights) const {
   const int d = grid_->num_dims();
-  if (static_cast<int>(ranges.size()) != d) {
-    return Status::InvalidArgument("VarianceBound needs one range per dim");
-  }
   // Per-dimension conjunctive-factor second moment (Prop. 10): the worst of
   // the two input states B in {0, 1}.
   const OlhProtocol& proto = *protocols_[0];
@@ -281,35 +270,15 @@ struct ScMechanism::BoxWork {
   std::vector<uint32_t> k_rows;
 };
 
-Result<double> ScMechanism::EstimateBox(std::span<const Interval> ranges,
-                                        const WeightVector& weights) const {
-  const BoxTask task{ranges, &weights};
-  double estimate = 0.0;
-  LDP_RETURN_NOT_OK(EstimateBoxes(std::span<const BoxTask>(&task, 1),
-                                  std::span<double>(&estimate, 1)));
-  return estimate;
-}
-
-Status ScMechanism::EstimateBoxes(std::span<const BoxTask> tasks,
-                                  std::span<double> out) const {
-  LDP_CHECK_EQ(tasks.size(), out.size());
-  if (tasks.empty()) return Status::OK();
-  LDP_RETURN_NOT_OK(EnsureReports());
+Status ScMechanism::EstimateValidBoxes(std::span<const BoxTask> tasks,
+                                       std::span<double> out) const {
   const int d = grid_->num_dims();
-  // Every box decomposes before any work starts, so the first invalid box
-  // fails the call with the Status the per-box loop would have returned.
+  // Every box decomposes before any work starts, so the first box too
+  // costly to decompose fails the call with the Status the per-box loop
+  // would have returned.
   std::vector<BoxWork> boxes(tasks.size());
   for (size_t b = 0; b < tasks.size(); ++b) {
     BoxWork& box = boxes[b];
-    if (static_cast<int>(tasks[b].ranges.size()) != d) {
-      return Status::InvalidArgument("EstimateBox needs one range per dim");
-    }
-    if (tasks[b].weights->size() <= max_user_) {
-      return Status::InvalidArgument(
-          "weight vector of length " +
-          std::to_string(tasks[b].weights->size()) +
-          " has no entry for user " + std::to_string(max_user_));
-    }
     box.weights = tasks[b].weights;
     box.pieces.resize(d);
     for (int i = 0; i < d; ++i) {
@@ -370,7 +339,7 @@ Status ScMechanism::EstimateBoxes(std::span<const BoxTask> tasks,
       if (earlier != estimated_by.end()) {
         deferred[b].push_back(
             {rank, earlier->second.first, earlier->second.second});
-      } else if (!cache->Get(key.group, key.node, key.weights, num_reports_,
+      } else if (!cache->Get(key.group, key.node, key.weights, num_reports(),
                              &box.value[rank])) {
         estimated_by.emplace(key, std::make_pair(b, rank));
         box.todo.push_back(rank);
@@ -386,16 +355,16 @@ Status ScMechanism::EstimateBoxes(std::span<const BoxTask> tasks,
       const NodeKey& key = keys[b][node.rank];
       box.value[node.rank] = boxes[node.source_box].value[node.source_rank];
       double cached = 0.0;
-      if (!cache->Get(key.group, key.node, key.weights, num_reports_,
+      if (!cache->Get(key.group, key.node, key.weights, num_reports(),
                       &cached)) {
-        cache->Put(key.group, key.node, key.weights, num_reports_,
+        cache->Put(key.group, key.node, key.weights, num_reports(),
                    box.value[node.rank]);
       }
     }
     if (!keys[b].empty()) {
       for (const uint64_t rank : box.todo) {
         const NodeKey& key = keys[b][rank];
-        cache->Put(key.group, key.node, key.weights, num_reports_,
+        cache->Put(key.group, key.node, key.weights, num_reports(),
                    box.value[rank]);
       }
     }

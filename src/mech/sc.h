@@ -53,14 +53,6 @@ class ScMechanism : public Mechanism {
 
   LdpReport EncodeUser(std::span<const uint32_t> values,
                        Rng& rng) const override;
-  Status Merge(Mechanism&& shard) override;
-  /// The one-task EstimateBoxes.
-  Result<double> EstimateBox(std::span<const Interval> ranges,
-                             const WeightVector& weights) const override;
-  Status EstimateBoxes(std::span<const BoxTask> tasks,
-                       std::span<double> out) const override;
-  Result<double> VarianceBound(std::span<const Interval> ranges,
-                               const WeightVector& weights) const override;
 
   /// Per-report budget eps / sum_i h_i.
   double per_report_epsilon() const { return per_report_epsilon_; }
@@ -69,8 +61,14 @@ class ScMechanism : public Mechanism {
  protected:
   Status ValidateReportAt(const LdpReport& report,
                           uint32_t group_base) const override;
-  Status AddReportAt(const LdpReport& report, uint32_t group_base,
-                     uint64_t user) override;
+  void AppendReportAt(const LdpReport& report, uint32_t group_base,
+                      uint64_t user) override;
+  Status MergeShard(Mechanism& shard) override;
+  Status EstimateValidBoxes(std::span<const BoxTask> tasks,
+                            std::span<double> out) const override;
+  Result<double> VarianceBoundOfValidBox(
+      std::span<const Interval> ranges,
+      const WeightVector& weights) const override;
 
  private:
   ScMechanism(const Schema& schema, const MechanismParams& params);
@@ -100,8 +98,6 @@ class ScMechanism : public Mechanism {
   /// Whether users_[t] == t for every report t: the masked sums then read a
   /// weight vector in place instead of gathering it through users_.
   bool dense_ids_ = true;
-  /// The largest user id: a weight vector needs an entry for it.
-  uint64_t max_user_ = 0;
   /// Conjunctive-estimator factors (identical across groups: same budget).
   double c1_ = 0.0;
   double c0_ = 0.0;

@@ -31,25 +31,28 @@ Status StoreMechanism::ValidateReportAt(const LdpReport& report,
   return Status::OK();
 }
 
-Status StoreMechanism::AddReportAt(const LdpReport& report,
-                                   uint32_t group_base, uint64_t user) {
-  LDP_RETURN_NOT_OK(ValidateReportAt(report, group_base));
+void StoreMechanism::AppendReportAt(const LdpReport& report,
+                                    uint32_t group_base, uint64_t user) {
   for (const auto& entry : report.entries) {
     store_.Add(entry.group - group_base, entry.fo, user);
   }
-  ++num_reports_;
-  return Status::OK();
 }
 
-Status StoreMechanism::Merge(Mechanism&& shard) {
+Status StoreMechanism::MergeShard(Mechanism& shard) {
   auto* other = dynamic_cast<StoreMechanism*>(&shard);
   if (other == nullptr || other->kind() != kind()) {
     return Status::InvalidArgument("cannot merge a non-" +
                                    MechanismKindName(kind()) + " shard");
   }
-  LDP_RETURN_NOT_OK(store_.MergeFrom(std::move(other->store_)));
-  num_reports_ += other->num_reports_;
-  other->num_reports_ = 0;
+  return store_.MergeFrom(std::move(other->store_));
+}
+
+Status StoreMechanism::EstimateValidBoxes(std::span<const BoxTask> tasks,
+                                          std::span<double> out) const {
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    LDP_ASSIGN_OR_RETURN(out[i],
+                         EstimateValidBox(tasks[i].ranges, *tasks[i].weights));
+  }
   return Status::OK();
 }
 
@@ -62,29 +65,11 @@ Status StoreMechanism::AddGroup(double epsilon, uint64_t domain_size) {
   return Status::OK();
 }
 
-Status StoreMechanism::ValidateBox(std::span<const Interval> ranges) const {
-  const auto& dims = schema_.sensitive_dims();
-  if (ranges.size() != dims.size()) {
-    return Status::InvalidArgument(
-        "expected one range per sensitive dimension (" +
-        std::to_string(dims.size()) + "), got " +
-        std::to_string(ranges.size()));
-  }
-  for (size_t i = 0; i < dims.size(); ++i) {
-    const Attribute& attr = schema_.attribute(dims[i]);
-    if (ranges[i].lo > ranges[i].hi || ranges[i].hi >= attr.domain_size) {
-      return Status::OutOfRange("range " + ranges[i].ToString() +
-                                " outside the domain of '" + attr.name + "'");
-    }
-  }
-  return Status::OK();
-}
-
 void StoreMechanism::EstimateNodes(std::span<const NodeRef> nodes,
                                    const WeightVector& weights,
                                    std::span<double> out) const {
-  EstimateNodesBatched(store_, nodes, weights, num_reports_, estimate_cache(),
-                       exec(), out);
+  EstimateNodesBatched(store_, nodes, weights, num_reports(),
+                       estimate_cache(), exec(), out);
 }
 
 }  // namespace ldp

@@ -18,17 +18,22 @@ class StoreMechanism : public Mechanism {
     return static_cast<uint64_t>(store_.num_groups());
   }
 
-  /// Rejects a shard of another kind, including a MultiMechanism.
-  Status Merge(Mechanism&& shard) final;
-
  protected:
   /// Checks the report's shape (one entry naming a group, or one entry per
   /// group in group order), every group id, and every entry's payload
   /// against its group's oracle (FrequencyOracle::ValidateReport).
   Status ValidateReportAt(const LdpReport& report,
                           uint32_t group_base) const final;
-  Status AddReportAt(const LdpReport& report, uint32_t group_base,
-                     uint64_t user) final;
+  void AppendReportAt(const LdpReport& report, uint32_t group_base,
+                      uint64_t user) final;
+  /// Rejects a shard of another kind, including a MultiMechanism.
+  Status MergeShard(Mechanism& shard) final;
+  /// Loops EstimateValidBox over the tasks.
+  Status EstimateValidBoxes(std::span<const BoxTask> tasks,
+                            std::span<double> out) const final;
+  /// One task of EstimateValidBoxes.
+  virtual Result<double> EstimateValidBox(
+      std::span<const Interval> ranges, const WeightVector& weights) const = 0;
 
   /// The report shapes a store mechanism accepts.
   enum class ReportShape {
@@ -47,10 +52,6 @@ class StoreMechanism : public Mechanism {
   /// Appends a group reported through a `params_.fo_kind` oracle at budget
   /// `epsilon` over `domain_size` values.
   Status AddGroup(double epsilon, uint64_t domain_size);
-
-  /// InvalidArgument unless there is one range per sensitive dimension;
-  /// OutOfRange when a range is empty or leaves its dimension's domain.
-  Status ValidateBox(std::span<const Interval> ranges) const;
 
   /// EstimateNodesBatched over this mechanism's store, epoch, estimate
   /// cache and execution context.

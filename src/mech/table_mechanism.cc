@@ -168,10 +168,8 @@ double TableMechanism::Combine(std::span<const int> table_ids,
   return combined;
 }
 
-Result<double> TableMechanism::EstimateBox(std::span<const Interval> ranges,
-                                           const WeightVector& weights) const {
-  LDP_RETURN_NOT_OK(EnsureReports());
-  LDP_RETURN_NOT_OK(ValidateBox(ranges));
+Result<double> TableMechanism::EstimateValidBox(
+    std::span<const Interval> ranges, const WeightVector& weights) const {
   const std::vector<int> constrained = ConstrainedDims(ranges);
   if (constrained.empty()) {
     return Combine(unconstrained_tables_, ranges, weights);
@@ -212,9 +210,8 @@ Result<double> TableMechanism::EstimateBox(std::span<const Interval> ranges,
   return product;
 }
 
-Result<double> TableMechanism::VarianceBound(
+Result<double> TableMechanism::VarianceBoundOfValidBox(
     std::span<const Interval> ranges, const WeightVector& weights) const {
-  LDP_RETURN_NOT_OK(ValidateBox(ranges));
   const double e = std::exp(params_.epsilon);
   const double m2 = weights.sum_squares();
   const double m = static_cast<double>(tables_.size());

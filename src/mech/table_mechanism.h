@@ -35,16 +35,18 @@ class TableMechanism : public StoreMechanism {
  public:
   LdpReport EncodeUser(std::span<const uint32_t> values,
                        Rng& rng) const final;
-  Result<double> EstimateBox(std::span<const Interval> ranges,
-                             const WeightVector& weights) const final;
+
+ protected:
+  Result<double> EstimateValidBox(std::span<const Interval> ranges,
+                                  const WeightVector& weights) const final;
   /// Conservative proxy shaped like the HIO bound: the table with the most
   /// touched cells, each estimated from a 1/m cohort at full budget, plus
   /// the cohort-sampling term; product-estimator queries sum the per-factor
   /// bounds (an overestimate of the propagated relative error).
-  Result<double> VarianceBound(std::span<const Interval> ranges,
-                               const WeightVector& weights) const final;
+  Result<double> VarianceBoundOfValidBox(
+      std::span<const Interval> ranges,
+      const WeightVector& weights) const final;
 
- protected:
   /// One table: its sensitive-dim positions (ascending) and cell layout.
   struct Table {
     std::vector<int> dims;        // positions into Schema::sensitive_dims()

@@ -278,8 +278,8 @@ Status PlanExecutor::RunBatch(
   }
   for (size_t i = 0; i < plans.size(); ++i) {
     const PhysicalPlan& plan = *plans[i];
-    // Per-plan attribution goes through a local profile so one plan's stage
-    // walls and calls can be measured inside the shared batch; the local is
+    // Per-plan attribution goes through a local profile so one plan's
+    // estimate calls can be measured inside the shared batch; the local is
     // merged into the caller's profile afterwards, keeping the caller's
     // totals identical to the unobserved path.
     QueryProfile local;
@@ -303,8 +303,6 @@ Status PlanExecutor::RunBatch(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - start)
               .count());
-      obs.fanout_nanos = local.stages[QueryProfile::kFanout].wall_nanos;
-      obs.estimate_nanos = local.stages[QueryProfile::kEstimate].wall_nanos;
       obs.estimate_calls = local.estimate_calls;
       obs.nodes_touched = FoEstimateMetrics().nodes->value() - nodes_before;
       observations->push_back(obs);

@@ -35,8 +35,6 @@ void PlanStatsStore::Record(uint64_t fingerprint,
     }
   };
   fold(&stats.ewma_wall_nanos, obs.wall_nanos);
-  fold(&stats.ewma_fanout_nanos, obs.fanout_nanos);
-  fold(&stats.ewma_estimate_nanos, obs.estimate_nanos);
   fold(&stats.ewma_estimate_calls, obs.estimate_calls);
   fold(&stats.ewma_nodes, obs.nodes_touched);
   ++stats.observations;

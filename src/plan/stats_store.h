@@ -17,8 +17,6 @@ namespace ldp {
 /// cache on/off, and SIMD levels).
 struct PlanObservation {
   uint64_t wall_nanos = 0;
-  uint64_t fanout_nanos = 0;
-  uint64_t estimate_nanos = 0;
   uint64_t estimate_calls = 0;
   /// Hierarchy/grid nodes the execution touched, cached or not, as the
   /// `estimate.nodes` counter counts them — so the measure is invariant to
@@ -31,8 +29,6 @@ struct PlanObservation {
 struct PlanStats {
   uint64_t observations = 0;
   double ewma_wall_nanos = 0.0;
-  double ewma_fanout_nanos = 0.0;
-  double ewma_estimate_nanos = 0.0;
   double ewma_estimate_calls = 0.0;
   double ewma_nodes = 0.0;
 };

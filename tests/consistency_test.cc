@@ -160,5 +160,19 @@ TEST(ConsistencyTest, EstimateRangeValidates) {
   EXPECT_FALSE(consistent.EstimateRange({0, 16}).ok());
 }
 
+TEST(ConsistencyTest, ShortWeightVectorIsInvalidArgument) {
+  // Users 0, 5 and 9: the weights need an entry for user 9.
+  const Schema schema = OneDimSchema(16);
+  auto hio = HioMechanism::Create(schema, Params(1.0)).ValueOrDie();
+  Rng rng(4);
+  for (const uint64_t user : {0, 5, 9}) {
+    const std::vector<uint32_t> vals = {static_cast<uint32_t>(user)};
+    ASSERT_TRUE(hio->AddReport(hio->EncodeUser(vals, rng), user).ok());
+  }
+  EXPECT_EQ(ConsistentHio::Build(*hio, WeightVector::Ones(9)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(ConsistentHio::Build(*hio, WeightVector::Ones(10)).ok());
+}
+
 }  // namespace
 }  // namespace ldp

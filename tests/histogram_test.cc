@@ -178,5 +178,23 @@ TEST(HistogramTest, ValidatesDimPosition) {
   EXPECT_FALSE(EstimateHistogram(*hio, 1, w).ok());
 }
 
+TEST(HistogramTest, ShortWeightVectorIsInvalidArgument) {
+  // Users 0, 1 and 2: the weights need an entry for user 2, in the plain
+  // and the consistent variant.
+  const Schema schema = OneDimSchema(8);
+  auto hio = CollectedHio(schema, {1, 2, 3}, 1.0, 7);
+  HistogramOptions consistent;
+  consistent.consistent = true;
+  for (const HistogramOptions& options : {HistogramOptions{}, consistent}) {
+    EXPECT_EQ(
+        EstimateHistogram(*hio, 0, WeightVector::Ones(2), options)
+            .status()
+            .code(),
+        StatusCode::kInvalidArgument);
+    EXPECT_TRUE(EstimateHistogram(*hio, 0, WeightVector::Ones(3), options)
+                    .ok());
+  }
+}
+
 }  // namespace
 }  // namespace ldp

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "mech/factory.h"
-
 namespace ldp {
 namespace {
 
@@ -186,16 +184,6 @@ TEST(CalmTest, GreedyCoverHandlesMoreDimsThanOrder) {
     sum_est += mech->EstimateBox(ranges, w).ValueOrDie();
   }
   EXPECT_NEAR(sum_est / runs, truth, 0.35 * truth + 0.05 * n);
-}
-
-TEST(CalmTest, FactoryBuildsIt) {
-  auto mech =
-      CreateMechanism(MechanismKind::kCalm, MakeSchema({16, 12}), Params(1.0));
-  ASSERT_TRUE(mech.ok());
-  EXPECT_EQ(mech.value()->kind(), MechanismKind::kCalm);
-  EXPECT_EQ(MechanismKindFromString("calm").ValueOrDie(),
-            MechanismKind::kCalm);
-  EXPECT_EQ(MechanismKindName(MechanismKind::kCalm), "CALM");
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // The contract every mechanism kind meets at its boundary, checked once for
 // all 8 kinds: Create's preconditions, the name aliases, report-shape
-// rejection without side effects, Merge's refusal of foreign shards, and
-// the typed errors of EstimateBox / VarianceBound on malformed boxes. A
-// MultiMechanism meets the report part too: it reads reports in place
-// (the caller's report is unchanged) and rejects empty, out-of-range and
-// sub-spanning reports without touching any sub.
+// rejection without side effects, Merge's refusal of foreign shards, the
+// typed errors of EstimateBox / VarianceBound on malformed boxes, and a
+// weight vector too short for the largest reporting user id. A
+// MultiMechanism meets the report and weight parts too: it reads reports in
+// place (the caller's report is unchanged) and rejects empty, out-of-range
+// and sub-spanning reports without touching any sub.
 
 #include <cctype>
+#include <functional>
 #include <span>
 #include <string>
 #include <utility>
@@ -14,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/execution_context.h"
 #include "mech/factory.h"
 #include "mech/multi.h"
 
@@ -183,6 +186,83 @@ TEST_P(MechanismContractTest, MalformedBoxesAreTypedErrors) {
   EXPECT_TRUE(mech->VarianceBound(full, w).ok());
 }
 
+/// `len` weights of mixed signs and zeros, which no masked sum can count
+/// by popcount.
+WeightVector MixedWeights(uint64_t len) {
+  std::vector<double> w(len);
+  for (uint64_t i = 0; i < len; ++i) {
+    w[i] = 0.25 * static_cast<double>(i % 7) - 0.5;
+  }
+  return WeightVector(std::move(w));
+}
+
+/// A weight vector needs an entry for the largest user id among the
+/// reports, however that id arrived: by direct adds, with strided ids, or
+/// in a merged shard. One entry short is InvalidArgument from EstimateBox
+/// and from an EstimateBoxes call whose first task is valid, at 1 and 4
+/// threads, for unit and mixed weights alike.
+void CheckShortWeights(
+    const std::function<std::unique_ptr<Mechanism>()>& make) {
+  const uint64_t n = 60;
+  struct Ingest {
+    const char* name;
+    uint64_t stride;
+    bool merged;  // the second half, with the largest id, in a shard
+  };
+  for (const Ingest& ingest : {Ingest{"direct", 1, false},
+                               Ingest{"strided", 3, false},
+                               Ingest{"merged", 1, true}}) {
+    SCOPED_TRACE(ingest.name);
+    auto mech = make();
+    std::unique_ptr<Mechanism> shard =
+        ingest.merged ? mech->NewShard().ValueOrDie() : nullptr;
+    const Schema& schema = mech->schema();
+    Rng rng(8);
+    for (uint64_t t = 0; t < n; ++t) {
+      const std::vector<uint32_t> values(schema.sensitive_dims().size(),
+                                         static_cast<uint32_t>(t % 4));
+      Mechanism* target = shard != nullptr && t >= n / 2 ? shard.get()
+                                                         : mech.get();
+      ASSERT_TRUE(
+          target->AddReport(mech->EncodeUser(values, rng), ingest.stride * t)
+              .ok());
+    }
+    if (shard != nullptr) {
+      ASSERT_TRUE(mech->Merge(std::move(*shard)).ok());
+    }
+    const uint64_t largest = ingest.stride * (n - 1);
+    const WeightVector enough = WeightVector::Ones(largest + 1);
+    const WeightVector short_ones = WeightVector::Ones(largest);
+    const WeightVector short_mixed = MixedWeights(largest);
+    std::vector<Interval> box = FullBox(schema);
+    box[0] = {2, 9};
+    for (const int threads : {1, 4}) {
+      const ExecutionContext exec(threads);
+      mech->set_execution_context(&exec);
+      for (const WeightVector* w : {&short_ones, &short_mixed}) {
+        EXPECT_EQ(mech->EstimateBox(box, *w).status().code(),
+                  StatusCode::kInvalidArgument)
+            << threads << " threads";
+        const BoxTask tasks[] = {{box, &enough}, {box, w}};
+        double out[2] = {0.0, 0.0};
+        EXPECT_EQ(mech->EstimateBoxes(tasks, out).code(),
+                  StatusCode::kInvalidArgument)
+            << threads << " threads";
+      }
+      EXPECT_TRUE(mech->EstimateBox(box, enough).ok()) << threads
+                                                        << " threads";
+      mech->set_execution_context(nullptr);
+    }
+  }
+}
+
+TEST_P(MechanismContractTest, ShortWeightVectorIsInvalidArgument) {
+  const MechanismKind kind = GetParam();
+  CheckShortWeights([kind] {
+    return CreateMechanism(kind, SchemaFor(kind), Params()).ValueOrDie();
+  });
+}
+
 /// A MultiMechanism over `kinds` on the 3-dim schema, holding one honest
 /// report (user 0).
 std::unique_ptr<MultiMechanism> MultiWithOneReport(
@@ -289,6 +369,15 @@ TEST_P(MultiContractTest, MalformedReportsChangeNothing) {
     EXPECT_TRUE(multi->AddReport(honest[i], 1 + i).ok());
   }
   EXPECT_EQ(multi->num_reports(), 1 + honest.size());
+}
+
+TEST_P(MultiContractTest, ShortWeightVectorIsInvalidArgument) {
+  const std::vector<MechanismKind> kinds = GetParam();
+  CheckShortWeights([&kinds]() -> std::unique_ptr<Mechanism> {
+    return MultiMechanism::Create(SchemaFor(MechanismKind::kHi), Params(),
+                                  kinds)
+        .ValueOrDie();
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(

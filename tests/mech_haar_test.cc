@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "mech/factory.h"
 #include "mech/hio.h"
 
 namespace ldp {
@@ -126,17 +125,6 @@ TEST(HaarTest, UnbiasedOnRangeQueries) {
   // And the VarianceBound dominates the empirical MSE.
   auto mech = HaarMechanism::Create(schema, Params(eps)).ValueOrDie();
   EXPECT_LT(mse, mech->VarianceBound(ranges, w).ValueOrDie() * 1.5);
-}
-
-TEST(HaarTest, FactoryBuildsIt) {
-  auto mech =
-      CreateMechanism(MechanismKind::kHaar, OneDimSchema(16), Params(1.0));
-  ASSERT_TRUE(mech.ok());
-  EXPECT_EQ(mech.value()->kind(), MechanismKind::kHaar);
-  EXPECT_EQ(MechanismKindFromString("haar").ValueOrDie(),
-            MechanismKind::kHaar);
-  EXPECT_EQ(MechanismKindFromString("wavelet").ValueOrDie(),
-            MechanismKind::kHaar);
 }
 
 // Section 7's open question made concrete: with uniform user-partitioning,

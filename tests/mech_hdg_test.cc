@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "mech/factory.h"
-
 namespace ldp {
 namespace {
 
@@ -214,14 +212,6 @@ TEST(HdgTest, WideQueriesUseTheProductFallback) {
   EXPECT_LE(est, static_cast<double>(n));  // clamped per-factor selectivities
   const double bound = mech->VarianceBound(ranges, w).ValueOrDie();
   EXPECT_GT(bound, 0.0);
-}
-
-TEST(HdgTest, FactoryBuildsIt) {
-  auto mech = CreateMechanism(MechanismKind::kHdg, TwoDimSchema(), Params(1.0));
-  ASSERT_TRUE(mech.ok());
-  EXPECT_EQ(mech.value()->kind(), MechanismKind::kHdg);
-  EXPECT_EQ(MechanismKindFromString("hdg").ValueOrDie(), MechanismKind::kHdg);
-  EXPECT_EQ(MechanismKindName(MechanismKind::kHdg), "HDG");
 }
 
 }  // namespace

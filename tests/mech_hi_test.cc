@@ -33,14 +33,6 @@ MechanismParams Params(double eps, uint32_t b = 2) {
   return p;
 }
 
-TEST(HiMechanismTest, CreateValidates) {
-  EXPECT_FALSE(HiMechanism::Create(OneDimSchema(16), Params(0.0)).ok());
-  Schema no_dims;
-  ASSERT_TRUE(no_dims.AddMeasure("w").ok());
-  EXPECT_FALSE(HiMechanism::Create(no_dims, Params(1.0)).ok());
-  EXPECT_TRUE(HiMechanism::Create(OneDimSchema(16), Params(1.0)).ok());
-}
-
 TEST(HiMechanismTest, BudgetSplitsOverAllLevels) {
   // m = 16, b = 2 -> h = 4 -> 5 levels including the root.
   auto mech = HiMechanism::Create(OneDimSchema(16), Params(1.0)).ValueOrDie();
@@ -60,14 +52,6 @@ TEST(HiMechanismTest, EncodeCoversEveryLevel) {
   ASSERT_EQ(report.entries.size(), 10u);
   for (uint32_t g = 0; g < 10; ++g) EXPECT_EQ(report.entries[g].group, g);
   EXPECT_EQ(report.SizeWords(), 10u);
-}
-
-TEST(HiMechanismTest, AddReportValidates) {
-  auto mech = HiMechanism::Create(OneDimSchema(16), Params(1.0)).ValueOrDie();
-  LdpReport bad;
-  bad.entries.push_back({0, {}});
-  EXPECT_FALSE(mech->AddReport(bad, 0).ok());  // must cover all 5 levels
-  EXPECT_EQ(mech->num_reports(), 0u);
 }
 
 // Unbiasedness of the full pipeline (Theorem 6): over repeated collections,

@@ -53,17 +53,6 @@ TEST(HioMechanismTest, EncodePicksOneRandomLevel) {
   }
 }
 
-TEST(HioMechanismTest, AddReportValidates) {
-  auto mech = HioMechanism::Create(OneDimSchema(16), Params(1.0)).ValueOrDie();
-  LdpReport two;
-  two.entries.push_back({0, {}});
-  two.entries.push_back({1, {}});
-  EXPECT_FALSE(mech->AddReport(two, 0).ok());
-  LdpReport bad_group;
-  bad_group.entries.push_back({99, {}});
-  EXPECT_FALSE(mech->AddReport(bad_group, 0).ok());
-}
-
 // Unbiasedness and Theorem 7/9-scale error of the full HIO pipeline.
 TEST(HioMechanismTest, UnbiasedWithMseWithinTheorem9) {
   const double eps = 1.0;

@@ -48,17 +48,6 @@ TEST(MgMechanismTest, SingleReportPerUser) {
   EXPECT_EQ(r.SizeWords(), 1u);
 }
 
-TEST(MgMechanismTest, AddReportValidates) {
-  auto mech = MgMechanism::Create(TwoDimSchema(16, 8), Params(1.0)).ValueOrDie();
-  LdpReport bad;
-  bad.entries.push_back({1, {}});
-  EXPECT_FALSE(mech->AddReport(bad, 0).ok());
-  LdpReport two;
-  two.entries.push_back({0, {}});
-  two.entries.push_back({0, {}});
-  EXPECT_FALSE(mech->AddReport(two, 0).ok());
-}
-
 TEST(MgMechanismTest, BoxCellCapEnforced) {
   Schema schema;
   ASSERT_TRUE(schema.AddOrdinal("d1", 1 << 13).ok());

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "mech/factory.h"
 #include "mech/hio.h"
 
 namespace ldp {
@@ -66,16 +65,6 @@ TEST(QuadTreeTest, EncodePicksUniformLevel) {
   for (size_t j = 0; j < counts.size(); ++j) {
     EXPECT_NEAR(counts[j], expected, expected * 0.25) << "level " << j;
   }
-}
-
-TEST(QuadTreeTest, AddReportValidates) {
-  auto mech =
-      QuadTreeMechanism::Create(TwoDimSchema(16, 16), Params(1.0)).ValueOrDie();
-  LdpReport bad;
-  bad.entries.push_back({99, {}});
-  EXPECT_FALSE(mech->AddReport(bad, 0).ok());
-  LdpReport empty;
-  EXPECT_FALSE(mech->AddReport(empty, 0).ok());
 }
 
 TEST(QuadTreeTest, UnbiasedOnTwoDimBox) {
@@ -181,17 +170,6 @@ TEST(QuadTreeTest, WorseThanHioOnLargeUnalignedDomains) {
     hio_mse += e2 * e2;
   }
   EXPECT_GT(qt_mse, hio_mse);
-}
-
-TEST(QuadTreeTest, FactoryBuildsIt) {
-  const Schema schema = TwoDimSchema(16, 16);
-  auto mech =
-      CreateMechanism(MechanismKind::kQuadTree, schema, Params(1.0));
-  ASSERT_TRUE(mech.ok());
-  EXPECT_EQ(mech.value()->kind(), MechanismKind::kQuadTree);
-  EXPECT_EQ(MechanismKindFromString("quadtree").ValueOrDie(),
-            MechanismKind::kQuadTree);
-  EXPECT_EQ(MechanismKindName(MechanismKind::kQuadTree), "QuadTree");
 }
 
 }  // namespace

@@ -55,13 +55,6 @@ TEST(ScMechanismTest, EncodeReportsEveryDimLevel) {
   EXPECT_EQ(report.SizeWords(), 10u);
 }
 
-TEST(ScMechanismTest, AddReportValidates) {
-  auto mech = ScMechanism::Create(FourDimSchema(16), Params(1.0)).ValueOrDie();
-  LdpReport bad;
-  bad.entries.push_back({0, {}});
-  EXPECT_FALSE(mech->AddReport(bad, 0).ok());
-}
-
 TEST(ScMechanismTest, FullDomainBoxIsExactTotalWeight) {
   // With every range at the root ('*'), the conjunctive product is empty and
   // the estimate degenerates to the exact public total — zero noise.
@@ -377,44 +370,6 @@ TEST(ScMechanismTest, BatchedSumsMatchFactorizedTotal) {
 /// An empty SC mechanism configured as ScFixture's default.
 std::unique_ptr<ScMechanism> NewSc() {
   return ScMechanism::Create(FourDimSchema(16), Params(8.0)).ValueOrDie();
-}
-
-// A weight vector needs an entry for every report's user. A shorter one is
-// InvalidArgument, before any weight is read, whichever path the sums take.
-TEST(ScMechanismTest, ShortWeightVectorIsInvalidArgument) {
-  const uint64_t n = 300;
-  const ScFixture f(n, 35);
-  auto strided = NewSc();
-  for (uint64_t t = 0; t < n; ++t) {
-    ASSERT_TRUE(strided->AddReport(f.reports[t], 3 * t).ok());
-  }
-  const std::vector<Interval> box = {{3, 12}, {0, 15}, {2, 2}, {0, 2}};
-  const WeightVector ones = WeightVector::Ones(n);
-  const WeightVector short_ones = WeightVector::Ones(n - 1);
-  const WeightVector short_mixed = MixedWeights(n - 1);
-  for (const int threads : {1, 4}) {
-    const ExecutionContext exec(threads);
-    f.mech->set_execution_context(&exec);
-    strided->set_execution_context(&exec);
-    for (const WeightVector* w : {&short_ones, &short_mixed}) {
-      EXPECT_EQ(f.mech->EstimateBox(box, *w).status().code(),
-                StatusCode::kInvalidArgument);
-    }
-    // A batch fails on its short task even after a good one.
-    const BoxTask tasks[] = {{box, &ones}, {box, &short_ones}};
-    double out[2] = {0.0, 0.0};
-    EXPECT_EQ(f.mech->EstimateBoxes(tasks, out).code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_TRUE(f.mech->EstimateBox(box, ones).ok());
-    // Strided ids reach user 3(n - 1).
-    EXPECT_EQ(strided->EstimateBox(box, WeightVector::Ones(3 * (n - 1)))
-                  .status()
-                  .code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_TRUE(strided->EstimateBox(box, WeightVector::Ones(3 * n - 2)).ok());
-    f.mech->set_execution_context(nullptr);
-    strided->set_execution_context(nullptr);
-  }
 }
 
 /// Boxes on both masked-sum paths: k = 1 and 2 (subset expansion), 3 and 4

@@ -96,8 +96,6 @@ std::string LineStartingWith(const std::string& text,
 PlanObservation Obs(uint64_t wall, uint64_t nodes, uint64_t calls = 1) {
   PlanObservation obs;
   obs.wall_nanos = wall;
-  obs.fanout_nanos = wall / 4;
-  obs.estimate_nanos = wall / 2;
   obs.estimate_calls = calls;
   obs.nodes_touched = nodes;
   return obs;

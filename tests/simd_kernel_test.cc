@@ -68,7 +68,7 @@ struct FuzzCase {
   uint32_t g = 8;
   uint32_t pool = 64;
   size_t words_per_report = 4;
-  std::vector<uint32_t> seeds, ys, grr_reports;
+  std::vector<uint32_t> seeds, ys;
   std::vector<uint64_t> users, oue_bits, hr_indices, values;
   std::vector<double> weights, hist, hr_sums;
 };
@@ -81,14 +81,12 @@ FuzzCase MakeCase(Rng& rng, size_t num_reports, size_t max_values) {
   const uint64_t domain = c.words_per_report * 64;
   c.seeds.resize(num_reports);
   c.ys.resize(num_reports);
-  c.grr_reports.resize(num_reports);
   c.users.resize(num_reports);
   c.weights.resize(num_reports);
   c.oue_bits.resize(num_reports * c.words_per_report);
   for (size_t i = 0; i < num_reports; ++i) {
     c.seeds[i] = static_cast<uint32_t>(rng());
     c.ys[i] = static_cast<uint32_t>(rng.UniformInt(c.g));
-    c.grr_reports[i] = static_cast<uint32_t>(rng.UniformInt(domain));
     c.users[i] = i;
     // Mixed signs and exact zeros: the weights every batched fan-out feeds.
     c.weights[i] = 0.25 * static_cast<double>(rng.UniformInt(9)) - 1.0;
@@ -150,20 +148,6 @@ void FuzzKernelsAgainstScalar(SimdLevel level, uint64_t seed) {
                    b.data() + off);
       for (size_t v = 0; v < num_values; ++v) {
         ExpectBitEqual(b[off + v], a[off + v], "olh_hist " + what);
-      }
-
-      std::fill(a.begin(), a.end(), 0.0);
-      std::fill(b.begin(), b.end(), 0.0);
-      double gw_a = 0.0;
-      double gw_b = 0.0;
-      scalar.grr_raw(c.grr_reports.data(), c.users.data(), n,
-                     c.weights.data(), values, num_values, a.data() + off,
-                     &gw_a);
-      vec.grr_raw(c.grr_reports.data(), c.users.data(), n, c.weights.data(),
-                  values, num_values, b.data() + off, &gw_b);
-      ExpectBitEqual(gw_b, gw_a, "grr group_weight " + what);
-      for (size_t v = 0; v < num_values; ++v) {
-        ExpectBitEqual(b[off + v], a[off + v], "grr_raw " + what);
       }
 
       std::fill(a.begin(), a.end(), 0.0);

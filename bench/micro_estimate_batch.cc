@@ -1,22 +1,22 @@
 // Micro-benchmarks for the batched estimation kernels (FoAccumulator::
 // EstimateManyWeighted), the SIMD kernel layer (src/fo/simd/), and the
-// cross-query node-estimate cache: scalar per-value estimation vs one
+// cross-query node-estimate cache: one-value estimate calls vs one
 // batched kernel call over the same values, scalar vs vectorized inner
 // loops per frequency oracle, and repeated-query cost with the cache on vs
 // off, on a ~1M-row table.
 //
 // All paths produce bit-identical estimates; only the cost differs. The
-// scalar baseline is the per-value path every mechanism fan-out used
-// before batching (one full pass over the reports, or one histogram probe,
-// per value).
+// one-value baseline is what every mechanism fan-out paid before batching
+// (one full pass over the reports, or one histogram probe, per value).
 //
 //   ./bench/micro_estimate_batch                          # human-readable
-//   ./bench/micro_estimate_batch --benchmark_format=json > BENCH_estimate.json
+//   ./bench/micro_estimate_batch --benchmark_repetitions=5
+//       --benchmark_format=json > BENCH_estimate.json     # record a run
 //   ./bench/micro_estimate_batch --simd=scalar            # force a level
 //
-// Record BENCH_estimate.json from a RELEASE build (the release-bench
-// preset): debug-build numbers under-report the vectorized kernels by an
-// order of magnitude and must not be committed.
+// No baseline is committed; record one from a RELEASE build (the
+// release-bench preset) when comparing: debug-build numbers under-report
+// the vectorized kernels by an order of magnitude.
 
 #include <benchmark/benchmark.h>
 

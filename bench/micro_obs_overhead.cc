@@ -7,6 +7,7 @@
 //
 //   ./bench/micro_obs_overhead                          # human-readable
 //   ./bench/micro_obs_overhead --benchmark_format=json > BENCH_obs.json
+//                                    # record a run (no baseline is committed)
 //   ./bench/micro_obs_overhead --stats_json=obs_stats.json   # metrics dump
 
 #include <benchmark/benchmark.h>

@@ -4,11 +4,14 @@
 //   * plan-cache hit rate over a templated workload,
 //   * ExecuteBatch's estimate-call reduction vs. sequential Execute on the
 //     same workload (counted via the plan.estimate_calls counter, not wall
-//     clock — the acceptance metric in BENCH_plan.json).
+//     clock — the acceptance metric of the summary).
 //
-// Writes a JSON summary to --out (default: BENCH_plan.json next to the CWD)
-// and prints it to stdout. Answers are asserted bit-identical between the
-// sequential and batched paths before any number is reported.
+//   ./bench/micro_plan_overhead --out BENCH_plan.json
+//
+// Writes a JSON summary to --out (default: BENCH_plan.json in the CWD) and
+// prints it to stdout; no baseline is committed. Answers are asserted
+// bit-identical between the sequential and batched paths before any number
+// is reported.
 
 #include <chrono>
 #include <cmath>

@@ -8,6 +8,7 @@
 //
 //   ./bench/micro_wal_overhead                          # human-readable
 //   ./bench/micro_wal_overhead --benchmark_format=json > BENCH_wal.json
+//                                    # record a run (no baseline is committed)
 //   ./bench/micro_wal_overhead --stats_json=wal_stats.json   # metrics dump
 
 #include <benchmark/benchmark.h>

@@ -18,14 +18,10 @@ constexpr size_t kEstimateCacheBytes = 32ull << 20;
 /// small, and this bounds the distinct query shapes kept hot.
 constexpr size_t kPlanCacheEntries = 256;
 
-/// The executed plan's measured actuals, from its locally profiled run.
-PlanObservation ObservationOf(const QueryProfile& local) {
-  PlanObservation obs;
-  obs.wall_nanos = local.total_nanos;
-  obs.estimate_calls = local.estimate_calls;
-  // Nodes the cache served plus nodes the kernels estimated.
-  obs.nodes_touched = local.cache_hits + local.nodes_estimated;
-  return obs;
+/// Queries answered through ExecuteBatch (`plan.batch_queries`).
+Counter* BatchQueries() {
+  static Counter* c = GlobalMetrics().counter("plan.batch_queries");
+  return c;
 }
 
 }  // namespace
@@ -157,37 +153,39 @@ Result<std::shared_ptr<const PhysicalPlan>> AnalyticsEngine::GetPlan(
   return plan;
 }
 
-Result<double> AnalyticsEngine::ExecuteRecorded(
-    const Query* query, std::shared_ptr<const PhysicalPlan> plan,
-    QueryProfile* profile) const {
-  if (plan_stats_ == nullptr) {
-    ProfiledQueryScope scope(profile, *mechanism_, *exec_);
-    if (query != nullptr) {
-      LDP_ASSIGN_OR_RETURN(plan, GetPlan(*query, profile));
+Status AnalyticsEngine::ExecutePlans(
+    std::span<const Query> queries, std::shared_ptr<const PhysicalPlan> plan,
+    std::span<double> out, QueryProfile* profile) const {
+  std::vector<std::shared_ptr<const PhysicalPlan>> plans;
+  plans.reserve(queries.size() + 1);
+  if (plan != nullptr) plans.push_back(std::move(plan));
+  // With feedback on, the executor measures one observation per plan
+  // (dedup-aware — a shared estimate is charged to the plan that computed
+  // it), recorded once every plan has run.
+  std::vector<PlanObservation> observations;
+  {
+    ProfiledQueryScope scope(profile, *mechanism_, *exec_,
+                             plans.size() + queries.size());
+    for (const Query& query : queries) {
+      LDP_ASSIGN_OR_RETURN(auto resolved, GetPlan(query, profile));
+      plans.push_back(std::move(resolved));
     }
-    return executor_->Run(*plan, profile);
+    LDP_RETURN_NOT_OK(executor_->RunBatch(
+        plans, out, profile,
+        plan_stats_ != nullptr ? &observations : nullptr));
   }
-  // Feedback on: run against a local profile so the observation carries THIS
-  // execution's actuals, then merge into the caller's profile — its totals
-  // match the unrecorded path exactly.
-  QueryProfile local;
-  const Result<double> result = [&]() -> Result<double> {
-    ProfiledQueryScope scope(&local, *mechanism_, *exec_);
-    if (query != nullptr) {
-      LDP_ASSIGN_OR_RETURN(plan, GetPlan(*query, &local));
-    }
-    return executor_->Run(*plan, &local);
-  }();
-  if (profile != nullptr) profile->Merge(local);
-  if (result.ok() && plan != nullptr) {
-    plan_stats_->Record(plan->fingerprint, ObservationOf(local));
+  for (size_t i = 0; i < observations.size(); ++i) {
+    plan_stats_->Record(plans[i]->fingerprint, observations[i]);
   }
-  return result;
+  return Status::OK();
 }
 
 Result<double> AnalyticsEngine::Execute(const Query& query,
                                         QueryProfile* profile) const {
-  return ExecuteRecorded(&query, nullptr, profile);
+  double estimate = 0.0;
+  LDP_RETURN_NOT_OK(ExecutePlans(std::span<const Query>(&query, 1), nullptr,
+                                 std::span<double>(&estimate, 1), profile));
+  return estimate;
 }
 
 Result<double> AnalyticsEngine::ExecuteSql(std::string_view sql,
@@ -198,7 +196,11 @@ Result<double> AnalyticsEngine::ExecuteSql(std::string_view sql,
   if (plan_cache_ != nullptr) {
     if (auto plan =
             plan_cache_->GetSql(std::string(sql), mechanism_->num_reports())) {
-      return ExecuteRecorded(nullptr, std::move(plan), profile);
+      double estimate = 0.0;
+      LDP_RETURN_NOT_OK(ExecutePlans({}, std::move(plan),
+                                     std::span<double>(&estimate, 1),
+                                     profile));
+      return estimate;
     }
   }
   TraceSpan parse_span(profile, QueryProfile::kParse);
@@ -235,38 +237,8 @@ Status AnalyticsEngine::ExecuteBatch(std::span<const Query> queries,
   if (out.size() < queries.size()) {
     return Status::InvalidArgument("ExecuteBatch: output span too small");
   }
-  if (plan_stats_ == nullptr) {
-    ProfiledQueryScope scope(profile, *mechanism_, *exec_, queries.size());
-    std::vector<std::shared_ptr<const PhysicalPlan>> plans;
-    plans.reserve(queries.size());
-    for (const Query& query : queries) {
-      LDP_ASSIGN_OR_RETURN(auto plan, GetPlan(query, profile));
-      plans.push_back(std::move(plan));
-    }
-    return executor_->RunBatch(plans, out, profile);
-  }
-  // Feedback on: the executor measures one observation per plan (dedup-aware
-  // — a shared estimate is charged to the plan that computed it), recorded
-  // after the whole batch succeeds.
-  QueryProfile local;
-  std::vector<std::shared_ptr<const PhysicalPlan>> plans;
-  std::vector<PlanObservation> observations;
-  const Status status = [&]() -> Status {
-    ProfiledQueryScope scope(&local, *mechanism_, *exec_, queries.size());
-    plans.reserve(queries.size());
-    for (const Query& query : queries) {
-      LDP_ASSIGN_OR_RETURN(auto plan, GetPlan(query, &local));
-      plans.push_back(std::move(plan));
-    }
-    return executor_->RunBatch(plans, out, &local, &observations);
-  }();
-  if (profile != nullptr) profile->Merge(local);
-  if (status.ok()) {
-    for (size_t i = 0; i < observations.size() && i < plans.size(); ++i) {
-      plan_stats_->Record(plans[i]->fingerprint, observations[i]);
-    }
-  }
-  return status;
+  BatchQueries()->Add(queries.size());
+  return ExecutePlans(queries, nullptr, out, profile);
 }
 
 Result<std::shared_ptr<const PhysicalPlan>> AnalyticsEngine::PlanFor(

@@ -65,7 +65,7 @@ struct EngineOptions {
   /// PlanStatsStore::kWarmupObservations observations, Explain and PlanFor
   /// show them next to the planner's predictions. Display data only — plans
   /// and answers are identical with it on or off. Off by default: recording
-  /// adds a profiled scope and a store update to every query.
+  /// adds a per-plan timer and a store update to every query.
   bool enable_feedback = false;
   /// Instruction-set level for the frequency-oracle estimate kernels
   /// (src/fo/simd/). kAuto picks the best supported level at Create();
@@ -91,8 +91,10 @@ struct EngineOptions {
 /// Query answering is staged through an explicit plan pipeline:
 /// parse -> logical plan (BuildLogicalPlan: validate + rewrite) -> physical
 /// plan (Planner: strategy + ops + cost annotations) -> PlanExecutor. The
-/// engine's Execute* methods are thin wrappers that obtain a (usually
-/// cached) plan and run it; Explain* render the plan instead of running it.
+/// engine's Execute* methods are thin wrappers over one body that obtains
+/// (usually cached) plans and runs them as one PlanExecutor::RunBatch — a
+/// single query is a one-plan batch; Explain* render the plan instead of
+/// running it.
 ///
 /// The engine keeps a reference to `table`: the sensitive columns are read
 /// only during the simulated collection; estimation touches only reports and
@@ -188,13 +190,15 @@ class AnalyticsEngine {
   Result<std::shared_ptr<const PhysicalPlan>> GetPlan(
       const Query& query, QueryProfile* profile) const;
 
-  /// Shared Execute body: resolves the plan (when `query` is non-null; a
-  /// pre-resolved `plan` otherwise), runs it under a profiled scope, and —
-  /// when feedback is on — records the measured PlanObservation into
-  /// plan_stats_.
-  Result<double> ExecuteRecorded(const Query* query,
-                                 std::shared_ptr<const PhysicalPlan> plan,
-                                 QueryProfile* profile) const;
+  /// The one execution body behind Execute, ExecuteSql and ExecuteBatch.
+  /// Inside one ProfiledQueryScope it resolves the plans — `plan` when
+  /// non-null (ExecuteSql's SQL-alias hit), then one per query — and runs
+  /// them with one PlanExecutor::RunBatch into `out`. With feedback on it
+  /// records each plan's measured PlanObservation into plan_stats_ once
+  /// every plan has run.
+  Status ExecutePlans(std::span<const Query> queries,
+                      std::shared_ptr<const PhysicalPlan> plan,
+                      std::span<double> out, QueryProfile* profile) const;
 
   /// Copies `plan` with its feedback block filled from the live stats store.
   /// The planner leaves the block empty and cached plans are shared, so

@@ -16,7 +16,6 @@ Result<std::vector<double>> EstimateHistogram(const HioMechanism& hio,
   if (dim_position < 0 || dim_position >= grid.num_dims()) {
     return Status::InvalidArgument("bad dimension position");
   }
-  LDP_RETURN_NOT_OK(hio.ValidateWeights(weights));
   const DimHierarchy& dim = grid.dim(dim_position);
   const uint64_t m = dim.domain_size();
   std::vector<double> hist(m, 0.0);
@@ -42,7 +41,7 @@ Result<std::vector<double>> EstimateHistogram(const HioMechanism& hio,
       cells[v] = dim.IntervalIndexOf(v, dim.height());
     }
     // One batched kernel pass over the whole leaf level.
-    hio.EstimateCells(flat, cells, weights, hist);
+    LDP_RETURN_NOT_OK(hio.EstimateCells(flat, cells, weights, hist));
   }
   if (options.non_negative) {
     // The bins' true total is the public total weight.

@@ -299,7 +299,8 @@ Result<CollectionServer> CollectionServer::CreateDurable(
 
   // Phase 1 — snapshot restore: the accepted (user, payload) sequence in
   // acceptance order is the canonical accumulator state, so feeding it back
-  // through AddReport rebuilds the mechanism bit-identically. Stats are
+  // through AddReport rebuilds the mechanism bit-identically. AddReport
+  // validates each entry again: these bytes come from disk. Stats are
   // restored from the header (the quarantined frames themselves were
   // compacted away, but their counts survive).
   if (snapshot.loaded) {
@@ -328,14 +329,19 @@ Result<CollectionServer> CollectionServer::CreateDurable(
     server.stats_.rejected = snapshot.data.rejected;
   }
 
-  // Phase 2 — WAL replay: every logged frame (corrupt and duplicate ones
-  // included — they were logged verbatim) re-runs the serial decision path,
-  // so post-recovery IngestStats match the pre-crash server exactly.
+  // Phase 2 — WAL replay: each record holds the frames of one Ingest or
+  // IngestBatch call, corrupt and duplicate ones included (they were logged
+  // verbatim), and goes back through that call's pipeline without being
+  // logged again, so post-recovery IngestStats match the pre-crash server
+  // exactly.
   server.store_ = std::move(store);
+  std::vector<ReportFrame> frames;
   for (const WalRecord& record : replay.records) {
+    frames.clear();
     for (const WalRecord::Frame& frame : record.frames) {
-      (void)server.ApplyFrame(frame.bytes, frame.user);  // fate re-decided
+      frames.push_back(ReportFrame{frame.bytes, frame.user});
     }
+    LDP_RETURN_NOT_OK(server.IngestFrames(frames, {}, /*replay=*/true));
   }
 
   const uint64_t elapsed_ms = static_cast<uint64_t>(
@@ -348,55 +354,20 @@ Result<CollectionServer> CollectionServer::CreateDurable(
 }
 
 Status CollectionServer::Ingest(std::string_view frame_bytes, uint64_t user) {
-  if (store_ != nullptr) {
-    // Write-ahead: the frame must be in the log before it may mutate the
-    // server, so the recovered state is always a prefix of the ingest
-    // stream. An append failure (ENOSPC, I/O error) leaves this frame
-    // entirely un-applied — the caller may retry it later.
-    const WalFrameRef ref{user, frame_bytes};
-    LDP_RETURN_NOT_OK(store_->AppendFrames(std::span<const WalFrameRef>(&ref, 1)));
-  }
-  const Status fate = ApplyFrame(frame_bytes, user);
-  MaybeSnapshot();
+  const ReportFrame frame{frame_bytes, user};
+  Status fate;
+  LDP_RETURN_NOT_OK(IngestFrames(std::span<const ReportFrame>(&frame, 1),
+                                 std::span<Status>(&fate, 1),
+                                 /*replay=*/false));
   return fate;
 }
 
-Status CollectionServer::ApplyFrame(std::string_view frame_bytes,
-                                    uint64_t user) {
-  const auto payload = UnframeReport(frame_bytes);
-  if (!payload.ok()) {
-    ++stats_.corrupt;
-    IngestMetrics().corrupt->Add(1);
-    return payload.status();
-  }
-  const auto report = LdpReport::Deserialize(payload.value());
-  if (!report.ok()) {
-    ++stats_.corrupt;
-    IngestMetrics().corrupt->Add(1);
-    return report.status();
-  }
-  if (users_.contains(user)) {
-    ++stats_.duplicate;
-    IngestMetrics().duplicate->Add(1);
-    return Status::AlreadyExists("user " + std::to_string(user) +
-                                 " already reported; duplicate discarded");
-  }
-  const Status added = mechanism_->AddReport(report.value(), user);
-  if (!added.ok()) {
-    // Well-formed bytes that don't fit the spec (e.g. wrong mechanism shape).
-    // The user stays un-seen so a correct retry can still land.
-    ++stats_.rejected;
-    IngestMetrics().rejected->Add(1);
-    return added;
-  }
-  users_.insert(user);
-  ++stats_.accepted;
-  IngestMetrics().accepted->Add(1);
-  if (store_ != nullptr) store_->RetainAccepted(user, payload.value());
-  return Status::OK();
+Status CollectionServer::IngestBatch(std::span<const ReportFrame> frames) {
+  return IngestFrames(frames, {}, /*replay=*/false);
 }
 
-Status CollectionServer::IngestBatch(std::span<const ReportFrame> frames) {
+Status CollectionServer::IngestFrames(std::span<const ReportFrame> frames,
+                                      std::span<Status> fates, bool replay) {
   const uint64_t n = frames.size();
   if (n == 0) return Status::OK();
 
@@ -410,11 +381,33 @@ Status CollectionServer::IngestBatch(std::span<const ReportFrame> frames) {
   enum : uint8_t { kDecoded = 0, kCorrupt = 1, kMisfit = 2 };
   std::vector<LdpReport> reports(n);
   std::vector<uint8_t> fate(n, kDecoded);
+  // Decodes frame i into reports[i], or returns why it is corrupt or does
+  // not fit the spec.
+  const auto decode = [&](uint64_t i) -> Status {
+    const auto payload = UnframeReport(frames[i].bytes);
+    if (!payload.ok()) {
+      fate[i] = kCorrupt;
+      return payload.status();
+    }
+    auto report = LdpReport::Deserialize(payload.value());
+    if (!report.ok()) {
+      fate[i] = kCorrupt;
+      return report.status();
+    }
+    Status valid = mechanism_->ValidateReport(report.value());
+    if (!valid.ok()) {
+      fate[i] = kMisfit;
+      return valid;
+    }
+    reports[i] = std::move(report).value();
+    return Status::OK();
+  };
   const uint64_t threads = static_cast<uint64_t>(exec_->num_threads());
   const uint64_t chunk = (n + threads - 1) / threads;
-  const uint64_t wal_tasks = store_ != nullptr ? 1 : 0;
+  const uint64_t wal_tasks = store_ != nullptr && !replay ? 1 : 0;
+  const uint64_t tasks = wal_tasks + (n + chunk - 1) / chunk;
   Status appended = Status::OK();
-  exec_->ParallelFor(wal_tasks + (n + chunk - 1) / chunk, [&](uint64_t task) {
+  const auto run_task = [&](uint64_t task) {
     if (task < wal_tasks) {
       std::vector<WalFrameRef> refs;
       refs.reserve(n);
@@ -427,28 +420,22 @@ Status CollectionServer::IngestBatch(std::span<const ReportFrame> frames) {
     const uint64_t begin = (task - wal_tasks) * chunk;
     const uint64_t end = std::min(n, begin + chunk);
     for (uint64_t i = begin; i < end; ++i) {
-      const auto payload = UnframeReport(frames[i].bytes);
-      if (!payload.ok()) {
-        fate[i] = kCorrupt;
-        continue;
-      }
-      auto report = LdpReport::Deserialize(payload.value());
-      if (!report.ok()) {
-        fate[i] = kCorrupt;
-        continue;
-      }
-      if (!mechanism_->ValidateReport(report.value()).ok()) {
-        fate[i] = kMisfit;
-        continue;
-      }
-      reports[i] = std::move(report).value();
+      Status status = decode(i);
+      if (!fates.empty()) fates[i] = std::move(status);
     }
-  });
+  };
+  if (tasks == wal_tasks + 1) {
+    // One decode chunk has nothing to overlap with but the append, so both
+    // run on the calling thread: a one-frame Ingest never wakes the pool.
+    for (uint64_t task = 0; task < tasks; ++task) run_task(task);
+  } else {
+    exec_->ParallelFor(tasks, run_task);
+  }
   // An append failure (ENOSPC, I/O error) leaves the whole batch un-applied.
   LDP_RETURN_NOT_OK(appended);
 
-  // Phase B — serial commit, in frame order: exactly the fate sequence the
-  // one-at-a-time Ingest loop produces (corrupt before duplicate before
+  // Phase B — serial commit, in frame order: the fate each frame gets when
+  // the frames arrive one at a time (corrupt before duplicate before
   // rejected), including dedup against earlier frames of this same batch.
   std::vector<uint64_t> accepted;
   accepted.reserve(n);
@@ -457,15 +444,20 @@ Status CollectionServer::IngestBatch(std::span<const ReportFrame> frames) {
     const uint64_t user = frames[i].user;
     if (fate[i] == kCorrupt) {
       ++batch.corrupt;
-    } else if (fate[i] == kMisfit) {
-      // A rejected user stays un-seen, so a correct retry can still land.
-      if (users_.contains(user)) {
-        ++batch.duplicate;
-      } else {
-        ++batch.rejected;
-      }
-    } else if (!users_.insert(user)) {
+      continue;
+    }
+    // A rejected user stays un-seen, so a correct retry can still land.
+    const bool seen =
+        fate[i] == kMisfit ? users_.contains(user) : !users_.insert(user);
+    if (seen) {
       ++batch.duplicate;
+      if (!fates.empty()) {
+        fates[i] = Status::AlreadyExists(
+            "user " + std::to_string(user) +
+            " already reported; duplicate discarded");
+      }
+    } else if (fate[i] == kMisfit) {
+      ++batch.rejected;
     } else {
       ++batch.accepted;
       if (store_ != nullptr) {
@@ -496,41 +488,33 @@ Status CollectionServer::IngestBatch(std::span<const ReportFrame> frames) {
   // slower (DESIGN.md §8). kExecChunkRows sits inside that band. Larger
   // batches are added by workers over contiguous ranges into private
   // shards, and merging them in worker order reproduces the exact
-  // frame-order sequence.
+  // frame-order sequence. Phase A validated every report, so none is
+  // validated again here.
   const uint64_t m = accepted.size();
   const uint64_t num_workers = std::min<uint64_t>(
       threads, (m + kExecChunkRows - 1) / kExecChunkRows);
   if (num_workers <= 1) {
     for (const uint64_t i : accepted) {
-      LDP_RETURN_NOT_OK(mechanism_->AddReport(reports[i], frames[i].user));
+      mechanism_->AddValidReportAt(reports[i], 0, frames[i].user);
     }
-    MaybeSnapshot();
-    return Status::OK();
-  }
-  std::vector<std::unique_ptr<Mechanism>> shards(num_workers);
-  for (auto& shard : shards) {
-    LDP_ASSIGN_OR_RETURN(shard, mechanism_->NewShard());
-  }
-  std::vector<Status> worker_status(num_workers, Status::OK());
-  exec_->ParallelFor(num_workers, [&](uint64_t w) {
-    const uint64_t begin = w * m / num_workers;
-    const uint64_t end = (w + 1) * m / num_workers;
-    for (uint64_t j = begin; j < end; ++j) {
-      const uint64_t i = accepted[j];
-      const Status status = shards[w]->AddReport(reports[i], frames[i].user);
-      if (!status.ok()) {
-        // Cannot happen for a report that passed ValidateReport; surface it
-        // as an internal pipeline failure rather than dropping it silently.
-        worker_status[w] = status;
-        return;
+  } else {
+    std::vector<std::unique_ptr<Mechanism>> shards(num_workers);
+    for (auto& shard : shards) {
+      LDP_ASSIGN_OR_RETURN(shard, mechanism_->NewShard());
+    }
+    exec_->ParallelFor(num_workers, [&](uint64_t w) {
+      const uint64_t begin = w * m / num_workers;
+      const uint64_t end = (w + 1) * m / num_workers;
+      for (uint64_t j = begin; j < end; ++j) {
+        const uint64_t i = accepted[j];
+        shards[w]->AddValidReportAt(reports[i], 0, frames[i].user);
       }
+    });
+    for (auto& shard : shards) {
+      LDP_RETURN_NOT_OK(mechanism_->Merge(std::move(*shard)));
     }
-  });
-  for (const Status& status : worker_status) LDP_RETURN_NOT_OK(status);
-  for (auto& shard : shards) {
-    LDP_RETURN_NOT_OK(mechanism_->Merge(std::move(*shard)));
   }
-  MaybeSnapshot();
+  if (!replay) MaybeSnapshot();
   return Status::OK();
 }
 

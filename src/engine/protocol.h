@@ -149,21 +149,25 @@ class CollectionServer {
   /// `storage.dir` (created if needed). If the directory already holds
   /// state from a previous run, recovery replays it before returning:
   /// the newest valid snapshot restores the accepted-report sequence and
-  /// IngestStats, then the WAL suffix past it is replayed frame by frame
-  /// through the normal ingest decision path, so dedup, quarantine and
-  /// renormalization decisions — and therefore every estimate — are
-  /// bit-identical to a process that never crashed. A torn WAL tail or a
-  /// corrupt snapshot degrades recovery to the longest checksummed-valid
-  /// prefix (details in recovery_info()->degradation); it never fails the
-  /// open and never silently invents or drops a durable record.
+  /// IngestStats, then each WAL record past it (the frames of one Ingest or
+  /// IngestBatch call) goes back through the ingest pipeline without being
+  /// logged again, so dedup, quarantine and renormalization decisions — and
+  /// therefore every estimate — are bit-identical to a process that never
+  /// crashed. A torn WAL tail or a corrupt snapshot degrades recovery to the
+  /// longest checksummed-valid prefix (details in
+  /// recovery_info()->degradation); it never fails the open and never
+  /// silently invents or drops a durable record.
   static Result<CollectionServer> CreateDurable(const CollectionSpec& spec,
                                                 const StorageOptions& storage,
                                                 int num_threads = 1);
 
-  /// Validates and ingests one framed report for user id `user`. Non-OK
-  /// outcomes are typed: kParseError for corrupt frames or payloads,
-  /// kAlreadyExists for a duplicate user, and the mechanism's own code for
-  /// well-formed reports that don't fit the spec. Never aborts the process.
+  /// Validates and ingests one framed report for user id `user`: a
+  /// one-frame IngestBatch that runs on the calling thread and returns the
+  /// frame's fate. Non-OK outcomes are typed: kParseError for corrupt frames
+  /// or payloads, kAlreadyExists for a duplicate user, the mechanism's own
+  /// code for well-formed reports that don't fit the spec, and the append's
+  /// error (the frame left un-applied) when the WAL write fails. Never
+  /// aborts the process.
   Status Ingest(std::string_view frame_bytes, uint64_t user);
 
   /// One framed report awaiting ingestion; `bytes` must stay alive for the
@@ -173,20 +177,23 @@ class CollectionServer {
     uint64_t user = 0;
   };
 
-  /// Ingests a batch of frames with the staged shard-parallel pipeline:
+  /// Ingests a batch of frames with the staged shard-parallel pipeline, the
+  /// one ingest path (Ingest and WAL replay run it too):
   /// (A) one parallel pass: on a durable server one task appends the batch
   ///     as one WAL record while the others unframe, deserialize and
   ///     structurally validate a contiguous chunk of frames each
-  ///     (ceil(frames / num_threads) per chunk); decoding mutates nothing;
+  ///     (ceil(frames / num_threads) per chunk); decoding mutates nothing.
+  ///     With a single decode chunk both tasks run on the calling thread;
   /// (B) once the append returned OK, per-frame fate decisions (corrupt /
   ///     duplicate / rejected / accepted) serially in frame order — the
   ///     exact semantics of calling Ingest on each frame in order, including
   ///     intra-batch dedup;
-  /// (C) accepted reports added straight into the mechanism when there are
-  ///     at most kExecChunkRows of them, otherwise into one shard mechanism
-  ///     per kExecChunkRows (at most one per worker) over contiguous ranges,
-  ///     merged back in worker order. The threshold lies inside the measured
-  ///     band where shards start to pay for themselves (DESIGN.md §8).
+  /// (C) accepted reports, validated once in (A), added straight into the
+  ///     mechanism when there are at most kExecChunkRows of them, otherwise
+  ///     into one shard mechanism per kExecChunkRows (at most one per
+  ///     worker) over contiguous ranges, merged back in worker order. The
+  ///     threshold lies inside the measured band where shards start to pay
+  ///     for themselves (DESIGN.md §8).
   /// Afterwards the server state (stats, dedup set, accumulated reports) is
   /// bitwise what the serial Ingest loop would have produced, for any thread
   /// count. Per-frame failures are recorded in ingest_stats(), not returned;
@@ -256,11 +263,12 @@ class CollectionServer {
         exec_(std::move(exec)),
         mechanism_(std::move(mechanism)) {}
 
-  /// The serial ingest decision path (corrupt → duplicate → rejected →
-  /// accepted) shared by Ingest, IngestBatch's phase B equivalence, and
-  /// recovery replay. Must not be called before the frame is in the WAL
-  /// (write-ahead discipline); retains accepted payloads in store_.
-  Status ApplyFrame(std::string_view frame_bytes, uint64_t user);
+  /// The ingest pipeline (phases A-C of IngestBatch). `fates`, when not
+  /// empty, receives every frame's typed outcome, OK for an accepted one.
+  /// `replay` marks frames recovered from the WAL: they are not appended
+  /// again and trigger no snapshot. Retains accepted payloads in store_.
+  Status IngestFrames(std::span<const ReportFrame> frames,
+                      std::span<Status> fates, bool replay);
 
   /// Writes an automatic snapshot when the store says one is due. Failures
   /// are recorded in last_snapshot_status(), never surfaced to ingest, and

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cmath>
 
-#include "common/logging.h"
 #include "common/string_util.h"
 #include "fo/grr.h"
 #include "fo/hadamard.h"
@@ -63,15 +62,6 @@ Result<FoKind> FoKindFromString(std::string_view name) {
 namespace {
 std::atomic<uint64_t> g_next_weight_id{1};
 }  // namespace
-
-void FoAccumulator::EstimateManyWeighted(std::span<const uint64_t> values,
-                                         const WeightVector& w,
-                                         std::span<double> out) const {
-  LDP_CHECK_EQ(values.size(), out.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    out[i] = EstimateWeighted(values[i], w);
-  }
-}
 
 WeightVector::WeightVector(std::vector<double> weights)
     : WeightVector(std::move(weights), g_next_weight_id.fetch_add(1)) {}

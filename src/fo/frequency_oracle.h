@@ -135,30 +135,31 @@ class FoAccumulator {
   /// empty. Returns InvalidArgument on a type mismatch.
   virtual Status Merge(FoAccumulator&& other) = 0;
 
-  /// Unbiased estimate of the total weight of users in this group holding
-  /// `value`. The same reports may be estimated against any number of weight
-  /// vectors (post-processing under LDP). Thread-safe against concurrent
-  /// EstimateWeighted/GroupWeight calls (estimation fan-out); NOT against a
-  /// concurrent Add or Merge — ingestion and estimation are distinct stages.
-  virtual double EstimateWeighted(uint64_t value, const WeightVector& w) const = 0;
-
-  /// Batched estimation: out[i] = EstimateWeighted(values[i], w) for every
-  /// requested value, with one pass over the reports (or one cached
-  /// histogram fetch) amortized across the whole batch instead of one pass
-  /// per value. `out.size()` must equal `values.size()`.
+  /// The estimate entry point: out[i] receives an unbiased estimate of the
+  /// total weight of users in this group holding values[i], with one pass
+  /// over the reports (or one cached histogram fetch) amortized across the
+  /// whole batch. `out.size()` must equal `values.size()`. The same reports
+  /// may be estimated against any number of weight vectors
+  /// (post-processing under LDP).
   ///
-  /// Bit-identical to the scalar path: each value's floating-point
-  /// accumulation order is the report order regardless of how a value set is
-  /// split into batches, so callers may tile `values` freely — including in
-  /// parallel over disjoint tiles — and always reproduce the serial scalar
-  /// loop exactly. Same thread-safety contract as EstimateWeighted.
-  ///
-  /// The default implementation loops the scalar path, so every oracle is
-  /// correct by construction; OLH/GRR/OUE/HR override it with single-pass
-  /// multi-value kernels.
+  /// Each value's floating-point accumulation order is the report order
+  /// regardless of how a value set is split into batches, so callers may
+  /// tile `values` freely — including in parallel over disjoint tiles, or
+  /// one value at a time — and always get the same bits. Thread-safe against
+  /// concurrent estimate and GroupWeight calls (estimation fan-out); NOT
+  /// against a concurrent Add or Merge — ingestion and estimation are
+  /// distinct stages.
   virtual void EstimateManyWeighted(std::span<const uint64_t> values,
                                     const WeightVector& w,
-                                    std::span<double> out) const;
+                                    std::span<double> out) const = 0;
+
+  /// EstimateManyWeighted for one value.
+  double EstimateWeighted(uint64_t value, const WeightVector& w) const {
+    double out = 0.0;
+    EstimateManyWeighted(std::span<const uint64_t>(&value, 1), w,
+                         std::span<double>(&out, 1));
+    return out;
+  }
 
   /// Sum of w over users in this group (exact; weights are public).
   virtual double GroupWeight(const WeightVector& w) const = 0;

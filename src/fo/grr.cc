@@ -88,15 +88,6 @@ GrrAccumulator::GetOrBuildHistogram(const WeightVector& w) const {
       });
 }
 
-double GrrAccumulator::EstimateWeighted(uint64_t value,
-                                        const WeightVector& w) const {
-  const auto h = GetOrBuildHistogram(w);
-  const auto it = h->by_value.find(static_cast<uint32_t>(value));
-  const double theta_w = it == h->by_value.end() ? 0.0 : it->second;
-  return (theta_w - h->group_weight * protocol_.q()) /
-         (protocol_.p() - protocol_.q());
-}
-
 void GrrAccumulator::EstimateManyWeighted(std::span<const uint64_t> values,
                                           const WeightVector& w,
                                           std::span<double> out) const {
@@ -104,8 +95,8 @@ void GrrAccumulator::EstimateManyWeighted(std::span<const uint64_t> values,
   if (values.empty()) return;
   const double q = protocol_.q();
   const double pq_diff = protocol_.p() - q;
-  // One histogram fetch amortized across the batch; per-value math is
-  // exactly the scalar estimator's.
+  // One histogram fetch amortized across the batch; each value reads only
+  // its own histogram entry, so its bits do not depend on the batch.
   const auto h = GetOrBuildHistogram(w);
   FoEstimateMetrics().report_values->Add(values.size());
   for (size_t i = 0; i < values.size(); ++i) {

@@ -104,16 +104,6 @@ HadamardAccumulator::GetOrBuildSpectrum(const WeightVector& w) const {
   });
 }
 
-double HadamardAccumulator::EstimateWeighted(uint64_t value,
-                                             const WeightVector& w) const {
-  const auto s = GetOrBuildSpectrum(w);
-  double total = 0.0;
-  for (size_t e = 0; e < s->indices.size(); ++e) {
-    total += s->sums[e] * HadamardProtocol::Entry(s->indices[e], value);
-  }
-  return protocol_.scale() * total;
-}
-
 void HadamardAccumulator::EstimateManyWeighted(std::span<const uint64_t> values,
                                                const WeightVector& w,
                                                std::span<double> out) const {
@@ -121,7 +111,7 @@ void HadamardAccumulator::EstimateManyWeighted(std::span<const uint64_t> values,
   if (values.empty()) return;
   // One spectrum fetch for the whole batch; spectrum entries run in the
   // outer loop so every value accumulates over them in the flattened entry
-  // order the scalar path uses — bit-identical results.
+  // order, however the values are batched — bit-identical results.
   const auto s = GetOrBuildSpectrum(w);
   const FoKernels& kernels = ActiveKernels();
   FoEstimateMetrics().report_values->Add(s->indices.size() * values.size());

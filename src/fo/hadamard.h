@@ -66,7 +66,6 @@ class HadamardAccumulator : public FoAccumulator {
   uint64_t num_reports() const override { return indices_.size(); }
   std::unique_ptr<FoAccumulator> NewShard() const override;
   Status Merge(FoAccumulator&& other) override;
-  double EstimateWeighted(uint64_t value, const WeightVector& w) const override;
   void EstimateManyWeighted(std::span<const uint64_t> values,
                             const WeightVector& w,
                             std::span<double> out) const override;

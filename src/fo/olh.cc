@@ -124,14 +124,6 @@ OlhAccumulator::GetOrBuildHistogram(const WeightVector& w) const {
       });
 }
 
-double OlhAccumulator::EstimateWeighted(uint64_t value,
-                                        const WeightVector& w) const {
-  double out = 0.0;
-  EstimateManyWeighted(std::span<const uint64_t>(&value, 1), w,
-                       std::span<double>(&out, 1));
-  return out;
-}
-
 void OlhAccumulator::EstimateManyWeighted(std::span<const uint64_t> values,
                                           const WeightVector& w,
                                           std::span<double> out) const {
@@ -143,7 +135,7 @@ void OlhAccumulator::EstimateManyWeighted(std::span<const uint64_t> values,
   double theta[kOlhValueTile];
   if (UsesHistograms()) {
     // One histogram fetch amortized over the whole batch; per value the sum
-    // runs over seeds in pool order, exactly as the scalar estimator did.
+    // runs over seeds in pool order, however the values are batched.
     const auto h = GetOrBuildHistogram(w);
     const uint32_t pool = protocol_.hash_pool_size();
     const double* hist = h->hist.data();
@@ -161,7 +153,7 @@ void OlhAccumulator::EstimateManyWeighted(std::span<const uint64_t> values,
   }
   // Raw path: one pass over the reports per value tile. The group weight
   // accumulates in report order (independent of the value), so computing it
-  // once reproduces the scalar path bit-for-bit.
+  // once gives every value the bits a one-value call gives it.
   const size_t n = seeds_.size();
   double group_weight = 0.0;
   for (size_t i = 0; i < n; ++i) group_weight += w[users_[i]];

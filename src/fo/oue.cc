@@ -63,22 +63,14 @@ Status OueAccumulator::Merge(FoAccumulator&& other) {
   return Status::OK();
 }
 
-double OueAccumulator::EstimateWeighted(uint64_t value,
-                                        const WeightVector& w) const {
-  double out = 0.0;
-  EstimateManyWeighted(std::span<const uint64_t>(&value, 1), w,
-                       std::span<double>(&out, 1));
-  return out;
-}
-
 void OueAccumulator::EstimateManyWeighted(std::span<const uint64_t> values,
                                           const WeightVector& w,
                                           std::span<double> out) const {
   LDP_CHECK_EQ(values.size(), out.size());
   if (values.empty()) return;
   // One pass over the bit vectors for the whole value tile. Per value the
-  // theta sum runs in report order, so results match the scalar path
-  // bit-for-bit no matter how the caller batches values.
+  // theta sum runs in report order, so results are bit-identical no matter
+  // how the caller batches values.
   constexpr size_t kTile = 512;
   double theta[kTile];
   const size_t n = users_.size();

@@ -50,7 +50,6 @@ class OueAccumulator : public FoAccumulator {
   uint64_t num_reports() const override { return users_.size(); }
   std::unique_ptr<FoAccumulator> NewShard() const override;
   Status Merge(FoAccumulator&& other) override;
-  double EstimateWeighted(uint64_t value, const WeightVector& w) const override;
   void EstimateManyWeighted(std::span<const uint64_t> values,
                             const WeightVector& w,
                             std::span<double> out) const override;

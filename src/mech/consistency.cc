@@ -21,7 +21,6 @@ Result<ConsistentHio> ConsistentHio::Build(const HioMechanism& hio,
         "consistency post-processing needs an ordinal hierarchy");
   }
   const double b = static_cast<double>(ordinal->fanout());
-  LDP_RETURN_NOT_OK(hio.ValidateWeights(weights));
 
   ConsistentHio out(hio);
   // Raw per-node estimates y (for d = 1 the flat level-tuple id equals the
@@ -33,7 +32,8 @@ Result<ConsistentHio> ConsistentHio::Build(const HioMechanism& hio,
     std::vector<uint64_t> cell_ids(cells);
     for (uint64_t c = 0; c < cells; ++c) cell_ids[c] = c;
     // One batched kernel pass per level instead of one report scan per cell.
-    hio.EstimateCells(static_cast<uint64_t>(j), cell_ids, weights, y[j]);
+    LDP_RETURN_NOT_OK(
+        hio.EstimateCells(static_cast<uint64_t>(j), cell_ids, weights, y[j]));
   }
 
   // Bottom-up pass: z_v combines y_v with the children's z sums. For a node

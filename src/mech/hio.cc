@@ -47,29 +47,22 @@ LdpReport HioMechanism::EncodeUser(std::span<const uint32_t> values,
   return report;
 }
 
-double HioMechanism::EstimateCell(uint64_t level_flat, uint64_t cell,
-                                  const WeightVector& weights) const {
-  // Eq. (24): scale the group estimate up by the inverse sampling rate.
-  const double scale = static_cast<double>(grid_->num_level_tuples());
-  return scale * store_.accumulator(static_cast<int>(level_flat))
-                     .EstimateWeighted(cell, weights);
-}
-
-void HioMechanism::EstimateCells(uint64_t level_flat,
-                                 std::span<const uint64_t> cells,
-                                 const WeightVector& weights,
-                                 std::span<double> out) const {
+Status HioMechanism::EstimateCells(uint64_t level_flat,
+                                   std::span<const uint64_t> cells,
+                                   const WeightVector& weights,
+                                   std::span<double> out) const {
   LDP_CHECK_EQ(cells.size(), out.size());
+  LDP_RETURN_NOT_OK(ValidateWeights(weights));
   std::vector<NodeRef> nodes(cells.size());
   for (size_t i = 0; i < cells.size(); ++i) {
     nodes[i] = {level_flat, cells[i]};
   }
   // The cache stores the raw (unscaled) group estimates, so entries are
-  // shared with EstimateBox; the sampling scale is applied per call — the
-  // same multiply EstimateCell performs, hence bit-identical results.
+  // shared with EstimateBox; eq. (24)'s sampling scale is applied per call.
   EstimateNodes(nodes, weights, out);
   const double scale = static_cast<double>(grid_->num_level_tuples());
   for (double& o : out) o *= scale;
+  return Status::OK();
 }
 
 Result<double> HioMechanism::VarianceBoundOfValidBox(

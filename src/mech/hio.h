@@ -35,20 +35,15 @@ class HioMechanism : public StoreMechanism {
 
   const LevelGrid& grid() const { return *grid_; }
 
-  /// Sampled estimate (eq. 24) of the weighted frequency of one d-dim cell:
-  /// Π(h_i+1) * f̄_{S_level}(cell). Exposed for the consistency extension.
-  /// Outside EstimateBox's checks: `weights` must pass ValidateWeights.
-  double EstimateCell(uint64_t level_flat, uint64_t cell,
-                      const WeightVector& weights) const;
-
-  /// Batched EstimateCell over many cells of one level: one kernel pass (or
-  /// histogram fetch) amortized across the whole set, with cache probes
-  /// when the estimate cache is enabled. out[i] is bit-identical to
-  /// EstimateCell(level_flat, cells[i], weights). `out.size()` must equal
-  /// `cells.size()`.
-  void EstimateCells(uint64_t level_flat, std::span<const uint64_t> cells,
-                     const WeightVector& weights,
-                     std::span<double> out) const;
+  /// Sampled estimates (eq. 24) of the weighted frequencies of d-dim cells
+  /// of one level: out[i] = Π(h_i+1) * f̄_{S_level}(cells[i]). One kernel
+  /// pass (or histogram fetch) amortized across the whole set, with cache
+  /// probes when the estimate cache is enabled; exposed for the consistency
+  /// extension and histograms. InvalidArgument, with `out` untouched, when
+  /// `weights` fails ValidateWeights. `out.size()` must equal `cells.size()`.
+  Status EstimateCells(uint64_t level_flat, std::span<const uint64_t> cells,
+                       const WeightVector& weights,
+                       std::span<double> out) const;
 
  protected:
   Result<double> EstimateValidBox(std::span<const Interval> ranges,

@@ -207,16 +207,17 @@ class Mechanism {
 
   /// InvalidArgument unless `weights` has an entry for the largest user id
   /// among the accepted reports (any vector passes while there are none).
-  /// EstimateBox and EstimateBoxes check it; code that reads a mechanism's
-  /// node estimates outside them (ConsistentHio, EstimateHistogram) calls
-  /// it first.
+  /// EstimateBox and EstimateBoxes check it, and so does every other public
+  /// estimate entry point (HioMechanism::EstimateCells).
   Status ValidateWeights(const WeightVector& weights) const;
 
  protected:
   /// A composite mechanism routes each report to the part owning its group
   /// ids through the *At forms below, and hands a report it validated to
-  /// its sub's AddValidReportAt.
+  /// its sub's AddValidReportAt. CollectionServer's ingest pipeline adds
+  /// the reports it validated the same way.
   friend class MultiMechanism;
+  friend class CollectionServer;
 
   Mechanism(Schema schema, MechanismParams params)
       : params_(params), schema_(std::move(schema)) {}

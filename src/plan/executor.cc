@@ -18,10 +18,6 @@ Counter* EstimateCalls() {
   static Counter* c = GlobalMetrics().counter("plan.estimate_calls");
   return c;
 }
-Counter* BatchQueries() {
-  static Counter* c = GlobalMetrics().counter("plan.batch_queries");
-  return c;
-}
 Counter* BatchDedupHits() {
   static Counter* c = GlobalMetrics().counter("plan.batch_dedup_hits");
   return c;
@@ -220,20 +216,15 @@ double PlanExecutor::Compose(const PhysicalPlan& plan,
   return 0.0;
 }
 
-Result<double> PlanExecutor::Run(const PhysicalPlan& plan,
-                                 QueryProfile* profile) const {
-  if (plan.logical.terms.empty()) return 0.0;  // unsatisfiable predicate
-  RunState state;
-  double totals[kNumComponentKinds] = {0.0, 0.0, 0.0};
-  LDP_RETURN_NOT_OK(AccumulateComponents(plan, &state, profile, totals));
-  return Compose(plan, totals);
-}
-
 Result<PlanExecutor::Bounded> PlanExecutor::RunWithBound(
     const PhysicalPlan& plan) const {
   Bounded out;
   if (plan.logical.terms.empty()) return out;
-  LDP_ASSIGN_OR_RETURN(out.estimate, Run(plan, nullptr));
+  // A one-plan batch over a non-owning handle to `plan`.
+  const std::shared_ptr<const PhysicalPlan> handle(
+      std::shared_ptr<const PhysicalPlan>(), &plan);
+  LDP_RETURN_NOT_OK(
+      RunBatch(std::span(&handle, 1), std::span(&out.estimate, 1), nullptr));
   // Conservative combination across inclusion-exclusion terms: the term
   // errors may be correlated (they share reports), so bound the total
   // stddev by the sum of per-term |coef| * stddev bounds.
@@ -247,8 +238,8 @@ Result<PlanExecutor::Bounded> PlanExecutor::RunWithBound(
     double variance = 0.0;
     if (multi_ != nullptr) {
       // Composite engine: bound through the mechanism THIS plan chose, like
-      // Run's EstimateBoxWith dispatch — the composite's own VarianceBound
-      // re-scores the box shape and can name a different sub.
+      // RunBatch's EstimateBoxesWith dispatch — the composite's own
+      // VarianceBound re-scores the box shape and can name a different sub.
       LDP_ASSIGN_OR_RETURN(variance, multi_->VarianceBoundWith(
                                          plan.mechanism, term.sensitive,
                                          *weights));
@@ -269,9 +260,9 @@ Status PlanExecutor::RunBatch(
   if (out.size() < plans.size()) {
     return Status::InvalidArgument("RunBatch: output span too small");
   }
-  BatchQueries()->Add(plans.size());
   RunState state;
-  state.dedup = true;
+  // One plan has no other plan to share estimates with.
+  state.dedup = plans.size() > 1;
   if (observations != nullptr) {
     observations->clear();
     observations->reserve(plans.size());

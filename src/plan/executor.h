@@ -40,17 +40,12 @@ class MultiMechanism;
 /// the sequential ones while the mechanism sees each distinct estimate only
 /// once. GlobalMetrics: `plan.estimate_calls` counts the boxes (and
 /// consistency estimates) actually sent to the mechanism,
-/// `plan.batch_queries` and `plan.batch_dedup_hits` the batch traffic and the
-/// estimates the dedup saved.
+/// `plan.batch_dedup_hits` the estimates the dedup saved.
 class PlanExecutor {
  public:
   /// References must outlive the executor; none are owned.
   PlanExecutor(const Table& table, const Mechanism& mechanism,
                const ExecutionContext& exec);
-
-  /// The plan's estimate. Fills `profile` stage spans (fanout/estimate) and
-  /// ie_terms exactly like the legacy engine when non-null.
-  Result<double> Run(const PhysicalPlan& plan, QueryProfile* profile) const;
 
   struct Bounded {
     double estimate = 0.0;
@@ -60,14 +55,18 @@ class PlanExecutor {
   /// single-component (COUNT/SUM) plans — the caller checks the aggregate.
   Result<Bounded> RunWithBound(const PhysicalPlan& plan) const;
 
-  /// Executes a workload in one pass: plans[i]'s answer goes to out[i].
-  /// Estimates with identical (weight key, sensitive box, strategy) are
-  /// computed once, at their first encounter in plan order, and shared.
-  /// out[i] is bit-identical to Run(*plans[i], ...) run sequentially.
-  /// When `observations` is non-null it receives one measured
-  /// PlanObservation per plan (index-aligned with `plans`) for the plan
-  /// stats store; a dedup-served estimate counts toward the plan that
-  /// computed it, not the plans that reused it.
+  /// Executes plans in one pass, the one execution path: plans[i]'s answer
+  /// goes to out[i]. Fills `profile` stage spans (fanout/estimate) and
+  /// ie_terms exactly like the legacy engine when non-null. With two or
+  /// more plans, estimates with identical (weight key, sensitive box,
+  /// strategy) are computed once, at their first encounter in plan order,
+  /// and shared; a one-plan call builds no dedup keys. out[i] is
+  /// bit-identical to a one-plan call on plans[i]. When `observations` is
+  /// non-null it receives one measured PlanObservation per plan
+  /// (index-aligned with `plans`) for the plan stats store: its wall time,
+  /// its estimate calls, and the `estimate.nodes` it touched; a
+  /// dedup-served estimate counts toward the plan that computed it, not the
+  /// plans that reused it.
   Status RunBatch(std::span<const std::shared_ptr<const PhysicalPlan>> plans,
                   std::span<double> out, QueryProfile* profile,
                   std::vector<PlanObservation>* observations = nullptr) const;

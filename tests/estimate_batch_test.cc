@@ -1,6 +1,7 @@
 // Batched estimation kernels and the cross-query node-estimate cache:
-//  * FoAccumulator::EstimateManyWeighted must be bit-identical to the scalar
-//    per-value path for every oracle and for any tiling of the value set,
+//  * FoAccumulator::EstimateManyWeighted must be bit-identical to its
+//    one-value calls (EstimateWeighted) for every oracle and for any tiling
+//    of the value set,
 //  * the EstimateCache must hit/miss/invalidate/evict as specified,
 //  * every mechanism's EstimateBox must answer bit-identically across thread
 //    counts and cache states, and repeated queries must be served from the
@@ -113,40 +114,6 @@ TEST(EstimateBatchTest, HadamardMatchesScalar) {
   const HadamardProtocol proto(1.0, 24);
   CheckBatchMatchesScalar<HadamardProtocol, HadamardAccumulator>(proto, 500,
                                                                  24);
-}
-
-/// An accumulator that only implements the scalar path: the base-class
-/// EstimateManyWeighted fallback must loop it verbatim.
-class ScalarOnlyAccumulator : public FoAccumulator {
- public:
-  void Add(const FoReport&, uint64_t) override { ++n_; }
-  uint64_t num_reports() const override { return n_; }
-  std::unique_ptr<FoAccumulator> NewShard() const override {
-    return std::make_unique<ScalarOnlyAccumulator>();
-  }
-  Status Merge(FoAccumulator&&) override { return Status::OK(); }
-  double EstimateWeighted(uint64_t value,
-                          const WeightVector& w) const override {
-    return static_cast<double>(value) * 1.5 +
-           static_cast<double>(w.size()) * 0.125;
-  }
-  double GroupWeight(const WeightVector& w) const override {
-    return w.total();
-  }
-
- private:
-  uint64_t n_ = 0;
-};
-
-TEST(EstimateBatchTest, DefaultFallbackLoopsScalarPath) {
-  const ScalarOnlyAccumulator acc;
-  const WeightVector w = MixedWeights(10);
-  const std::vector<uint64_t> values = {5, 0, 9, 5};
-  std::vector<double> out(values.size());
-  acc.EstimateManyWeighted(values, w, out);
-  for (size_t i = 0; i < values.size(); ++i) {
-    ExpectBitEqual(out[i], acc.EstimateWeighted(values[i], w), "fallback");
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 #include "mech/hio.h"
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -163,7 +165,7 @@ TEST(HioMechanismTest, TwoDimUnbiased) {
 
 TEST(HioMechanismTest, EstimateCellMatchesBoxForAlignedRange) {
   // A box that is exactly one hierarchy node must produce the same estimate
-  // through EstimateBox and EstimateCell.
+  // through EstimateBox and a one-cell EstimateCells.
   const Schema schema = OneDimSchema(16);
   auto mech = HioMechanism::Create(schema, Params(1.0)).ValueOrDie();
   Rng rng(6);
@@ -174,8 +176,32 @@ TEST(HioMechanismTest, EstimateCellMatchesBoxForAlignedRange) {
   const WeightVector w = WeightVector::Ones(500);
   // [8, 11] is node (level 2, index 2) in the b=2 hierarchy over 16 values.
   const std::vector<Interval> ranges = {{8, 11}};
-  EXPECT_NEAR(mech->EstimateBox(ranges, w).ValueOrDie(),
-              mech->EstimateCell(2, 2, w), 1e-9);
+  const uint64_t cell = 2;
+  double estimate = 0.0;
+  ASSERT_TRUE(mech->EstimateCells(2, std::span(&cell, 1), w,
+                                  std::span(&estimate, 1))
+                  .ok());
+  EXPECT_NEAR(mech->EstimateBox(ranges, w).ValueOrDie(), estimate, 1e-9);
+}
+
+TEST(HioMechanismTest, EstimateCellsRejectsAShortWeightVector) {
+  // EstimateCells reads weights[user] for every report, so a vector one
+  // entry short of the largest user id must be refused before any read.
+  const Schema schema = OneDimSchema(16);
+  auto mech = HioMechanism::Create(schema, Params(1.0)).ValueOrDie();
+  Rng rng(7);
+  for (uint64_t u = 0; u < 300; ++u) {
+    const std::vector<uint32_t> vals = {static_cast<uint32_t>(u % 16)};
+    ASSERT_TRUE(mech->AddReport(mech->EncodeUser(vals, rng), u).ok());
+  }
+  const std::vector<uint64_t> cells = {0, 1, 2, 3};
+  std::vector<double> out(cells.size(), -1.0);
+  const Status short_weights =
+      mech->EstimateCells(2, cells, WeightVector::Ones(299), out);
+  EXPECT_EQ(short_weights.code(), StatusCode::kInvalidArgument)
+      << short_weights.ToString();
+  EXPECT_EQ(out, std::vector<double>(cells.size(), -1.0));
+  EXPECT_TRUE(mech->EstimateCells(2, cells, WeightVector::Ones(300), out).ok());
 }
 
 }  // namespace

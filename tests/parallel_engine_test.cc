@@ -4,7 +4,8 @@
 // reduces in fixed chunk order), and CollectionServer::IngestBatch is
 // equivalent to a serial Ingest loop — same stats, same estimates — even
 // with corrupt, duplicate, and misfit frames in the batch, on both sides of
-// its one-shard-per-kExecChunkRows rule.
+// its one-shard-per-kExecChunkRows rule. Ingest itself is a one-frame
+// IngestBatch that must stay on the calling thread.
 
 #include <cstdint>
 #include <memory>
@@ -19,6 +20,8 @@
 #include "engine/engine.h"
 #include "engine/protocol.h"
 #include "exec/execution_context.h"
+#include "obs/metrics.h"
+#include "storage/fault_fs.h"
 
 namespace ldp {
 namespace {
@@ -316,6 +319,34 @@ TEST(IngestBatchTest, EmptyBatchIsANoOp) {
   CollectionServer server = CollectionServer::Create(spec, 2).ValueOrDie();
   EXPECT_TRUE(server.IngestBatch({}).ok());
   EXPECT_EQ(server.num_reports(), 0u);
+}
+
+// A one-frame Ingest on a durable 4-thread server appends and decodes on the
+// calling thread: it dispatches at most one execution chunk, whatever the
+// frame's fate (the first frames of the wire hold accepted, duplicate,
+// corrupt and misfit ones).
+TEST(OneFrameIngestTest, DurableIngestStaysOnTheCallingThread) {
+  const Wire wire = MakeWire();
+  FaultFs fs;
+  StorageOptions storage;
+  storage.dir = "/campaign";
+  storage.fs = &fs;
+  CollectionServer server =
+      CollectionServer::CreateDurable(wire.spec, storage, 4).ValueOrDie();
+  ASSERT_EQ(server.num_threads(), 4);
+  GlobalMetrics().set_enabled(true);
+  Counter* chunks = GlobalMetrics().counter("exec.chunks");
+  const uint64_t frames = 24;
+  for (uint64_t i = 0; i < frames; ++i) {
+    const uint64_t before = chunks->value();
+    (void)server.Ingest(wire.frames[i].bytes, wire.frames[i].user);
+    EXPECT_LE(chunks->value() - before, 1u) << "frame " << i;
+  }
+  const IngestStats& stats = server.ingest_stats();
+  EXPECT_EQ(stats.total(), frames);
+  EXPECT_GT(stats.duplicate, 0u);
+  EXPECT_GT(stats.corrupt, 0u);
+  EXPECT_GT(stats.rejected, 0u);
 }
 
 }  // namespace

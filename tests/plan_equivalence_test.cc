@@ -267,8 +267,9 @@ TEST_P(PlanEquivalenceTest, BoundedEstimateMatchesExecute) {
 
 // A batch with repeated and overlapping templated queries must answer every
 // instance exactly like sequential execution while issuing strictly fewer
-// mechanism estimate calls (the dedup acceptance criterion lives in
-// BENCH_plan.json; here we assert the counter moved in the right direction).
+// mechanism estimate calls (`micro_plan_overhead --out BENCH_plan.json`
+// reports the dedup acceptance criterion; here we assert the counter moved
+// in the right direction).
 TEST(PlanBatchTest, DedupSharesEstimatesBitIdentically) {
   const Table& table = TableFor(MechanismKind::kHio);
   EngineOptions options;

@@ -187,8 +187,8 @@ void BM_EstimateBox(benchmark::State& state) {
     options.enable_estimate_cache = false;
     engine = AnalyticsEngine::Create(BenchTable(), options).ValueOrDie();
   }
-  // Engine creation resolves kAuto; force the swept level after it (the
-  // estimates are bit-identical at every level, so engine reuse is sound).
+  // Force the swept level (the estimates are bit-identical at every level,
+  // so engine reuse is sound).
   SetSimdLevel(level);
   const std::string sql =
       "SELECT COUNT(*) FROM T WHERE age BETWEEN 10 AND 35 "

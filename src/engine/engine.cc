@@ -30,13 +30,6 @@ Result<std::unique_ptr<AnalyticsEngine>> AnalyticsEngine::Create(
     const Table& table, const EngineOptions& options) {
   std::unique_ptr<AnalyticsEngine> engine(
       new AnalyticsEngine(table, options));
-  // Process-wide switch: the registry gates every counter/histogram/span in
-  // the library, so one engine configures observability for the process.
-  GlobalMetrics().set_enabled(options.enable_metrics);
-  // Process-wide like the metrics switch; LDP_CHECK-fatal on a forced level
-  // this host cannot run (a silent fallback would record benchmarks under
-  // the wrong kernel label).
-  SetSimdLevel(options.simd_level);
   engine->exec_ = std::make_unique<ExecutionContext>(options.num_threads);
   // Registered mechanism set: `mechanisms` (when non-empty) overrides the
   // single-mechanism `mechanism` field. Two or more kinds build the
@@ -58,14 +51,8 @@ Result<std::unique_ptr<AnalyticsEngine>> AnalyticsEngine::Create(
   if (options.enable_estimate_cache) {
     engine->mechanism_->EnableEstimateCache(kEstimateCacheBytes);
   }
-  PlannerOptions planner_options;
-  planner_options.enable_consistency = options.planner_consistency;
-  engine->planner_ = std::make_unique<Planner>(table.schema(), kinds,
-                                               options.params,
-                                               planner_options);
-  if (options.enable_feedback) {
-    engine->plan_stats_ = std::make_unique<PlanStatsStore>();
-  }
+  engine->planner_ =
+      std::make_unique<Planner>(table.schema(), kinds, options.params);
   if (options.enable_plan_cache) {
     engine->plan_cache_ = std::make_unique<PlanCache>(kPlanCacheEntries);
   }
@@ -159,25 +146,13 @@ Status AnalyticsEngine::ExecutePlans(
   std::vector<std::shared_ptr<const PhysicalPlan>> plans;
   plans.reserve(queries.size() + 1);
   if (plan != nullptr) plans.push_back(std::move(plan));
-  // With feedback on, the executor measures one observation per plan
-  // (dedup-aware — a shared estimate is charged to the plan that computed
-  // it), recorded once every plan has run.
-  std::vector<PlanObservation> observations;
-  {
-    ProfiledQueryScope scope(profile, *mechanism_, *exec_,
-                             plans.size() + queries.size());
-    for (const Query& query : queries) {
-      LDP_ASSIGN_OR_RETURN(auto resolved, GetPlan(query, profile));
-      plans.push_back(std::move(resolved));
-    }
-    LDP_RETURN_NOT_OK(executor_->RunBatch(
-        plans, out, profile,
-        plan_stats_ != nullptr ? &observations : nullptr));
+  ProfiledQueryScope scope(profile, *mechanism_, *exec_,
+                           plans.size() + queries.size());
+  for (const Query& query : queries) {
+    LDP_ASSIGN_OR_RETURN(auto resolved, GetPlan(query, profile));
+    plans.push_back(std::move(resolved));
   }
-  for (size_t i = 0; i < observations.size(); ++i) {
-    plan_stats_->Record(plans[i]->fingerprint, observations[i]);
-  }
-  return Status::OK();
+  return executor_->RunBatch(plans, out, profile);
 }
 
 Result<double> AnalyticsEngine::Execute(const Query& query,
@@ -243,23 +218,7 @@ Status AnalyticsEngine::ExecuteBatch(std::span<const Query> queries,
 
 Result<std::shared_ptr<const PhysicalPlan>> AnalyticsEngine::PlanFor(
     const Query& query) const {
-  LDP_ASSIGN_OR_RETURN(auto plan, GetPlan(query, nullptr));
-  if (plan_stats_ == nullptr) return plan;
-  return std::make_shared<const PhysicalPlan>(WithLiveFeedback(*plan));
-}
-
-PhysicalPlan AnalyticsEngine::WithLiveFeedback(
-    const PhysicalPlan& plan) const {
-  PhysicalPlan live = plan;
-  if (const auto stats = plan_stats_->Lookup(plan.fingerprint)) {
-    live.feedback.observations = stats->observations;
-    live.feedback.warmed =
-        stats->observations >= PlanStatsStore::kWarmupObservations;
-    live.feedback.wall_nanos = stats->ewma_wall_nanos;
-    live.feedback.estimate_calls = stats->ewma_estimate_calls;
-    live.feedback.nodes = stats->ewma_nodes;
-  }
-  return live;
+  return GetPlan(query, nullptr);
 }
 
 Result<std::string> AnalyticsEngine::Explain(const Query& query) const {

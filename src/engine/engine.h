@@ -9,13 +9,11 @@
 #include "common/status.h"
 #include "data/table.h"
 #include "exec/execution_context.h"
-#include "fo/simd/simd.h"
 #include "mech/factory.h"
 #include "obs/trace.h"
 #include "plan/executor.h"
 #include "plan/plan_cache.h"
 #include "plan/planner.h"
-#include "plan/stats_store.h"
 #include "query/exact.h"
 #include "query/parser.h"
 
@@ -45,34 +43,11 @@ struct EngineOptions {
   /// reports. Purely a performance knob — estimates are bit-identical with
   /// the cache on or off — so it defaults to on.
   bool enable_estimate_cache = true;
-  /// Process-wide observability (GlobalMetrics counters/histograms). Purely
-  /// diagnostic: metrics never feed back into estimation, so results are
-  /// bit-identical with metrics on or off. Off leaves the hot paths with a
-  /// single relaxed atomic-bool test per would-be increment.
-  bool enable_metrics = true;
   /// Physical-plan cache (see PlanCache; 256 plans): a repeated query skips
   /// validate + rewrite + plan, a repeated SQL string additionally skips the
   /// parse. Plans are immutable and execution replays them exactly, so
   /// results are bit-identical with the cache on or off.
   bool enable_plan_cache = true;
-  /// Opt-in consistency-corrected strategy (least-squares consistent HIO
-  /// tree) for qualifying deployments — see PlannerOptions. Changes answers
-  /// (that is its point), hence off by default.
-  bool planner_consistency = false;
-  /// Measured plan actuals for EXPLAIN (see PlanStatsStore): every
-  /// Execute/ExecuteBatch records the executed plan's wall time, estimate
-  /// calls and nodes touched, and once a plan has
-  /// PlanStatsStore::kWarmupObservations observations, Explain and PlanFor
-  /// show them next to the planner's predictions. Display data only — plans
-  /// and answers are identical with it on or off. Off by default: recording
-  /// adds a per-plan timer and a store update to every query.
-  bool enable_feedback = false;
-  /// Instruction-set level for the frequency-oracle estimate kernels
-  /// (src/fo/simd/). kAuto picks the best supported level at Create();
-  /// forcing a level the host does not support is LDP_CHECK-fatal. Purely a
-  /// performance knob — every level is bit-identical (see FoKernels).
-  /// Process-wide, like enable_metrics: the last engine created wins.
-  SimdLevel simd_level = SimdLevel::kAuto;
 };
 
 /// End-to-end private MDA pipeline over one fact table (Section 2.3).
@@ -101,6 +76,9 @@ struct EngineOptions {
 /// public columns.
 class AnalyticsEngine {
  public:
+  /// Writes no process-wide state: the kernel level (SetSimdLevel) and the
+  /// metrics switch (GlobalMetrics().set_enabled) stay as the caller set
+  /// them.
   static Result<std::unique_ptr<AnalyticsEngine>> Create(
       const Table& table, const EngineOptions& options);
 
@@ -112,8 +90,8 @@ class AnalyticsEngine {
   /// to aggregate a workload. Work counters are attributed by differencing
   /// engine-level stats around the query, so profiled queries on the same
   /// engine should not run concurrently (results are still correct; only the
-  /// attribution would blur). Profiling is independent of
-  /// EngineOptions::enable_metrics and never changes the estimate.
+  /// attribution would blur). Profiling never changes the estimate; see
+  /// QueryProfile for the one counter that reads the metrics registry.
   Result<double> Execute(const Query& query,
                          QueryProfile* profile = nullptr) const;
 
@@ -156,9 +134,7 @@ class AnalyticsEngine {
   /// Explain for a SQL string; accepts both "SELECT ..." and
   /// "EXPLAIN SELECT ...".
   Result<std::string> ExplainSql(std::string_view sql) const;
-  /// The plan itself, for programmatic consumers (ToJson, tests). With
-  /// EngineOptions::enable_feedback on, its feedback block carries the live
-  /// stats store's actuals, as Explain shows them.
+  /// The plan itself, for programmatic consumers (ToJson, tests).
   Result<std::shared_ptr<const PhysicalPlan>> PlanFor(
       const Query& query) const;
 
@@ -172,9 +148,6 @@ class AnalyticsEngine {
   const Schema& schema() const { return table_.schema(); }
   /// The plan cache, or null when disabled.
   PlanCache* plan_cache() const { return plan_cache_.get(); }
-  /// The plan stats store, or null unless EngineOptions::enable_feedback is
-  /// set. Exposed for tests.
-  PlanStatsStore* plan_stats() const { return plan_stats_.get(); }
 
   /// Sum over rows of |expr| for the query's aggregate — the MNAE
   /// normalizer Sigma_S (Section 6, error measures). COUNT uses n.
@@ -193,17 +166,10 @@ class AnalyticsEngine {
   /// The one execution body behind Execute, ExecuteSql and ExecuteBatch.
   /// Inside one ProfiledQueryScope it resolves the plans — `plan` when
   /// non-null (ExecuteSql's SQL-alias hit), then one per query — and runs
-  /// them with one PlanExecutor::RunBatch into `out`. With feedback on it
-  /// records each plan's measured PlanObservation into plan_stats_ once
-  /// every plan has run.
+  /// them with one PlanExecutor::RunBatch into `out`.
   Status ExecutePlans(std::span<const Query> queries,
                       std::shared_ptr<const PhysicalPlan> plan,
                       std::span<double> out, QueryProfile* profile) const;
-
-  /// Copies `plan` with its feedback block filled from the live stats store.
-  /// The planner leaves the block empty and cached plans are shared, so
-  /// Explain and PlanFor fill a copy every time. Requires plan_stats_.
-  PhysicalPlan WithLiveFeedback(const PhysicalPlan& plan) const;
 
   const Table& table_;
   EngineOptions options_;
@@ -213,8 +179,6 @@ class AnalyticsEngine {
   std::unique_ptr<Planner> planner_;
   /// Null when EngineOptions::enable_plan_cache is off.
   std::unique_ptr<PlanCache> plan_cache_;
-  /// Null unless EngineOptions::enable_feedback is on.
-  std::unique_ptr<PlanStatsStore> plan_stats_;
   std::unique_ptr<PlanExecutor> executor_;
 };
 

@@ -13,7 +13,7 @@ namespace ldp {
 /// Instruction-set level of the frequency-oracle estimate kernels.
 ///
 /// One level is active per process (selected once at startup, or forced via
-/// EngineOptions::simd_level / the benches' --simd flag). Every level
+/// SetSimdLevel / the benches' --simd flag). Every level
 /// computes bit-identical results. The per-value estimate kernels map SIMD
 /// *lanes to values*, so each value's floating-point partial sum still
 /// accumulates in report order (for raw scans), pool-seed order (pooled OLH

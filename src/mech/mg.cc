@@ -10,10 +10,6 @@ namespace ldp {
 namespace {
 /// Refuse to sum more cells than this per query (eq. 10 scans the box).
 constexpr uint64_t kMaxBoxCells = 1ull << 25;
-/// Cache per-cell estimates only for boxes at most this large: MG boxes can
-/// cover millions of cells, which would churn the whole cache for entries
-/// unlikely to be probed again before eviction.
-constexpr uint64_t kMaxCachedBoxCells = 1ull << 16;
 }  // namespace
 
 MgMechanism::MgMechanism(const Schema& schema, const MechanismParams& params)
@@ -78,17 +74,16 @@ Result<double> MgMechanism::EstimateValidBox(
   // Chunk-parallel sum of per-cell weighted estimates over the box (eq. 10),
   // streamed so huge boxes never materialize a full cell list: each fixed
   // chunk decodes its cells (last dimension fastest, matching the serial
-  // odometer), runs one batched kernel call, and sums the per-cell estimates
-  // in rank order — the same floating-point grouping as the per-cell serial
-  // loop, so the sum is bit-identical for every thread count and cache
-  // state. Small boxes additionally probe/fill the node-estimate cache.
-  const FoAccumulator& acc = store_.accumulator(0);
-  EstimateCache* cache =
-      box_cells <= kMaxCachedBoxCells ? estimate_cache() : nullptr;
+  // odometer), estimates them in one EstimateNodesBatched call (which probes
+  // and fills the node-estimate cache when there is one), and sums the
+  // per-cell estimates in rank order — the same floating-point grouping as
+  // the per-cell serial loop, so the sum is bit-identical for every thread
+  // count and cache state.
+  EstimateCache* const cache = estimate_cache();
   const double total = exec().ParallelSumChunks(
       box_cells, kExecSumChunk, [&](uint64_t begin, uint64_t end) {
         const size_t len = end - begin;
-        std::vector<uint64_t> cells(len);
+        std::vector<NodeRef> nodes(len);
         for (uint64_t rank = begin; rank < end; ++rank) {
           uint64_t rem = rank;
           uint64_t cell = 0;
@@ -99,22 +94,12 @@ Result<double> MgMechanism::EstimateValidBox(
             stride *= domains_[i];
             rem /= dim_len;
           }
-          cells[rank - begin] = cell;
+          nodes[rank - begin] = {0, cell};
         }
         std::vector<double> estimates(len, 0.0);
-        if (cache != nullptr) {
-          std::vector<NodeRef> nodes(len);
-          for (size_t k = 0; k < len; ++k) nodes[k] = {0, cells[k]};
-          // Already inside a parallel chunk: run the batch serially.
-          EstimateNodesBatched(store_, nodes, weights, num_reports(), cache,
-                               SerialExecutionContext(), estimates);
-        } else {
-          // One kernel batch over the chunk's cells, counted the way
-          // EstimateNodesBatched counts a cached box's.
-          FoEstimateMetrics().nodes->Add(len);
-          FoEstimateMetrics().batches->Add(1);
-          acc.EstimateManyWeighted(cells, weights, estimates);
-        }
+        // Already inside a parallel chunk: run the batch serially.
+        EstimateNodesBatched(store_, nodes, weights, num_reports(), cache,
+                             SerialExecutionContext(), estimates);
         double sub = 0.0;
         for (const double e : estimates) sub += e;
         return sub;

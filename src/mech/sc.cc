@@ -16,10 +16,6 @@ namespace ldp {
 
 namespace {
 constexpr uint64_t kMaxSubQueries = 1ull << 20;
-/// Probe/fill the node-estimate cache only for decompositions at most this
-/// large; bigger fan-outs would churn the cache with entries unlikely to be
-/// probed again before eviction.
-constexpr uint64_t kMaxCachedSubQueries = 4096;
 /// Sub-queries with at most this many non-root pieces expand over the
 /// subsets of their pieces: 2^k masked sums, shared across the sub-queries
 /// of the boxes with the same weights, and k = 1 is OLH's estimator bit for
@@ -319,7 +315,7 @@ Status ScMechanism::EstimateValidBoxes(std::span<const BoxTask> tasks,
     // Every sub-query is one node touched, cached or not.
     FoEstimateMetrics().nodes->Add(box.product);
     box.value.assign(box.product, 0.0);
-    if (cache == nullptr || box.product > kMaxCachedSubQueries) {
+    if (cache == nullptr) {
       box.todo.resize(box.product);
       std::iota(box.todo.begin(), box.todo.end(), uint64_t{0});
       continue;

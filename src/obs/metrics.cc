@@ -201,7 +201,6 @@ MetricsRegistry& GlobalMetrics() {
              "plan.mechanism_choices.SC", "plan.mechanism_choices.MG",
              "plan.mechanism_choices.QuadTree", "plan.mechanism_choices.Haar",
              "plan.mechanism_choices.HDG", "plan.mechanism_choices.CALM",
-             "plan.feedback_records", "plan.feedback_evictions",
              "weights.hits", "weights.builds", "weights.evictions",
              "storage.wal_appends",
              "storage.wal_bytes", "storage.fsyncs", "storage.wal_torn_tails",

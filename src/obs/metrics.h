@@ -186,7 +186,8 @@ class MetricsRegistry {
 };
 
 /// The process-wide registry every built-in component reports into.
-/// EngineOptions::enable_metrics and bench --stats_json operate on it.
+/// GlobalMetrics().set_enabled is its one switch; bench --stats_json reads
+/// it.
 MetricsRegistry& GlobalMetrics();
 
 }  // namespace ldp

@@ -11,9 +11,9 @@ namespace ldp {
 
 /// Per-query execution profile: wall time per pipeline stage plus the work
 /// and cache traffic the query caused. Filled by AnalyticsEngine when the
-/// caller passes a profile to Execute/ExecuteSql; always populated when
-/// requested, independent of EngineOptions::enable_metrics (an explicit
-/// profile is an opt-in, the global registry is the passive layer).
+/// caller passes a profile to Execute/ExecuteSql (an explicit profile is an
+/// opt-in, the global registry is the passive layer). Every field is filled
+/// with the registry disabled too, except nodes_estimated (below).
 ///
 /// Work counters (nodes_estimated, cache_*, exec_chunks) are attributed by
 /// differencing the engine's own cache/execution statistics around the
@@ -48,9 +48,9 @@ struct QueryProfile {
   /// EstimateBoxes call.
   uint64_t estimate_calls = 0;
   /// Hierarchy/grid nodes handed to estimation kernels: the nodes the query
-  /// touched (`estimate.nodes`) minus those the estimate cache served. With
-  /// the cache on these are its misses plus the nodes of boxes too large to
-  /// cache. Nodes served from the cache are not counted (see cache_hits).
+  /// touched (`estimate.nodes`) minus those the estimate cache served, which
+  /// are not counted (see cache_hits). Read from the registry: while it is
+  /// disabled this is the cache's misses, so 0 with the cache off.
   uint64_t nodes_estimated = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;

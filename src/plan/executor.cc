@@ -6,8 +6,6 @@
 #include <unordered_map>
 
 #include "fo/frequency_oracle.h"
-#include "mech/consistency.h"
-#include "mech/hio.h"
 #include "mech/multi.h"
 
 namespace ldp {
@@ -24,11 +22,11 @@ Counter* BatchDedupHits() {
 }
 
 /// Dedup handle of one estimate op: the chosen mechanism, the weight key
-/// (component + expr + public constraints), the sensitive box, and the
-/// strategy-relevant consistency bit. Everything the estimate depends on
-/// besides the reports. The mechanism prefix keeps a multi-mechanism batch
-/// from sharing estimates across plans that chose different mechanisms; on
-/// single-mechanism engines it is a constant, so grouping is unchanged.
+/// (component + expr + public constraints) and the sensitive box —
+/// everything the estimate depends on besides the reports. The mechanism
+/// prefix keeps a multi-mechanism batch from sharing estimates across plans
+/// that chose different mechanisms; on single-mechanism engines it is a
+/// constant, so grouping is unchanged.
 std::string TaskKey(const PlanOp& op, const PhysicalPlan& plan) {
   std::ostringstream key;
   key << MechanismKindName(plan.mechanism) << "|"
@@ -36,7 +34,6 @@ std::string TaskKey(const PlanOp& op, const PhysicalPlan& plan) {
   for (const Interval& r : plan.logical.terms[op.term].sensitive) {
     key << r.lo << "-" << r.hi << ";";
   }
-  if (op.kind == PlanOpKind::kConsistency) key << "|c";
   return key.str();
 }
 
@@ -65,8 +62,6 @@ EstimateCache::Stats CacheStatsOf(const Mechanism& mechanism) {
 struct PlanExecutor::RunState {
   /// task key -> estimate; shared across the ops (and plans) of one call.
   std::unordered_map<std::string, double> memo;
-  /// weight-vector id -> consistent tree (kConsistency strategy only).
-  std::unordered_map<uint64_t, std::shared_ptr<const ConsistentHio>> trees;
   bool dedup = false;
 };
 
@@ -81,8 +76,8 @@ PlanExecutor::PlanExecutor(const Table& table, const Mechanism& mechanism,
 Status PlanExecutor::AccumulateComponents(
     const PhysicalPlan& plan, RunState* state, QueryProfile* profile,
     double (&totals)[kNumComponentKinds]) const {
-  // Gather, in op order: serve memo hits, fetch weights, run consistency
-  // ops, and collect the node-estimate boxes for one mechanism call.
+  // Gather, in op order: serve memo hits, fetch weights, and collect the
+  // node-estimate boxes for one mechanism call.
   constexpr size_t kNoTask = static_cast<size_t>(-1);
   struct OpEstimate {
     const PlanOp* op = nullptr;
@@ -94,8 +89,7 @@ Status PlanExecutor::AccumulateComponents(
   std::vector<std::shared_ptr<const WeightVector>> task_weights;
   std::unordered_map<std::string, size_t> task_of_key;  // dedup only
   for (const PlanOp& op : plan.ops) {
-    if (op.kind != PlanOpKind::kNodeEstimate &&
-        op.kind != PlanOpKind::kConsistency) {
+    if (op.kind != PlanOpKind::kNodeEstimate) {
       continue;  // filters resolve lazily below; compose happens after
     }
     const LogicalTerm& term = plan.logical.terms[op.term];
@@ -123,35 +117,10 @@ Status PlanExecutor::AccumulateComponents(
         weights_->Get(op.component, plan.logical.query.aggregate.expr,
                       term.public_constraints));
     fanout_span.Stop();
-    if (op.kind == PlanOpKind::kNodeEstimate) {
-      if (state->dedup) task_of_key.emplace(std::move(task_key), tasks.size());
-      estimates.push_back({&op, 0.0, tasks.size()});
-      tasks.push_back({term.sensitive, weights.get()});
-      task_weights.push_back(std::move(weights));
-      continue;
-    }
-    TraceSpan estimate_span(profile, QueryProfile::kEstimate);
-    auto tree_it = state->trees.find(weights->id());
-    if (tree_it == state->trees.end()) {
-      const auto* hio = dynamic_cast<const HioMechanism*>(&mechanism_);
-      if (hio == nullptr) {
-        return Status::Internal(
-            "consistency strategy planned for a non-HIO mechanism");
-      }
-      LDP_ASSIGN_OR_RETURN(ConsistentHio tree,
-                           ConsistentHio::Build(*hio, *weights));
-      tree_it = state->trees
-                    .emplace(weights->id(), std::make_shared<const ConsistentHio>(
-                                                std::move(tree)))
-                    .first;
-    }
-    LDP_ASSIGN_OR_RETURN(const double estimate,
-                         tree_it->second->EstimateRange(term.sensitive[0]));
-    estimate_span.Stop();
-    EstimateCalls()->Increment();
-    if (profile != nullptr) ++profile->estimate_calls;
-    if (state->dedup) state->memo.emplace(std::move(task_key), estimate);
-    estimates.push_back({&op, estimate, kNoTask});
+    if (state->dedup) task_of_key.emplace(std::move(task_key), tasks.size());
+    estimates.push_back({&op, 0.0, tasks.size()});
+    tasks.push_back({term.sensitive, weights.get()});
+    task_weights.push_back(std::move(weights));
   }
 
   // One mechanism call for every gathered box: a mechanism may share work
@@ -255,49 +224,21 @@ Result<PlanExecutor::Bounded> PlanExecutor::RunWithBound(
 
 Status PlanExecutor::RunBatch(
     std::span<const std::shared_ptr<const PhysicalPlan>> plans,
-    std::span<double> out, QueryProfile* profile,
-    std::vector<PlanObservation>* observations) const {
+    std::span<double> out, QueryProfile* profile) const {
   if (out.size() < plans.size()) {
     return Status::InvalidArgument("RunBatch: output span too small");
   }
   RunState state;
   // One plan has no other plan to share estimates with.
   state.dedup = plans.size() > 1;
-  if (observations != nullptr) {
-    observations->clear();
-    observations->reserve(plans.size());
-  }
   for (size_t i = 0; i < plans.size(); ++i) {
     const PhysicalPlan& plan = *plans[i];
-    // Per-plan attribution goes through a local profile so one plan's
-    // estimate calls can be measured inside the shared batch; the local is
-    // merged into the caller's profile afterwards, keeping the caller's
-    // totals identical to the unobserved path.
-    QueryProfile local;
-    QueryProfile* prof = observations != nullptr ? &local : profile;
-    uint64_t nodes_before = 0;
-    std::chrono::steady_clock::time_point start;
-    if (observations != nullptr) {
-      nodes_before = FoEstimateMetrics().nodes->value();
-      start = std::chrono::steady_clock::now();
-    }
     if (plan.logical.terms.empty()) {
       out[i] = 0.0;  // unsatisfiable predicate
     } else {
       double totals[kNumComponentKinds] = {0.0, 0.0, 0.0};
-      LDP_RETURN_NOT_OK(AccumulateComponents(plan, &state, prof, totals));
+      LDP_RETURN_NOT_OK(AccumulateComponents(plan, &state, profile, totals));
       out[i] = Compose(plan, totals);
-    }
-    if (observations != nullptr) {
-      PlanObservation obs;
-      obs.wall_nanos = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count());
-      obs.estimate_calls = local.estimate_calls;
-      obs.nodes_touched = FoEstimateMetrics().nodes->value() - nodes_before;
-      observations->push_back(obs);
-      if (profile != nullptr) profile->Merge(local);
     }
   }
   return Status::OK();
@@ -345,10 +286,9 @@ ProfiledQueryScope::~ProfiledQueryScope() {
   profile_->cache_epoch_drops += now.epoch_drops - cache_before_.epoch_drops;
   // Every mechanism feeds the `estimate.nodes` counter with each node it
   // touches, cached or not, so the kernels estimated the touched nodes the
-  // cache did not serve. That includes boxes too large to cache (MG over
-  // 2^16 cells, SC over 4096 sub-queries), which probe nothing. The counter
-  // stands still while metrics are disabled; every miss is still one
-  // kernel-estimated node then.
+  // cache did not serve. The counter stands still while metrics are
+  // disabled; every miss is still one kernel-estimated node then, but with
+  // the cache off too nothing is counted (see QueryProfile).
   const uint64_t touched =
       FoEstimateMetrics().nodes->value() - nodes_counter_before_;
   profile_->nodes_estimated +=

@@ -11,7 +11,6 @@
 #include "mech/mechanism.h"
 #include "obs/trace.h"
 #include "plan/physical.h"
-#include "plan/stats_store.h"
 #include "plan/weights.h"
 
 namespace ldp {
@@ -38,9 +37,8 @@ class MultiMechanism;
 /// query of the batch) with the same (weights, sensitive box) — the reuse
 /// returns the bit-exact value a recomputation would, so batch answers equal
 /// the sequential ones while the mechanism sees each distinct estimate only
-/// once. GlobalMetrics: `plan.estimate_calls` counts the boxes (and
-/// consistency estimates) actually sent to the mechanism,
-/// `plan.batch_dedup_hits` the estimates the dedup saved.
+/// once. GlobalMetrics: `plan.estimate_calls` counts the boxes actually sent
+/// to the mechanism, `plan.batch_dedup_hits` the estimates the dedup saved.
 class PlanExecutor {
  public:
   /// References must outlive the executor; none are owned.
@@ -58,18 +56,12 @@ class PlanExecutor {
   /// Executes plans in one pass, the one execution path: plans[i]'s answer
   /// goes to out[i]. Fills `profile` stage spans (fanout/estimate) and
   /// ie_terms exactly like the legacy engine when non-null. With two or
-  /// more plans, estimates with identical (weight key, sensitive box,
-  /// strategy) are computed once, at their first encounter in plan order,
-  /// and shared; a one-plan call builds no dedup keys. out[i] is
-  /// bit-identical to a one-plan call on plans[i]. When `observations` is
-  /// non-null it receives one measured PlanObservation per plan
-  /// (index-aligned with `plans`) for the plan stats store: its wall time,
-  /// its estimate calls, and the `estimate.nodes` it touched; a
-  /// dedup-served estimate counts toward the plan that computed it, not the
-  /// plans that reused it.
+  /// more plans, estimates with identical (mechanism, weight key, sensitive
+  /// box) are computed once, at their first encounter in plan order, and
+  /// shared; a one-plan call builds no dedup keys. out[i] is bit-identical
+  /// to a one-plan call on plans[i].
   Status RunBatch(std::span<const std::shared_ptr<const PhysicalPlan>> plans,
-                  std::span<double> out, QueryProfile* profile,
-                  std::vector<PlanObservation>* observations = nullptr) const;
+                  std::span<double> out, QueryProfile* profile) const;
 
   WeightStore& weight_store() const { return *weights_; }
 
@@ -77,7 +69,7 @@ class PlanExecutor {
   struct RunState;
 
   /// Replays the plan's estimate ops into per-component totals, sharing
-  /// `state` (estimate memo + consistent-tree cache) across calls.
+  /// `state` (the estimate memo) across calls.
   Status AccumulateComponents(const PhysicalPlan& plan, RunState* state,
                               QueryProfile* profile,
                               double (&totals)[kNumComponentKinds]) const;

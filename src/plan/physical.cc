@@ -11,8 +11,6 @@ const char* PlanOpKindName(PlanOpKind kind) {
       return "ExactFilter";
     case PlanOpKind::kNodeEstimate:
       return "NodeEstimate";
-    case PlanOpKind::kConsistency:
-      return "Consistency";
     case PlanOpKind::kAggregateCompose:
       return "AggregateCompose";
   }
@@ -23,8 +21,6 @@ const char* PlanStrategyName(PlanStrategy strategy) {
   switch (strategy) {
     case PlanStrategy::kDirectLevelGrid:
       return "direct-level-grid";
-    case PlanStrategy::kConsistentTree:
-      return "consistent-tree";
     case PlanStrategy::kScDualPath:
       return "sc-dual-path";
     case PlanStrategy::kMgCellStream:
@@ -64,7 +60,6 @@ void AppendOpText(std::ostringstream& os, const PlanOp& op, int index) {
          << op.weight_key << "\"";
       break;
     case PlanOpKind::kNodeEstimate:
-    case PlanOpKind::kConsistency:
       os << " component=" << ComponentKindName(op.component)
          << " term=" << op.term << " weights=" << op.weight_op << " deps=";
       AppendDeps(os, op.deps);
@@ -76,19 +71,6 @@ void AppendOpText(std::ostringstream& os, const PlanOp& op, int index) {
       break;
   }
   os << "\n";
-}
-
-/// Estimate calls the plan predicts: one per estimate op (batch dedup may
-/// issue fewer; that is what the actual measures).
-uint64_t PredictedEstimateCalls(const PhysicalPlan& plan) {
-  uint64_t calls = 0;
-  for (const PlanOp& op : plan.ops) {
-    if (op.kind == PlanOpKind::kNodeEstimate ||
-        op.kind == PlanOpKind::kConsistency) {
-      ++calls;
-    }
-  }
-  return calls;
 }
 
 }  // namespace
@@ -120,18 +102,6 @@ std::string PhysicalPlan::ToText(const Schema& schema) const {
          << (c.feasible ? FormatDouble(c.variance) : std::string("infeasible"));
     }
     os << "\n";
-  }
-  if (feedback.warmed) {
-    // Predicted-vs-actual from the plan stats store. Rendered only after the
-    // K-observation warmup, and never part of the fingerprint (computed with
-    // this block default-empty), so observation can't change plan identity.
-    os << "feedback:\n";
-    os << "  observations: " << feedback.observations << "\n";
-    os << "  estimate_calls: predicted=" << PredictedEstimateCalls(*this)
-       << " actual~" << FormatDouble(feedback.estimate_calls) << "\n";
-    os << "  node_estimates: predicted=" << predicted_node_estimates
-       << " actual~" << FormatDouble(feedback.nodes) << "\n";
-    os << "  wall_nanos: actual~" << FormatDouble(feedback.wall_nanos) << "\n";
   }
   os << "epoch: " << epoch << "\n";
   char fp[32];
@@ -176,14 +146,6 @@ std::string PhysicalPlan::ToJson(const Schema& schema) const {
     }
     os << "]";
   }
-  if (feedback.warmed) {
-    os << ",\"feedback\":{\"observations\":" << feedback.observations
-       << ",\"predicted_estimate_calls\":" << PredictedEstimateCalls(*this)
-       << ",\"actual_estimate_calls\":" << FormatDouble(feedback.estimate_calls)
-       << ",\"predicted_node_estimates\":" << predicted_node_estimates
-       << ",\"actual_nodes\":" << FormatDouble(feedback.nodes)
-       << ",\"actual_wall_nanos\":" << FormatDouble(feedback.wall_nanos) << "}";
-  }
   os << ",\"epoch\":" << epoch << ",\"fingerprint\":\"";
   char fp[32];
   std::snprintf(fp, sizeof(fp), "%016llx",
@@ -196,8 +158,7 @@ std::string PhysicalPlan::ToJson(const Schema& schema) const {
     if (op.kind != PlanOpKind::kAggregateCompose) {
       os << ",\"component\":\"" << ComponentKindName(op.component) << "\"";
     }
-    if (op.kind == PlanOpKind::kNodeEstimate ||
-        op.kind == PlanOpKind::kConsistency) {
+    if (op.kind == PlanOpKind::kNodeEstimate) {
       os << ",\"term\":" << op.term << ",\"weights\":" << op.weight_op
          << ",\"predicted_nodes\":" << op.predicted_nodes;
     }

@@ -25,11 +25,6 @@ enum class PlanOpKind {
   /// filter op's weights. The executor sends all of a plan's boxes to the
   /// mechanism in one EstimateBoxes call.
   kNodeEstimate,
-  /// Consistency-corrected range estimate on the least-squares consistent
-  /// HIO tree (ConsistentHio) instead of the raw per-level estimates. Only
-  /// planned when PlannerOptions::enable_consistency is set — it changes
-  /// answers, so it is never part of the bit-identical default path.
-  kConsistency,
   /// Combines the per-component totals into the final aggregate
   /// (AVG = SUM/COUNT, STDEV from SUMSQ/SUM/COUNT). Always the last op.
   kAggregateCompose,
@@ -38,14 +33,12 @@ enum class PlanOpKind {
 const char* PlanOpKindName(PlanOpKind kind);
 
 /// How the mechanism answers the plan's boxes — a descriptive label chosen by
-/// the planner from the mechanism kind and options. Only kConsistentTree
-/// changes results; the others name the mechanism's native execution shape.
+/// the planner from the mechanism kind: the mechanism's native execution
+/// shape. It never changes results.
 enum class PlanStrategy {
   /// Per-level hierarchy/grid estimates summed over the canonical
   /// decomposition (HI, HIO, QuadTree, Haar).
   kDirectLevelGrid,
-  /// 1-dim ordinal HIO with Hay-style least-squares consistency correction.
-  kConsistentTree,
   /// Split-and-conquer dual path: per-dimension inner sums combined across
   /// the (dimension, level) report groups.
   kScDualPath,
@@ -66,9 +59,9 @@ const char* PlanStrategyName(PlanStrategy strategy);
 /// satisfies them.
 struct PlanOp {
   PlanOpKind kind = PlanOpKind::kNodeEstimate;
-  /// Component this op contributes to (filter/estimate/consistency ops).
+  /// Component this op contributes to (filter/estimate ops).
   ComponentKind component = ComponentKind::kCount;
-  /// Index into LogicalPlan::terms (estimate/consistency ops; -1 otherwise).
+  /// Index into LogicalPlan::terms (estimate ops; -1 otherwise).
   int term = -1;
   /// Index of the kExactFilter op whose weights this op consumes (-1 n/a).
   int weight_op = -1;
@@ -78,25 +71,6 @@ struct PlanOp {
   /// kExactFilter only: the canonical weight key (WeightStore::Key) — also
   /// the batch executor's dedup handle.
   std::string weight_key;
-};
-
-/// Measured actuals riding along with a plan (the engine's PlanStatsStore
-/// entry for this plan's fingerprint at EXPLAIN time). Display data only:
-/// nothing in planning or execution reads it. Excluded from the plan
-/// fingerprint — the planner fingerprints the plan with this block
-/// default-empty and the engine fills it afterwards, so observing a plan
-/// never changes its identity.
-struct PlanFeedback {
-  /// Recorded executions of this fingerprint.
-  uint64_t observations = 0;
-  /// True once observations >= PlanStatsStore::kWarmupObservations; EXPLAIN
-  /// renders the predicted-vs-actual block only then.
-  bool warmed = false;
-  /// EWMA actuals (see PlanStatsStore). wall_nanos is nondeterministic
-  /// timing data; estimate_calls/nodes are deterministic work measures.
-  double wall_nanos = 0.0;
-  double estimate_calls = 0.0;
-  double nodes = 0.0;
 };
 
 /// A fully lowered, executable query plan: the logical plan plus the
@@ -120,7 +94,6 @@ struct PhysicalPlan {
   double query_volume = 0.0;
   /// Number of sensitive dimensions the predicate constrains (>= 1).
   int query_dims = 1;
-  bool use_consistency = false;
   /// Report-store epoch (Mechanism::num_reports) the plan was built at; the
   /// plan cache hard-drops entries whose epoch differs in either direction.
   uint64_t epoch = 0;
@@ -131,10 +104,6 @@ struct PhysicalPlan {
   /// candidate-registration order. Empty for single-mechanism planners (the
   /// choice is forced), so single-mechanism EXPLAIN output is unchanged.
   std::vector<MechanismScore> candidates;
-  /// Measured actuals for this fingerprint, filled by the engine when
-  /// EngineOptions::enable_feedback is on and the stats store has seen it.
-  /// Default-empty (not rendered, not fingerprinted) otherwise.
-  PlanFeedback feedback;
   std::vector<PlanOp> ops;
 
   /// Stable human-readable EXPLAIN rendering. Deterministic: fixed field

@@ -9,17 +9,16 @@
 namespace ldp {
 
 Planner::Planner(Schema schema, MechanismKind mechanism,
-                 const MechanismParams& params, const PlannerOptions& options)
-    : Planner(std::move(schema), std::vector<MechanismKind>{mechanism}, params,
-              options) {}
+                 const MechanismParams& params)
+    : Planner(std::move(schema), std::vector<MechanismKind>{mechanism},
+              params) {}
 
 Planner::Planner(Schema schema, std::vector<MechanismKind> candidates,
-                 const MechanismParams& params, const PlannerOptions& options)
+                 const MechanismParams& params)
     : schema_(std::move(schema)),
       mechanism_(candidates.empty() ? MechanismKind::kHio : candidates[0]),
       candidates_(std::move(candidates)),
       params_(params),
-      options_(options),
       hierarchies_(BuildHierarchies(schema_, params.fanout)) {
   if (candidates_.empty()) candidates_.push_back(mechanism_);
 }
@@ -128,10 +127,7 @@ Result<PhysicalPlan> Planner::Plan(LogicalPlan logical,
     plan.mechanism = chosen;
   }
 
-  // --- Strategy: the chosen mechanism's native shape, or the opt-in
-  // consistent tree when the deployment qualifies (single-mechanism HIO
-  // with 1 sensitive ordinal dim; the consistency path needs direct access
-  // to the HIO mechanism, which a composite engine does not expose). ---
+  // --- Strategy: the chosen mechanism's native shape. ---
   switch (chosen) {
     case MechanismKind::kMg:
       plan.strategy = PlanStrategy::kMgCellStream;
@@ -148,14 +144,6 @@ Result<PhysicalPlan> Planner::Plan(LogicalPlan logical,
     default:
       plan.strategy = PlanStrategy::kDirectLevelGrid;
       break;
-  }
-  if (options_.enable_consistency && candidates_.size() == 1 &&
-      chosen == MechanismKind::kHio &&
-      schema_.sensitive_dims().size() == 1 &&
-      schema_.attribute(schema_.sensitive_dims()[0]).kind ==
-          AttributeKind::kSensitiveOrdinal) {
-    plan.strategy = PlanStrategy::kConsistentTree;
-    plan.use_consistency = true;
   }
 
   // --- Cost annotations: advisor proxies + per-term node predictions. ---
@@ -204,8 +192,7 @@ Result<PhysicalPlan> Planner::Plan(LogicalPlan logical,
         plan.ops.push_back(std::move(filter));
       }
       PlanOp est;
-      est.kind = plan.use_consistency ? PlanOpKind::kConsistency
-                                      : PlanOpKind::kNodeEstimate;
+      est.kind = PlanOpKind::kNodeEstimate;
       est.component = component;
       est.term = static_cast<int>(t);
       est.weight_op = it->second;

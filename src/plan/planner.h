@@ -9,14 +9,6 @@
 
 namespace ldp {
 
-struct PlannerOptions {
-  /// Allow the consistency-corrected strategy (least-squares consistent HIO
-  /// tree) when the deployment qualifies: HIO with exactly one sensitive
-  /// ordinal dimension. OFF by default — consistency changes answers, and
-  /// the default plans must stay bit-identical to the pre-planner engine.
-  bool enable_consistency = false;
-};
-
 /// Lowers logical plans to physical plans for one deployment
 /// (schema + mechanism + params). Stateless after construction and
 /// deterministic: the same logical plan always lowers to the same ops, cost
@@ -33,7 +25,7 @@ struct PlannerOptions {
 class Planner {
  public:
   Planner(Schema schema, MechanismKind mechanism,
-          const MechanismParams& params, const PlannerOptions& options = {});
+          const MechanismParams& params);
 
   /// Multi-mechanism planner: `candidates` lists the mechanisms registered
   /// with the engine (the first is the primary). With more than one
@@ -42,7 +34,7 @@ class Planner {
   /// rejected candidates' scores; with exactly one this is identical to the
   /// single-mechanism constructor.
   Planner(Schema schema, std::vector<MechanismKind> candidates,
-          const MechanismParams& params, const PlannerOptions& options = {});
+          const MechanismParams& params);
 
   /// Lowers `logical` into an executable physical plan stamped with the
   /// report-store `epoch` it was planned at.
@@ -57,7 +49,6 @@ class Planner {
   /// advisor's vol(q).
   static double QueryVolume(const Schema& schema, const LogicalPlan& logical);
 
-  const PlannerOptions& options() const { return options_; }
   const std::vector<MechanismKind>& candidates() const { return candidates_; }
 
  private:
@@ -71,7 +62,6 @@ class Planner {
   /// Registered mechanism kinds, in registration order.
   std::vector<MechanismKind> candidates_;
   MechanismParams params_;
-  PlannerOptions options_;
   /// Per sensitive dimension, in Schema::sensitive_dims() order.
   std::vector<std::unique_ptr<DimHierarchy>> hierarchies_;
 };

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "data/generator.h"
+#include "fo/simd/simd.h"
+#include "obs/metrics.h"
 
 namespace ldp {
 namespace {
@@ -255,6 +257,19 @@ TEST(EngineTest, AccessorsExposeState) {
   EXPECT_EQ(engine->mechanism().num_reports(), 1000u);
   const Query count = {Aggregate::Count(), nullptr};
   EXPECT_DOUBLE_EQ(engine->AbsWeightTotal(count), 1000.0);
+}
+
+TEST(EngineTest, CreateLeavesProcessWideSwitchesAlone) {
+  // The kernel level and the metrics switch belong to the process; building
+  // an engine must not reset either to its default.
+  SetSimdLevel(SimdLevel::kScalar);
+  GlobalMetrics().set_enabled(false);
+  const Table table = TestTable(1000);
+  EXPECT_TRUE(AnalyticsEngine::Create(table, EngineOptions{}).ok());
+  EXPECT_EQ(ActiveSimdLevel(), SimdLevel::kScalar);
+  EXPECT_FALSE(GlobalMetrics().enabled());
+  SetSimdLevel(SimdLevel::kAuto);
+  GlobalMetrics().set_enabled(true);
 }
 
 }  // namespace

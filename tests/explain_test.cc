@@ -25,23 +25,14 @@ Table SmallTable(uint64_t n = 2000, uint64_t seed = 77) {
   return GenerateTable(spec, n, seed).ValueOrDie();
 }
 
-Table OneDimTable(uint64_t n = 2000) {
-  TableSpec spec;
-  spec.dims.push_back(
-      {"a", AttributeKind::kSensitiveOrdinal, 32, ColumnDist::kUniform, 1.0});
-  spec.measures.push_back({"m", 0.0, 5.0, ColumnDist::kUniform, 1.0, -1, 0.0});
-  return GenerateTable(spec, n, 78).ValueOrDie();
-}
-
 std::unique_ptr<AnalyticsEngine> MakeEngine(
     const Table& table, MechanismKind kind = MechanismKind::kHio,
-    uint64_t seed = 42, bool consistency = false) {
+    uint64_t seed = 42) {
   EngineOptions options;
   options.mechanism = kind;
   options.params.epsilon = 2.0;
   options.params.hash_pool_size = 256;
   options.seed = seed;
-  options.planner_consistency = consistency;
   return AnalyticsEngine::Create(table, options).ValueOrDie();
 }
 
@@ -273,38 +264,6 @@ TEST(ExplainTest, SingleMechanismHasNoCandidatesLine) {
           .ValueOrDie()
           ->ToJson(table.schema());
   EXPECT_EQ(json.find("\"candidates\""), std::string::npos);
-}
-
-TEST(ExplainTest, ConsistencyStrategyIsOptInAndGated) {
-  const Table one_dim = OneDimTable();
-  const Query query =
-      ParseQuery(one_dim.schema(), "SELECT COUNT(*) FROM T WHERE a IN [4, 19]")
-          .ValueOrDie();
-
-  // Default: never consistent, even where it would qualify.
-  const auto plain = MakeEngine(one_dim)->PlanFor(query).ValueOrDie();
-  EXPECT_FALSE(plain->use_consistency);
-  EXPECT_EQ(plain->strategy, PlanStrategy::kDirectLevelGrid);
-
-  // Opted in on a qualifying deployment (HIO, one ordinal dim).
-  const auto consistent =
-      MakeEngine(one_dim, MechanismKind::kHio, 42, /*consistency=*/true)
-          ->PlanFor(query)
-          .ValueOrDie();
-  EXPECT_TRUE(consistent->use_consistency);
-  EXPECT_EQ(consistent->strategy, PlanStrategy::kConsistentTree);
-
-  // Opted in on a non-qualifying deployment (two sensitive dims): gated off.
-  const Table multi = SmallTable();
-  const Query mq =
-      ParseQuery(multi.schema(), "SELECT COUNT(*) FROM T WHERE a <= 5")
-          .ValueOrDie();
-  const auto gated =
-      MakeEngine(multi, MechanismKind::kHio, 42, /*consistency=*/true)
-          ->PlanFor(mq)
-          .ValueOrDie();
-  EXPECT_FALSE(gated->use_consistency);
-  EXPECT_EQ(gated->strategy, PlanStrategy::kDirectLevelGrid);
 }
 
 TEST(ExplainTest, JsonRenderingIsWellFormedAndConsistent) {

@@ -372,7 +372,7 @@ TEST(EngineProfileTest, MetricsAndProfilingNeverPerturbEstimates) {
   options.params.epsilon = 2.0;
   options.seed = 1234;
   options.num_threads = 1;
-  options.enable_metrics = true;
+  GlobalMetrics().set_enabled(true);
   const auto baseline_engine =
       AnalyticsEngine::Create(ProfTable(), options).ValueOrDie();
   std::vector<double> baseline;
@@ -382,7 +382,7 @@ TEST(EngineProfileTest, MetricsAndProfilingNeverPerturbEstimates) {
 
   for (const bool metrics_on : {false, true}) {
     for (const int threads : {1, 2, 8}) {
-      options.enable_metrics = metrics_on;
+      GlobalMetrics().set_enabled(metrics_on);
       options.num_threads = threads;
       const auto engine =
           AnalyticsEngine::Create(ProfTable(), options).ValueOrDie();
@@ -438,12 +438,10 @@ TEST(EngineProfileTest, GlobalRegistryObservesEngineWork) {
 // profile's node count agrees with the counter in both cache states.
 /// Runs `sql` twice on a fresh engine in each estimate-cache state and checks
 /// the node accounting: `estimate.nodes` rises by `nodes` on every run; with
-/// the cache on, a box small enough to cache probes it once per node
-/// (hits + misses) and the second run is all hits, while a larger box
-/// bypasses the cache; `nodes_estimated` is the rise minus the hits.
+/// the cache on, the box probes it once per node (hits + misses) and the
+/// second run is all hits; `nodes_estimated` is the rise minus the hits.
 void ExpectNodeAccounting(const Table& table, EngineOptions options,
-                          const std::string& sql, uint64_t nodes,
-                          bool cacheable) {
+                          const std::string& sql, uint64_t nodes) {
   GlobalMetrics().set_enabled(true);
   Counter* counter = GlobalMetrics().counter("estimate.nodes");
   for (const bool cache : {false, true}) {
@@ -457,7 +455,7 @@ void ExpectNodeAccounting(const Table& table, EngineOptions options,
       ASSERT_TRUE(engine->ExecuteSql(sql, &profile).ok());
       const uint64_t delta = counter->value() - before;
       EXPECT_EQ(delta, nodes);
-      if (cache && cacheable) {
+      if (cache) {
         EXPECT_EQ(profile.cache_hits + profile.cache_misses, delta);
         EXPECT_EQ(profile.cache_hits, run == 0 ? 0u : nodes);
       } else {
@@ -468,8 +466,8 @@ void ExpectNodeAccounting(const Table& table, EngineOptions options,
   }
 }
 
-/// Two 512-value sensitive dimensions: MG's grid has 2^18 cells, so boxes
-/// fall on both sides of its 2^16-cell cache gate.
+/// Two 512-value sensitive dimensions: MG's grid has 2^18 cells, so a box
+/// can cover far more cells than the small ones the other tests use.
 const Table& WideTable() {
   static const Table* table = [] {
     TableSpec spec;
@@ -500,7 +498,7 @@ TEST(EngineProfileTest, ScNodesMatchPieceProductInBothCacheStates) {
   ExpectNodeAccounting(ProfTable(), options,
                        "SELECT COUNT(*) FROM T WHERE age BETWEEN 1 AND 10 AND "
                        "income BETWEEN 3 AND 7",
-                       product, /*cacheable=*/true);
+                       product);
 }
 
 // SC's support bits depend on the reports alone, so a plan hashes each
@@ -613,12 +611,12 @@ TEST(EngineProfileTest, MgNodesMatchBoxCellsOnBothSidesOfTheCacheGate) {
   ExpectNodeAccounting(WideTable(), options,
                        "SELECT COUNT(*) FROM T WHERE a IN [0, 11] AND "
                        "b IN [0, 7]",
-                       96, /*cacheable=*/true);
-  // 300 x 300 = 90,000 cells, over the 2^16 gate: streamed uncached.
+                       96);
+  // 300 x 300 = 90,000 cells: cached as well.
   ExpectNodeAccounting(WideTable(), options,
                        "SELECT COUNT(*) FROM T WHERE a IN [0, 299] AND "
                        "b IN [0, 299]",
-                       90000, /*cacheable=*/false);
+                       90000);
 }
 
 TEST(EngineProfileTest, CompositeNodesCountTheSubCaches) {
@@ -640,7 +638,7 @@ TEST(EngineProfileTest, CompositeNodesCountTheSubCaches) {
   ASSERT_EQ(plan->logical.terms.size(), 1u);
   ASSERT_GT(plan->predicted_node_estimates, 1u);
   ExpectNodeAccounting(WideTable(), options, sql,
-                       plan->predicted_node_estimates, /*cacheable=*/true);
+                       plan->predicted_node_estimates);
 }
 
 

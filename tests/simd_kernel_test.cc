@@ -437,7 +437,7 @@ void CheckEngineBitIdenticalAcrossLevelsThreadsAndCache(
     options.seed = 4242;
     options.num_threads = threads;
     options.enable_estimate_cache = cache;
-    options.simd_level = level;
+    SetSimdLevel(level);
     return AnalyticsEngine::Create(table, options).ValueOrDie();
   };
   std::vector<double> reference;
